@@ -64,10 +64,6 @@ class EventuallyPeriodic:
         reps = need // len(self.period) + 1
         return Word((self.pre + self.period * reps)[:m])
 
-    @property
-    def is_periodic_point(self) -> bool:
-        return not self.pre
-
     def __repr__(self):
         return f"EventuallyPeriodic(pre={self.pre}, period={self.period})"
 

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .boundary import attraction_check
+from .graphs import any_route_endo, trivial_route_endo
 from .invariants import (
     AnalysisConfig,
     AnalysisError,
@@ -62,8 +63,6 @@ def _verdict_exit(verdicts: dict[str, str]) -> int:
 
 def cmd_validate(args) -> int:
     f, filtration, _ = load_instance(args.input)
-    from .graphs import any_route_endo
-
     phi = any_route_endo(f)
     data = {
         "valid": True,
@@ -119,8 +118,6 @@ def cmd_attracting(args) -> int:
 
 def cmd_route(args) -> int:
     f, _, base = load_instance(args.input)
-    from .graphs import trivial_route_endo
-
     base = base or f.graph.vertices[0]
     if f.vertex_map[base] != base:
         raise InputError("route analysis needs a fixed base vertex")

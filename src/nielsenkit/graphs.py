@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
-from .words import Basis, Endomorphism, Word
+from .words import Basis, Endomorphism, Word, reduce_letters
 
 
 class Dart(NamedTuple):
@@ -168,9 +169,16 @@ class GraphMap:
     vertex_map: dict[str, str]
     edge_map: dict[str, EdgePath]
 
-    def dart_image(self, d: Dart) -> EdgePath:
-        p = self.edge_map[d.name]
-        return p if d.fwd else p.reverse()
+    @cached_property
+    def image_table(self) -> dict[Dart, tuple[Dart, ...]]:
+        """Image darts of every dart, reversed darts included.  Built on first
+        use, so a map can be constructed before it is validated."""
+        table: dict[Dart, tuple[Dart, ...]] = {}
+        for e in self.graph.edges:
+            p = self.edge_map[e]
+            table[Dart(e, True)] = p.darts
+            table[Dart(e, False)] = p.reverse().darts
+        return table
 
     def validate(self) -> None:
         g = self.graph
@@ -209,10 +217,10 @@ class GraphMap:
 def map_path(f: GraphMap, p: EdgePath) -> EdgePath:
     if p.is_trivial:
         return trivial_path(f.vertex_map[p.at])
+    imgs = f.image_table
     out: list[Dart] = []
     for d in p.darts:
-        img = f.dart_image(d)
-        for x in img.darts:
+        for x in imgs[d]:
             if out and out[-1] == x.rev:
                 out.pop()
             else:
@@ -224,8 +232,8 @@ def map_path(f: GraphMap, p: EdgePath) -> EdgePath:
 
 def derivative(f: GraphMap, d: Dart) -> Optional[Dart]:
     """First dart of the tight image; None for a collapsed edge."""
-    img = f.dart_image(d)
-    return None if img.is_trivial else img.darts[0]
+    img = f.image_table[d]
+    return img[0] if img else None
 
 
 def classify_turn(f: GraphMap, d1: Dart, d2: Dart, max_iter: Optional[int] = None) -> str:
@@ -274,10 +282,6 @@ def fixed_directions(f: GraphMap, v: str, among: Optional[Iterable[str]] = None)
             continue
         out.append(d)
     return out
-
-
-def delta(f: GraphMap, v: str, among: Optional[Iterable[str]] = None) -> int:
-    return len(fixed_directions(f, v, among))
 
 
 class NonIsolatedFixedSet(ValueError):
@@ -468,6 +472,7 @@ class SpanningData:
     tree_darts: set[Dart] = field(default_factory=set)
     parent: dict[str, Dart] = field(default_factory=dict)  # dart leading back toward base
     basis_edges: list[str] = field(default_factory=list)
+    letter_of: dict[str, int] = field(default_factory=dict)  # basis edge -> letter
     basis: Basis = None
 
     def tree_path(self, src: str, dst: str) -> EdgePath:
@@ -485,36 +490,16 @@ class SpanningData:
 
     def word_of_path(self, p: EdgePath) -> Word:
         """Collapse the spanning tree: emit one signed letter per non-tree dart."""
-        raw = []
-        for d in p.darts:
-            if d.name in self.basis_edges_set:
-                i = self.basis_edges.index(d.name) + 1
-                raw.append(i if d.fwd else -i)
-        return Word(tuple(raw)) if _is_reduced(raw) else Word(_reduce(raw))
-
-    @property
-    def basis_edges_set(self) -> set[str]:
-        return set(self.basis_edges)
+        letter_of = self.letter_of
+        return Word(reduce_letters(
+            letter_of[d.name] if d.fwd else -letter_of[d.name]
+            for d in p.darts if d.name in letter_of))
 
     def basis_loop(self, e: str) -> EdgePath:
         d = Dart(e, True)
         a = self.tree_path(self.base, self.graph.origin(d))
         b = self.tree_path(self.graph.terminus(d), self.base)
         return tighten(self.graph, a.darts + (d,) + b.darts, at=self.base)
-
-
-def _reduce(raw):
-    out = []
-    for x in raw:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
-def _is_reduced(raw) -> bool:
-    return all(raw[i] != -raw[i + 1] for i in range(len(raw) - 1))
 
 
 def spanning_data(graph: Graph, base: str) -> SpanningData:
@@ -537,6 +522,7 @@ def spanning_data(graph: Graph, base: str) -> SpanningData:
         raise ValueError("graph is not connected")
     data.basis_edges = [e for e in graph.edges
                         if Dart(e, True) not in data.tree_darts]
+    data.letter_of = {e: i for i, e in enumerate(data.basis_edges, start=1)}
     data.basis = Basis(tuple(data.basis_edges)) if data.basis_edges else None
     return data
 

@@ -20,7 +20,6 @@ merges are trusted.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -31,6 +30,7 @@ from .graphs import (
     Dart,
     EdgePath,
     GraphMap,
+    classify_turn,
     derivative,
     fixed_directions,
     fixed_vertices,
@@ -311,9 +311,6 @@ class StratumInfo:
         except ValueError:
             return Fraction(0) if self.expansion.exact else 0.0
 
-    def path_length(self, p: EdgePath):
-        return sum((self.metric(d.name) for d in p.darts), start=Fraction(0))
-
 
 def classify_stratum(f: GraphMap, filt: Filtration, i: int, tol: float = 1e-9) -> StratumInfo:
     stratum = filt.strata[i]
@@ -347,7 +344,6 @@ def classify_stratum(f: GraphMap, filt: Filtration, i: int, tol: float = 1e-9) -
     # crossing Nielsen paths would lose their leg structure), and the lower
     # connecting pieces must never collapse entirely.  Turns against lower
     # darts cannot degenerate, so they need no check.
-    from .graphs import classify_turn, map_path
     in_stratum = set(stratum)
     for e in stratum:
         img = f.edge_map[e].darts
@@ -385,7 +381,6 @@ def classify_stratum(f: GraphMap, filt: Filtration, i: int, tol: float = 1e-9) -
 
 def illegal_turns_in(f: GraphMap, edges: Iterable[str]) -> list[tuple[Dart, Dart]]:
     """All illegal turns among directions of the given subgraph."""
-    from .graphs import classify_turn  # local import to keep module tops light
     names = list(edges)
     out = []
     darts = f.graph.darts(names)
@@ -437,20 +432,6 @@ def _canonical(p: EdgePath) -> tuple:
     return min(a, b)
 
 
-_image_cache: "weakref.WeakKeyDictionary[GraphMap, dict]" = weakref.WeakKeyDictionary()
-
-
-def dart_images(f: GraphMap) -> dict[Dart, tuple[Dart, ...]]:
-    cached = _image_cache.get(f)
-    if cached is None:
-        cached = {}
-        for e in f.graph.edges:
-            cached[Dart(e, True)] = f.edge_map[e].darts
-            cached[Dart(e, False)] = f.edge_map[e].reverse().darts
-        _image_cache[f] = cached
-    return cached
-
-
 def nielsen_paths_brute(f: GraphMap, max_len: int,
                         within: Optional[Iterable[str]] = None,
                         crossing: Optional[Iterable[str]] = None,
@@ -466,7 +447,7 @@ def nielsen_paths_brute(f: GraphMap, max_len: int,
     names = list(g.edges) if within is None else list(within)
     must = set(names) if crossing is None else set(crossing)
     fixed = set(fixed_vertices(f))
-    imgs = dart_images(f)
+    imgs = f.image_table
     rev_of = {d: d.rev for d in imgs}
     out_at = {v: [d for d in g.darts_at(v, names)] for v in g.vertices}
     found: dict[tuple, EdgePath] = {}
@@ -690,19 +671,3 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int = 8,
     ) if seeds else True
     record(cands, "certified-none" if exhausted else "none-within-bound")
     return info
-
-
-def classify_all(f: GraphMap, filt: Filtration, max_len: int = 8,
-                 tol: float = 1e-9,
-                 lower_classes_per_level: Optional[Sequence[Sequence[frozenset]]] = None,
-                 ) -> list[StratumInfo]:
-    infos = []
-    for i in range(filt.depth):
-        info = classify_stratum(f, filt, i, tol)
-        if info.stype in ("type1", "type2", "type3"):
-            lower = None
-            if lower_classes_per_level is not None:
-                lower = lower_classes_per_level[i]
-            find_inp(f, filt, info, max_len, lower_classes=lower)
-        infos.append(info)
-    return infos

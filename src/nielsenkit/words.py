@@ -257,10 +257,6 @@ def identity_endo(basis: Basis) -> Endomorphism:
     return Endomorphism(basis, tuple(Word((i,)) for i in range(1, basis.rank + 1)))
 
 
-def inner_automorphism(basis: Basis, c: Word) -> Endomorphism:
-    return identity_endo(basis).inner_twist(c)
-
-
 def matrix_multiply(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     n = len(a)
     return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
@@ -459,11 +455,6 @@ def route_equivalent(w: Word, w2: Word, phi: Endomorphism, depth: int) -> RouteS
         if (u * w * phi.apply(u).inverse()) == w2:
             return RouteSearch(True, u, depth)
     return RouteSearch(False, None, depth)
-
-
-def fixed_words_up_to(phi: Endomorphism, max_len: int) -> list[Word]:
-    """All reduced words of length <= max_len fixed by phi (bounded search)."""
-    return [w for w in enumerate_words(phi.rank, max_len) if not w.is_identity and phi.apply(w) == w]
 
 
 def fixed_subgroup_graph(phi: Endomorphism, gens: Sequence[Word]) -> FoldedGraph:

@@ -133,6 +133,8 @@ class TestAcceptance:
     def test_criterion_07_property_survey(self):
         stats = run_survey(500, rank=2, max_image_len=4, seed=SEED)
         assert stats.violations == [], stats.violations[:5]
+        assert (stats.analyzed, stats.skipped_unclassified, stats.conjecture_equal,
+                stats.conjecture_checked) == (471, 29, 543, 543)
         assert stats.skip_rate < 0.5, stats.skip_rate
         ok(7, f"{stats.analyzed}/500 instances analyzed "
               f"(skip rate {stats.skip_rate:.1%}), zero violations; "

@@ -327,20 +327,17 @@ class TestRejections:
             analyze(f)
 
 
-class TestPublicWrappers:
-    def test_partition_classes(self):
-        from nielsenkit.invariants import partition_classes
-
-        parts = partition_classes(rose_map(endo(2, "A", "Abb")))
+class TestReportFields:
+    def test_classes_as_partition(self):
+        rep = analyze(rose_map(endo(2, "A", "Abb")))
+        parts = [frozenset(c.members) for c in rep.classes]
         assert sorted(sorted(p) for p in parts) == [
             ["*"], ["a@1/2", "b@1/2"]]
 
-    def test_theorem_suite(self):
-        from nielsenkit.invariants import theorem_suite
-
-        verdicts, details = theorem_suite(rose_map(endo(2, "a", "Bab")))
-        assert verdicts["equality_at_chi_minus_one"] == "pass"
-        assert "ind=-1" in details["equality_at_chi_minus_one"]
+    def test_verdicts_and_details(self):
+        rep = analyze(rose_map(endo(2, "a", "Bab")))
+        assert rep.verdicts["equality_at_chi_minus_one"] == "pass"
+        assert "ind=-1" in rep.verdict_details["equality_at_chi_minus_one"]
 
 
 class TestRecursionInternals:
@@ -353,6 +350,24 @@ class TestRecursionInternals:
                 assert c.index == c.improved_char
 
     def test_oracle_cross_check_active(self):
-        cfg = AnalysisConfig(oracle=True)
+        cfg = AnalysisConfig()
         rep = analyze_endomorphism(endo(2, "A", "Abb"), cfg)
         assert len(rep.classes) == 2
+
+    def test_incomplete_runs_oracle_once(self, monkeypatch):
+        # The oracle's partition replaces the recursion's; it is not re-run
+        # as a cross-check whose result would be ignored.
+        import nielsenkit.invariants as inv
+
+        calls = []
+        oracle = inv.nielsen_partition_oracle
+
+        def counted(*args):
+            calls.append(args)
+            return oracle(*args)
+
+        monkeypatch.setattr(inv, "nielsen_partition_oracle", counted)
+        rep = analyze_endomorphism(endo(2, "aBAb", "a"))
+        assert not rep.classification_complete
+        assert len(rep.classes) == 2
+        assert len(calls) == 1

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import rose
 from nielsenkit.graphs import EdgePath, parse_dart, subdivided_fixed_map
+from nielsenkit.invariants import analyze
 from nielsenkit.rtt import (
-    classify_all,
     classify_stratum,
     derive_filtration,
     filtration_from_lists,
@@ -192,8 +192,7 @@ class TestNielsenPaths:
 
 class TestFindInp:
     def test_derived_map(self):
-        filt = derive_filtration(derived)
-        infos = classify_all(derived, filt)
+        infos = analyze(derived).strata
         top = infos[1]
         assert top.inp_status == "found"
         inp = top.inp
@@ -202,25 +201,23 @@ class TestFindInp:
         assert tuple(str(d) for d in inp.tail.darts) == ("a",)
 
     def test_doubling_certified_none(self):
-        filt = derive_filtration(ex1)
-        for info in classify_all(ex1, filt):
+        for info in analyze(ex1).strata:
             assert info.inp_status == "certified-none"
 
     def test_conjugating_top_certified_none(self):
-        filt = derive_filtration(ex2)
-        infos = classify_all(ex2, filt)
+        infos = analyze(ex2).strata
         assert infos[0].inp_status == "found"        # the fixed circle itself
         assert infos[1].inp_status == "certified-none"
 
     def test_agrees_with_brute_force_oracle(self):
         for f in (ex1, ex2, ex3, derived):
-            filt = derive_filtration(f)
-            for info in classify_all(f, filt):
+            rep = analyze(f)
+            for info in rep.strata:
                 if info.stype not in ("type2", "type3"):
                     continue
-                level = filt.level_edges(info.index + 1)
+                level = rep.filtration.level_edges(info.index + 1)
                 brute = nielsen_paths_brute(
-                    f, 6, within=level, crossing=info.edges, indivisible_only=True)
+                    rep.map, 6, within=level, crossing=info.edges, indivisible_only=True)
                 if info.inp_status.startswith("certified") or info.inp_status == "none-within-bound":
                     assert brute == [], (info.edges, [str(p) for p in brute])
                 elif info.inp_status == "found":
@@ -228,9 +225,7 @@ class TestFindInp:
                                for p in brute)
 
     def test_jiang_subdivided_merge_path(self):
-        g, _ = subdivided_fixed_map(rose({"a": ["a-"], "b": ["a-", "b", "b"]}))
-        filt = derive_filtration(g)
-        infos = classify_all(g, filt)
+        infos = analyze(rose({"a": ["a-"], "b": ["a-", "b", "b"]})).strata
         by_edges = {i.edges: i for i in infos}
         assert by_edges[("b:1",)].inp_status == "found"
         p = by_edges[("b:1",)].inp.path
