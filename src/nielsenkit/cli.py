@@ -20,7 +20,6 @@ from .invariants import (
     analyze,
     analyze_route,
     attracting_rays,
-    class_route_endo,
     lefschetz_number,
 )
 from .io import (
@@ -50,8 +49,7 @@ def _config(args) -> AnalysisConfig:
     if getattr(args, "depth", None) is not None:
         if args.depth < 0:
             raise InputError("depth must be nonnegative")
-        cfg.nielsen_depth = args.depth
-        cfg.inp_depth = args.depth
+        cfg.depth = args.depth
     if getattr(args, "tol", None) is not None:
         cfg.pf_tol = args.tol
     return cfg
@@ -98,12 +96,11 @@ def cmd_attracting(args) -> int:
     classes = []
     for c in report.classes:
         rays = []
-        if c.attract is not None and c.ray_seeds:
-            base, _, endo = class_route_endo(report.map, c.members)
+        if c.attract is not None:
             for ray in attracting_rays(report.map, c):
-                verdict = attraction_check(ray, endo)
+                verdict = attraction_check(ray, ray.endo)
                 rays.append({
-                    "prefix": endo.basis.format(ray.prefix(args.prefix_len)),
+                    "prefix": ray.endo.basis.format(ray.prefix(args.prefix_len)),
                     "initial_direction": str(ray.start),
                     "status": verdict.status,
                 })

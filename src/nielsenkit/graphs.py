@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Hashable, Iterable, Mapping, NamedTuple, Optional
 
 from .words import Basis, Endomorphism, Word, reduce_letters
 
@@ -62,6 +62,18 @@ class EdgePath:
 
 def trivial_path(vertex: str) -> EdgePath:
     return EdgePath((), vertex)
+
+
+def reachable(succ: Mapping[Hashable, Iterable[Hashable]], start: Hashable) -> set:
+    """Every node reachable from `start` along `succ`, `start` included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in succ[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -119,16 +131,11 @@ class Graph:
             prev = d
 
     def component_of(self, v: str) -> set[str]:
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for d in self.darts_at(u):
-                t = self.terminus(d)
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return seen
+        adj: dict[str, list[str]] = {u: [] for u in self.vertices}
+        for a, b in self.edge_ends.values():
+            adj[a].append(b)
+            adj[b].append(a)
+        return reachable(adj, v)
 
     def is_connected(self) -> bool:
         return not self.vertices or self.component_of(self.vertices[0]) == set(self.vertices)

@@ -61,8 +61,7 @@ class AnalysisError(RuntimeError):
 
 @dataclass
 class AnalysisConfig:
-    nielsen_depth: int = 8      # oracle path length
-    inp_depth: int = 8          # crossing-path search cap per stratum
+    depth: int = 8              # oracle path length and crossing-path search cap
     pf_tol: float = 1e-9
 
 
@@ -278,13 +277,11 @@ def _fold_stratum(f: GraphMap, classes: list[_ClassState], info: StratumInfo) ->
     if info.inp_status == "multiple":
         # Every crossing path merges what it joins, but with several distinct
         # ones the rank/attract bookkeeping is not pinned down.
-        touched: list[_ClassState] = []
         for cand in info.inp_multi:
             a, b = cand.endpoints
             ca, cb = class_of(a), class_of(b)
             if ca is not cb:
-                ca = merge_pair(ca, cb)
-            touched.append(ca)
+                merge_pair(ca, cb)
         for c in classes:
             d = delta_of(c)
             c.index -= d
@@ -296,22 +293,16 @@ def _fold_stratum(f: GraphMap, classes: list[_ClassState], info: StratumInfo) ->
         a, b = inp.endpoints
         ca, cb = class_of(a), class_of(b)
         if ca is not cb:
-            merged = merge_pair(ca, cb)
-            d = delta_of(merged)
-            add_seeds(merged)
-            merged.attract += d - 1
-            merged.index -= d
-            merged.delta += d
-            merged.trace.append(f"stratum{info.index}:{info.stype}:merge(d={d})")
+            merged, kind = merge_pair(ca, cb), "merge"
         else:
-            merged = ca
-            d = delta_of(ca)
-            add_seeds(ca)
-            ca.rank += 1
-            ca.attract += d - 1
-            ca.index -= d
-            ca.delta += d
-            ca.trace.append(f"stratum{info.index}:{info.stype}:loop(d={d})")
+            merged, kind = ca, "loop"
+            merged.rank += 1
+        d = delta_of(merged)
+        add_seeds(merged)
+        merged.attract += d - 1
+        merged.index -= d
+        merged.delta += d
+        merged.trace.append(f"stratum{info.index}:{info.stype}:{kind}(d={d})")
         if merged.attract < 0:
             raise StructureViolation("negative attracting count during recursion")
         if info.stype == "type3":
@@ -449,7 +440,7 @@ def analyze_route(phi: Endomorphism, route: Word, depth: int) -> RouteReport:
 # The pipeline.
 
 
-def _identity_report(f: GraphMap, config: AnalysisConfig) -> Report:
+def _identity_report(f: GraphMap) -> Report:
     chi = f.graph.euler_characteristic()
     n = 1 - chi
     members = tuple(sorted(f.graph.vertices))
@@ -482,7 +473,7 @@ def analyze(f: GraphMap, config: Optional[AnalysisConfig] = None,
     if not any_route_endo(f).is_injective():
         raise AnalysisError("selfmap is not injective on the fundamental group")
     if f.is_identity():
-        return _identity_report(f, config)
+        return _identity_report(f)
 
     g, points = subdivided_fixed_map(f)
     if filtration is not None:
@@ -518,7 +509,7 @@ def analyze(f: GraphMap, config: Optional[AnalysisConfig] = None,
             infos.extend(classify_stratum(g, filt, j, config.pf_tol)
                          for j in range(i + 1, filt.depth))
             break
-        find_inp(g, filt, info, config.inp_depth,
+        find_inp(g, filt, info, config.depth,
                  lower_classes=[frozenset(c.members) for c in classes])
         _fold_stratum(g, classes, info)
         infos.append(info)
@@ -526,7 +517,7 @@ def analyze(f: GraphMap, config: Optional[AnalysisConfig] = None,
     if not complete:
         # The recursion broke down; fall back to the brute-force partition and
         # local indices, with ranks and attracting counts left unverified.
-        parts = nielsen_partition_oracle(g, config.nielsen_depth)
+        parts = nielsen_partition_oracle(g, config.depth)
         classes = [_ClassState(members=set(p), verified=False,
                                trace=["oracle-partition"]) for p in parts]
         for c in classes:
@@ -559,7 +550,7 @@ def analyze(f: GraphMap, config: Optional[AnalysisConfig] = None,
     # Cross-check 2: the partition must agree with bounded brute force (an
     # incomplete classification took its partition from the oracle above).
     if complete and len(fixed) > 1:
-        oracle = nielsen_partition_oracle(g, config.nielsen_depth)
+        oracle = nielsen_partition_oracle(g, config.depth)
         ours = sorted((frozenset(c.members) for c in out_classes), key=sorted)
         if ours != oracle:
             raise AnalysisError(

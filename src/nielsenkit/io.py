@@ -62,6 +62,8 @@ def endo_from_json(data: dict) -> Endomorphism:
         images = tuple(basis.parse(data["images"][name]) for name in letters)
     except KeyError as exc:
         raise InputError(f"endomorphism JSON is missing {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"endomorphism JSON is malformed: {exc}") from exc
     return Endomorphism(basis, images)
 
 
@@ -105,6 +107,8 @@ def graph_map_from_json(data: dict) -> tuple[GraphMap, Optional[list[list[str]]]
         vertices = tuple(data["vertices"])
         ends = {}
         for rec in data["edges"]:
+            if rec["name"] in ends:
+                raise InputError(f"duplicate edge name {rec['name']!r}")
             ends[rec["name"]] = (rec["from"], rec["to"])
         graph = Graph(vertices, ends)
         vmap = dict(data["vertex_map"])
@@ -121,19 +125,33 @@ def graph_map_from_json(data: dict) -> tuple[GraphMap, Optional[list[list[str]]]
                 emap[name] = EdgePath(darts)
     except KeyError as exc:
         raise InputError(f"graph-map JSON is missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"graph-map JSON is malformed: {exc}") from exc
     f = GraphMap(graph, vmap, emap)
     try:
         f.validate()
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return f, data.get("filtration"), data.get("base")
+    if not graph.is_connected():
+        raise InputError("graph is not connected")
+    if graph.euler_characteristic() == 1:
+        raise InputError("graph is a tree; its fundamental group is trivial")
+    filtration, base = data.get("filtration"), data.get("base")
+    if filtration is not None and not (
+            isinstance(filtration, list)
+            and all(isinstance(s, list) and all(isinstance(e, str) for e in s)
+                    for s in filtration)):
+        raise InputError("filtration must be a list of lists of edge names")
+    if base is not None and base not in vertices:
+        raise InputError(f"base {base!r} is not a vertex")
+    return f, filtration, base
 
 
 def load_instance(path: str | Path) -> tuple[GraphMap, Optional[list[list[str]]], Optional[str]]:
     """Load either schema; endomorphisms are realized on a rose."""
     data = load_json(path)
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: top level must be a JSON object")
     if "images" in data:
         return rose_map(endo_from_json(data)), None, None
     if "edge_map" in data:

@@ -35,6 +35,7 @@ from .graphs import (
     fixed_directions,
     fixed_vertices,
     map_path,
+    reachable,
     turn_degenerates_in_one_step,
     trivial_path,
 )
@@ -74,80 +75,21 @@ def crossing_count(f: GraphMap, e: str, target: str) -> int:
 
 
 def derive_filtration(f: GraphMap) -> Filtration:
-    """Condense the edge-crossing digraph into strongly connected components,
-    lowest strata first; ties broken by edge name for determinism."""
-    edges = list(f.graph.edges)
-    succ = {e: sorted(crossed_edges(f, e)) for e in edges}
-
-    # Tarjan SCC, iterative, deterministic over sorted adjacency.
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: dict[str, bool] = {}
-    stack: list[str] = []
-    comps: list[tuple[str, ...]] = []
-    counter = [0]
-
-    def strongconnect(root: str) -> None:
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if on_stack.get(w):
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(tuple(sorted(comp)))
-
-    for e in sorted(edges):
-        if e not in index:
-            strongconnect(e)
-
-    comp_of = {e: i for i, c in enumerate(comps) for e in c}
-    # Edges of the condensation: component of e depends on components it crosses.
-    deps: dict[int, set[int]] = {i: set() for i in range(len(comps))}
-    for e in edges:
-        for w in succ[e]:
-            if comp_of[w] != comp_of[e]:
-                deps[comp_of[e]].add(comp_of[w])
-    # Kahn with lexicographic tie-break: dependencies (lower strata) first.
-    remaining = dict(deps)
-    placed: list[int] = []
-    done: set[int] = set()
-    while len(placed) < len(comps):
-        ready = sorted((i for i in remaining if remaining[i] <= done),
-                       key=lambda i: comps[i])
-        if not ready:
-            raise AssertionError("condensation is not a DAG")
-        i = ready[0]
-        placed.append(i)
-        done.add(i)
-        del remaining[i]
-    filt = Filtration([comps[i] for i in placed])
+    """Strata are the strongly connected components of the edge-crossing
+    digraph: the stratum of e holds every edge that e reaches and that reaches
+    e back.  Strata are placed lowest first, each step taking the
+    lexicographically smallest unplaced stratum whose reachable strata are
+    all placed, so every level is invariant."""
+    succ = {e: crossed_edges(f, e) for e in f.graph.edges}
+    reach = {e: reachable(succ, e) for e in succ}
+    stratum_of = {e: tuple(sorted(w for w in reach[e] if e in reach[w])) for e in succ}
+    below = {s: {stratum_of[w] for w in reach[s[0]]} - {s} for s in stratum_of.values()}
+    strata: list[tuple[str, ...]] = []
+    while len(strata) < len(below):
+        placed = set(strata)
+        strata.append(min(s for s, lower in below.items()
+                          if s not in placed and lower <= placed))
+    filt = Filtration(strata)
     verify_filtration(f, filt)
     return filt
 
@@ -185,18 +127,8 @@ def transition_matrix(f: GraphMap, stratum: Sequence[str]) -> list[list[int]]:
 
 def _support_irreducible(m: list[list[int]]) -> bool:
     n = len(m)
-    for start in range(n):
-        seen = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if m[j][i] > 0 and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) != n:
-            return False
-    return True
+    succ = {i: [j for j in range(n) if m[j][i] > 0] for i in range(n)}
+    return all(len(reachable(succ, i)) == n for i in range(n))
 
 
 @dataclass
@@ -498,26 +430,16 @@ def nielsen_paths_brute(f: GraphMap, max_len: int,
 
 
 def nielsen_partition_oracle(f: GraphMap, max_len: int) -> list[frozenset[str]]:
-    """Partition of the fixed vertices by bounded Nielsen-path search."""
+    """Partition of the fixed vertices by bounded Nielsen-path search: the
+    connected components of "joined by a path found"."""
     fixed = sorted(fixed_vertices(f))
-    parent = {v: v for v in fixed}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    adj: dict[str, set[str]] = {v: set() for v in fixed}
     if len(fixed) > 1:
         for p in nielsen_paths_brute(f, max_len):
             a, b = f.graph.path_endpoints(p)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[str, set[str]] = {}
-    for v in fixed:
-        groups.setdefault(find(v), set()).add(v)
-    return sorted((frozenset(s) for s in groups.values()), key=sorted)
+            adj[a].add(b)
+            adj[b].add(a)
+    return sorted({frozenset(reachable(adj, v)) for v in fixed}, key=sorted)
 
 
 @dataclass
@@ -564,8 +486,8 @@ def _ray_prefixes(f: GraphMap, d: Dart, dart_cap: int) -> list[tuple[Dart, ...]]
     return [current[:n] for n in range(1, min(dart_cap, len(current)) + 1)]
 
 
-def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int = 8,
-             lower_classes: Optional[Sequence[frozenset]] = None) -> StratumInfo:
+def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
+             lower_classes: Sequence[frozenset]) -> StratumInfo:
     """Locate the at-most-one indivisible Nielsen path crossing the stratum.
 
     type1 and multi-edge type2 strata certify `none`.  Single-edge type2
@@ -578,12 +500,7 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int = 8,
     level = filt.level_edges(info.index + 1)
     stratum = set(info.edges)
 
-    def class_of(v: str):
-        if lower_classes is not None:
-            for i, c in enumerate(lower_classes):
-                if v in c:
-                    return i
-        return v
+    class_of = {v: i for i, c in enumerate(lower_classes) for v in c}
 
     def record(cands: list[EdgePath], status_if_empty: str) -> None:
         uniq: dict[tuple, EdgePath] = {}
@@ -594,7 +511,7 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int = 8,
         by_pair: dict[frozenset, EdgePath] = {}
         for p in sorted(uniq.values(), key=lambda p: (len(p.darts), _canonical(p))):
             a, b = f.graph.path_endpoints(p)
-            by_pair.setdefault(frozenset((class_of(a), class_of(b))), p)
+            by_pair.setdefault(frozenset((class_of[a], class_of[b])), p)
         if len(by_pair) > 1:
             if info.stype == "type3":
                 # An expanding train-track stratum carries at most one; two

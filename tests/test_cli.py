@@ -20,6 +20,37 @@ from nielsenkit.words import default_basis
 b2 = default_basis(2)
 
 
+def _rose_with(**extra) -> dict:
+    data = corpus_files()["ex6_1_n2.json"]
+    data.update(extra)
+    return data
+
+
+def _two_vertices(edges: list[tuple[str, str, str]], edge_map: dict) -> dict:
+    return {"vertices": ["u", "v"],
+            "edges": [{"name": n, "from": a, "to": b} for n, a, b in edges],
+            "vertex_map": {"u": "u", "v": "v"}, "edge_map": edge_map}
+
+
+# Inputs that must exit 2 with a message, never a traceback.
+MALFORMED = {
+    "invalid-json": "{",
+    "top-level-number": 5,
+    "non-string-image": {"rank": 2, "letters": ["a", "b"],
+                         "images": {"a": "ab", "b": 3}},
+    "images-not-object": {"rank": 2, "letters": ["a", "b"], "images": ["ab", "b"]},
+    "rank-zero": {"rank": 0, "letters": [], "images": {}},
+    "non-string-dart": _rose_with(edge_map={"a1": ["a1", 3], "a2": ["a2"]}),
+    "edge-map-not-object": _rose_with(edge_map=[["a1"], ["a2"]]),
+    "duplicate-edge": _rose_with(edges=[{"name": "a1", "from": "*", "to": "*"}] * 2
+                                 + [{"name": "a2", "from": "*", "to": "*"}]),
+    "filtration-string": _rose_with(filtration="a1"),
+    "disconnected": _two_vertices([("a", "u", "u"), ("b", "v", "v")],
+                                  {"a": ["a", "a"], "b": ["b", "b"]}),
+    "tree": _two_vertices([("a", "u", "v")], {"a": ["a"]}),
+}
+
+
 def run(capsys, *argv) -> tuple[int, dict]:
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -151,10 +182,21 @@ class TestCommands:
         capsys.readouterr()
         assert code == 2
 
-    def test_exit_code_2_on_malformed(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["invariants", "validate", "lefschetz"])
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_exit_code_2_on_malformed(self, tmp_path, capsys, command, name):
         p = tmp_path / "broken.json"
-        p.write_text("{")
-        code = main(["invariants", str(p)])
+        text = MALFORMED[name]
+        p.write_text(text if isinstance(text, str) else json.dumps(text))
+        code = main([command, str(p)])  # no exception may escape
+        capsys.readouterr()
+        assert code == 2
+
+    def test_route_unknown_base(self, tmp_path, capsys):
+        data = _rose_with(base="v")
+        p = tmp_path / "base.json"
+        p.write_text(json.dumps(data))
+        code = main(["route", "--word", "a1", str(p)])
         capsys.readouterr()
         assert code == 2
 

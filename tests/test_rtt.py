@@ -38,6 +38,14 @@ class TestFiltration:
     def test_rotation_single_stratum(self):
         assert derive_filtration(ex3).strata == [("a", "b")]
 
+    def test_lowest_first_ties_by_name(self):
+        # b and c are both bottom strata: b is placed first, a above c
+        f = rose({"a": ["a", "a", "c"], "b": ["b", "b"], "c": ["c", "c"]})
+        assert derive_filtration(f).strata == [("b",), ("c",), ("a",)]
+        # a is ready before b, which crosses a; {d, e} is one stratum
+        f = rose({"d": ["d", "e"], "e": ["d"], "a": ["a", "a", "d"], "b": ["b", "a"]})
+        assert derive_filtration(f).strata == [("d", "e"), ("a",), ("b",)]
+
     def test_every_level_invariant(self):
         for f in (ex1, ex2, ex3, derived):
             filt = derive_filtration(f)
@@ -105,6 +113,8 @@ class TestPFMetric:
     def test_reducible_rejected(self):
         with pytest.raises(ValueError):
             pf_metric([[2, 1], [0, 2]])
+        with pytest.raises(ValueError):
+            pf_metric([[2, 1, 0], [0, 2, 0], [1, 1, 2]])
 
     def test_rational_two_by_two(self):
         data = pf_metric([[0, 2], [1, 1]])
@@ -243,3 +253,11 @@ class TestPartitionOracle:
         g, _ = subdivided_fixed_map(rose({"e": ["e-"]}))
         assert nielsen_partition_oracle(g, 8) == [
             frozenset({"*"}), frozenset({"e@1/2"})]
+
+    def test_classes_are_transitive_closure(self):
+        # No path of length <= 8 joins * to b@2/5; both reach a@1/2.
+        g, _ = subdivided_fixed_map(rose({"a": ["a", "a", "b"],
+                                          "b": ["a", "b-", "a-", "a-"]}))
+        ends = {frozenset(g.graph.path_endpoints(p)) for p in nielsen_paths_brute(g, 8)}
+        assert ends == {frozenset({"*", "a@1/2"}), frozenset({"a@1/2", "b@2/5"})}
+        assert nielsen_partition_oracle(g, 8) == [frozenset({"*", "a@1/2", "b@2/5"})]
