@@ -92,6 +92,8 @@ def cmd_invariants(args) -> int:
 
 def cmd_attracting(args) -> int:
     f, filtration, _ = load_instance(args.input)
+    if args.prefix_len < 0:
+        raise InputError("prefix length must be nonnegative")
     report = analyze(f, _config(args), filtration)
     classes = []
     for c in report.classes:

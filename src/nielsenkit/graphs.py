@@ -187,6 +187,26 @@ class GraphMap:
             table[Dart(e, False)] = p.reverse().darts
         return table
 
+    def cancellation_bound(self) -> int:
+        """Bounded cancellation constant C: whenever P and Q are tight paths
+        with P.Q tight, at most C darts of [f(P)] cancel against [f(Q)] when
+        [f(P)][f(Q)] is tightened.  Valid only when f is pi1-injective.
+
+        C = sum_e |f(e)| - rank(pi1 G) + 1 is the vertex count of the graph G'
+        obtained by subdividing each edge e into |f(e)| edges (collapsing it
+        when |f(e)| = 0); on a rose it is Endomorphism.cancellation_bound().
+        Proof: f factors as G' -> G, sending each edge of G' to one edge of
+        G, and that map factors as Stallings folds G' -> Gamma followed by an
+        immersion Gamma -> G.  Because f is pi1-injective no fold identifies
+        two edges with the same endpoints, so every fold is a homotopy
+        equivalence that removes one vertex, and there are at most V(G') - 1
+        folds.  Each fold cancels at most one edge at a junction and the
+        immersion cancels none.
+        """
+        g = self.graph
+        rank = len(g.edges) - len(g.vertices) + 1
+        return max(0, sum(len(p.darts) for p in self.edge_map.values()) - rank + 1)
+
     def validate(self) -> None:
         g = self.graph
         for v in g.vertices:

@@ -7,7 +7,6 @@ stack scan, so every operation here is linear in the data it touches.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -463,19 +462,3 @@ def fixed_subgroup_graph(phi: Endomorphism, gens: Sequence[Word]) -> FoldedGraph
         if phi.apply(g) != g:
             raise ValueError(f"certificate invalid: word is not fixed: {g.letters}")
     return fold_words(phi.rank, gens)
-
-
-def observed_cancellation(phi: Endomorphism, max_len: int) -> int:
-    """Largest cancellation seen in phi(W)phi(V) over reduced products W.V with
-    |W|, |V| <= max_len.  Diagnostic only; consumers use cancellation_bound."""
-    worst = 0
-    words = list(enumerate_words(phi.rank, max_len))
-    for w, v in itertools.product(words, words):
-        if w.is_identity or v.is_identity:
-            continue
-        if w.letters[-1] == -v.letters[0]:
-            continue
-        fw, fv = phi.apply(w), phi.apply(v)
-        c = (len(fw) + len(fv) - len(fw * fv)) // 2
-        worst = max(worst, c)
-    return worst

@@ -168,6 +168,12 @@ class TestCommands:
         assert len(rays) == 4
         assert all(r["status"] == "attracting" for r in rays)
 
+    def test_attracting_negative_prefix_len(self, corpus_dir, capsys):
+        code = main(["attracting", "--prefix-len", "-1",
+                     str(corpus_dir / "ex6_1_n2.json")])
+        out = capsys.readouterr().out
+        assert code == 2 and out == ""
+
     def test_verify_suite_passes(self, corpus_dir, capsys):
         code, data = run(capsys, "verify", "--suite", str(corpus_dir))
         assert code == 0

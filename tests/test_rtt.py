@@ -1,11 +1,15 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import rose
-from nielsenkit.graphs import EdgePath, parse_dart, subdivided_fixed_map
+from nielsenkit.graphs import EdgePath, fixed_vertices, parse_dart, subdivided_fixed_map
 from nielsenkit.invariants import analyze
+from nielsenkit.io import load_instance, rose_map
 from nielsenkit.rtt import (
     classify_stratum,
     derive_filtration,
@@ -17,6 +21,7 @@ from nielsenkit.rtt import (
     transition_matrix,
     verify_nielsen_path,
 )
+from nielsenkit.sampling import random_injective_endos
 
 ex1 = rose({"a": ["a", "a"], "b": ["b", "b"]})
 ex2 = rose({"a1": ["a1"], "a2": ["a2-", "a1", "a2"]})
@@ -115,6 +120,32 @@ class TestPFMetric:
             pf_metric([[2, 1], [0, 2]])
         with pytest.raises(ValueError):
             pf_metric([[2, 1, 0], [0, 2, 0], [1, 1, 2]])
+
+    @pytest.mark.parametrize("m, lam", [
+        ([[0, 2], [1, 0]], math.sqrt(2)),
+        ([[0, 1], [3, 0]], math.sqrt(3)),
+        ([[0, 3], [2, 0]], math.sqrt(6)),
+        ([[0, 1, 0], [0, 0, 1], [2, 0, 0]], 2 ** (1 / 3)),
+    ])
+    def test_periodic(self, m, lam):
+        # Irreducible but not primitive: powers of m cycle, so plain power
+        # iteration on m never converges.
+        data = pf_metric(m)
+        assert abs(data.lam - lam) <= 1e-9
+        assert data.residual <= 1e-9 and not data.exact
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_converges_on_every_expanding_matrix(self, m):
+        a = np.array(m, dtype=float)
+        n = len(m)
+        assume(np.all(np.linalg.matrix_power(a + np.eye(n), n - 1) > 0))  # irreducible
+        lam = max(abs(np.linalg.eigvals(a)))
+        assume(lam > 1 + 1e-6)
+        data = pf_metric(m)
+        assert data.residual <= 1e-9
+        assert abs(data.lam - lam) <= 1e-6
 
     def test_rational_two_by_two(self):
         data = pf_metric([[0, 2], [1, 1]])
@@ -261,3 +292,88 @@ class TestPartitionOracle:
         ends = {frozenset(g.graph.path_endpoints(p)) for p in nielsen_paths_brute(g, 8)}
         assert ends == {frozenset({"*", "a@1/2"}), frozenset({"a@1/2", "b@2/5"})}
         assert nielsen_partition_oracle(g, 8) == [frozenset({"*", "a@1/2", "b@2/5"})]
+
+
+def reference_nielsen_paths(f, max_len):
+    """Every Nielsen path of length <= max_len, once in each direction, as a
+    dart tuple: an unpruned level-by-level enumeration of the tight paths that
+    start at fixed vertices, sharing no code with nielsen_paths_brute.  Darts
+    are coded as integers so that depth 10 stays affordable."""
+    g = f.graph
+    darts = g.darts()
+    code = {d: i for i, d in enumerate(darts)}
+    rev = [code[d.rev] for d in darts]
+    img = [tuple(code[x] for x in f.image_table[d]) for d in darts]
+    term = [g.terminus(d) for d in darts]
+    out = {v: [code[d] for d in g.darts_at(v)] for v in g.vertices}
+    fixed = set(fixed_vertices(f))
+
+    def times(w, x):  # reduced product of two reduced dart words
+        n = 0
+        while n < len(x) and n < len(w) and w[-1 - n] == rev[x[n]]:
+            n += 1
+        return w[:len(w) - n] + x[n:]
+
+    found = []
+    level = [((), (), v) for v in fixed]
+    for _ in range(max_len):
+        level = [(p + (d,), times(w, img[d]), term[d])
+                 for p, w, at in level for d in out[at] if not p or d != rev[p[-1]]]
+        found.extend(p for p, w, at in level if w == p and at in fixed)
+    return [tuple(darts[i] for i in p) for p in found]
+
+
+def assert_search_exact(f, filt, depths):
+    """nielsen_paths_brute equals the reference at every depth, unrestricted
+    and with each stratum's within / crossing / indivisible_only variants."""
+    ref = reference_nielsen_paths(f, max(depths))
+    variants = [{}]
+    for i, stratum in enumerate(filt.strata):
+        level = filt.level_edges(i + 1)
+        variants += [{"within": level}, {"crossing": stratum},
+                     {"within": level, "crossing": stratum, "indivisible_only": True}]
+
+    def admitted(p, within=(), crossing=(), indivisible_only=False):
+        return ((not within or all(d.name in within for d in p))
+                and (not crossing or any(d.name in crossing for d in p))
+                and (not indivisible_only or is_indivisible(f, EdgePath(p))))
+
+    def key(darts):
+        return frozenset((darts, tuple(d.rev for d in reversed(darts))))
+
+    for depth in depths:
+        for kw in variants:
+            got = [key(p.darts) for p in nielsen_paths_brute(f, depth, **kw)]
+            want = {key(p) for p in ref if len(p) <= depth and admitted(p, **kw)}
+            assert len(got) == len(set(got)) and set(got) == want, (depth, kw)
+
+
+class TestPrunedSearchExact:
+    """The bounded-cancellation pruning changes no result."""
+
+    def test_reference_finds_known_paths(self):
+        found = reference_nielsen_paths(derived, 6)
+        assert path("b", "a", "b-").darts in found and path("b", "a-", "b-").darts in found
+        assert reference_nielsen_paths(ex1, 8) == []
+
+    def test_corpus_maps(self, corpus_dir):
+        for p in sorted(corpus_dir.glob("*.json")):
+            f, filtration, _ = load_instance(p)
+            rep = analyze(f, filtration=filtration)
+            if rep.filtration is None:
+                continue
+            g = rep.map.graph
+            rank = len(g.edges) - len(g.vertices) + 1
+            # The unpruned reference visits ~5^L paths on the rank-3 rose.
+            assert_search_exact(rep.map, rep.filtration, (6, 8, 10) if rank <= 2 else (6, 8))
+
+    def test_seeded_rank2_maps(self):
+        gen = random_injective_endos(2, 4, seed=1)
+        checked = 0
+        while checked < 200:
+            f = rose_map(next(gen))
+            if f.is_identity():
+                continue
+            g, _ = subdivided_fixed_map(f)
+            assert_search_exact(g, derive_filtration(g), (6, 8, 10))
+            checked += 1

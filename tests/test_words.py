@@ -5,6 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import endo
+from test_multivertex import theta_collapse, theta_swap
+from nielsenkit.graphs import EdgePath, map_path, subdivided_fixed_map
+from nielsenkit.io import rose_map
+from nielsenkit.sampling import random_injective_endos
 from nielsenkit.words import (
     IDENTITY,
     Endomorphism,
@@ -167,6 +171,48 @@ class TestAbelianization:
         assert lhs == rhs
 
 
+def observed_cancellation(phi, max_len: int) -> int:
+    """Largest cancellation seen in phi(W)phi(V) over reduced products W.V with
+    |W|, |V| <= max_len."""
+    worst = 0
+    words = list(enumerate_words(phi.rank, max_len))
+    for w, v in itertools.product(words, words):
+        if w.is_identity or v.is_identity:
+            continue
+        if w.letters[-1] == -v.letters[0]:
+            continue
+        fw, fv = phi.apply(w), phi.apply(v)
+        c = (len(fw) + len(fv) - len(fw * fv)) // 2
+        worst = max(worst, c)
+    return worst
+
+
+def observed_graph_cancellation(f, max_len: int) -> int:
+    """Largest cancellation seen between [f(P)] and [f(Q)] over tight paths
+    P.Q with |P|, |Q| <= max_len."""
+    g = f.graph
+    starting: dict[str, list] = {v: [] for v in g.vertices}
+    level = [(d,) for d in g.darts()]
+    for _ in range(max_len):
+        for p in level:
+            starting[g.origin(p[0])].append(p)
+        level = [p + (d,) for p in level for d in g.darts_at(g.terminus(p[-1]))
+                 if d != p[-1].rev]
+    worst = 0
+    for qs in starting.values():
+        images = [map_path(f, EdgePath(q)).darts for q in qs]
+        for p, fp in zip(qs, images):
+            # p read backwards ends where every q starts; its image is fp reversed
+            for q, fq in zip(qs, images):
+                if p[0] == q[0]:
+                    continue
+                n = 0
+                while n < len(fp) and n < len(fq) and fp[n] == fq[n]:
+                    n += 1
+                worst = max(worst, n)
+    return worst
+
+
 def cancellation_holds(phi, bound, max_len) -> bool:
     words = list(enumerate_words(phi.rank, max_len))
     for w, v in itertools.product(words, words):
@@ -209,10 +255,35 @@ class TestCancellationBound:
         assert cancellation_holds(phi, phi.cancellation_bound(), 3)
 
     def test_observed_never_exceeds_bound(self):
-        from nielsenkit.words import observed_cancellation
-
         for phi in [endo(2, "ab", "B"), endo(2, "A", "Abb"), endo(2, "a", "Bab")]:
             assert observed_cancellation(phi, 3) <= phi.cancellation_bound()
+
+
+class TestGraphCancellationBound:
+    def test_rose_maps_match_endomorphism(self):
+        for rank, length in ((1, 4), (2, 4), (3, 3)):
+            gen = random_injective_endos(rank, length, seed=1)
+            for phi in itertools.islice(gen, 40):
+                assert rose_map(phi).cancellation_bound() == phi.cancellation_bound()
+
+    @pytest.mark.parametrize("rank, length, max_len, count", [(2, 4, 4, 40), (3, 3, 3, 20)])
+    def test_subdivided_seeded_maps(self, rank, length, max_len, count):
+        checked = 0
+        for phi in random_injective_endos(rank, length, seed=1):
+            f = rose_map(phi)
+            if f.is_identity():
+                continue
+            g, points = subdivided_fixed_map(f)
+            assert observed_graph_cancellation(g, max_len) <= g.cancellation_bound()
+            checked += bool(points)
+            if checked == count:
+                break
+
+    def test_multivertex_maps(self):
+        for f in (theta_swap(), theta_collapse()):
+            assert observed_graph_cancellation(f, 4) <= f.cancellation_bound()
+        # p.q- maps to (p r-).(r q-): one dart cancels
+        assert observed_graph_cancellation(theta_collapse(), 4) == 1
 
 
 class TestRouteEquivalent:
