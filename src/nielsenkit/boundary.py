@@ -25,6 +25,7 @@ from .words import (
     Word,
     common_prefix,
     cyclic_reduce,
+    extend_reduced,
     fixed_subgroup_graph,
     subgroup_ball,
 )
@@ -137,11 +138,7 @@ class MorphicRay:
             raise DegenerateRay("ray generation stalled; seed does not converge")
         self._appends += 1
         kept = len(self._buf)
-        for x in self._block.letters:
-            if self._buf and self._buf[-1] == -x:
-                self._buf.pop()
-            else:
-                self._buf.append(x)
+        extend_reduced(self._buf, self._block.letters)
         kept = min(kept, len(self._buf))
         self._settled = min(self._settled, kept)
         self._block = self.endo.apply(self._block)
@@ -311,18 +308,16 @@ def attraction_check(w: InfiniteWord, phi: Endomorphism,
                                  bound, burn_in, window)
     evidence: list[tuple[int, int]] = []
     not_fixed_at: Optional[int] = None
-    # Incremental image of growing prefixes.
+    # Incremental image of growing prefixes, and its agreement k with W: the
+    # letters that survive the cancellation keep their agreement.
     img_letters: list[int] = []
+    ray = full.letters
+    k = 0
     for i in range(1, n + 1):
-        for y in phi.letter_image(full.letters[i - 1]):
-            if img_letters and img_letters[-1] == -y:
-                img_letters.pop()
-            else:
-                img_letters.append(y)
-        k = 0
-        for a, b in zip(img_letters, full.letters):
-            if a != b:
-                break
+        before = len(img_letters)
+        cancelled = extend_reduced(img_letters, phi.letter_image(ray[i - 1]))
+        k = min(k, before - cancelled)
+        while k < len(img_letters) and k < len(ray) and img_letters[k] == ray[k]:
             k += 1
         evidence.append((i, k))
         if exact_fixed is not True and len(img_letters) - k > bound:

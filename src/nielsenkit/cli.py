@@ -131,7 +131,13 @@ def cmd_route(args) -> int:
         raise InputError("depth must be nonnegative")
     rep = analyze_route(phi, w, args.depth)
     ichr = rep.improved_char
-    bounds_ok = (0 <= ichr <= 1) if rep.probably_empty else None
+    # An empty class has 0 <= 1 - rk - a <= 1.  No constant-route witness to
+    # depth does not make the class empty (a -> Ab, b -> bbA, route A is the
+    # class of b@1/2), so bounds that fail are inconclusive, not a failure.
+    if not rep.probably_empty:
+        bounds = "n/a"
+    else:
+        bounds = "pass" if 0 <= ichr <= 1 else "inconclusive"
     data = {
         "route": args.word,
         "rk": rep.rank_found,
@@ -146,8 +152,7 @@ def cmd_route(args) -> int:
         "probably_empty_to_depth": rep.probably_empty,
         "search_depth": rep.search_depth,
         "verdicts": {
-            "empty_class_bounds": (
-                "n/a" if bounds_ok is None else ("pass" if bounds_ok else "fail")),
+            "empty_class_bounds": bounds,
         },
     }
     _emit(data, args.out)

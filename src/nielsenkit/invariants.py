@@ -48,10 +48,10 @@ from .words import (
     Endomorphism,
     IDENTITY,
     Word,
-    enumerate_words,
     fold_words,
     matrix_trace,
     route_equivalent,
+    twisted_solutions,
 )
 
 
@@ -385,13 +385,12 @@ def attracting_rays(f: GraphMap, cls: ClassData) -> list[ProjectedRay]:
 
 
 def fixed_subgroup_basis(phi: Endomorphism, depth: int) -> list[Word]:
-    """Greedy independent set of fixed words of length <= depth."""
+    """Greedy independent set of fixed words of length <= depth, taken in the
+    order `twisted_solutions` finds them (phi(w) = w: left = right = 1)."""
     gens: list[Word] = []
     graph = fold_words(phi.rank, gens)
-    for w in enumerate_words(phi.rank, depth):
-        if w.is_identity or phi.apply(w) != w:
-            continue
-        if gens and graph.accepts(w):
+    for w in twisted_solutions(phi, IDENTITY, IDENTITY, depth):
+        if w.is_identity or (gens and graph.accepts(w)):
             continue
         gens.append(w)
         graph = fold_words(phi.rank, gens)

@@ -489,16 +489,17 @@ def _leg_decomposition(f: GraphMap, p: EdgePath) -> NielsenPathData:
     return data
 
 
-def _ray_prefixes(f: GraphMap, d: Dart, dart_cap: int) -> list[tuple[Dart, ...]]:
-    """Prefixes (length 1..dart_cap) of the expanding ray grown from a fixed
-    direction d with Df(d) = d; the ray extends because images are legal."""
+def _ray(f: GraphMap, d: Dart, dart_cap: int) -> tuple[Dart, ...]:
+    """The first dart_cap darts (fewer if it stops growing) of the expanding
+    ray grown from a fixed direction d with Df(d) = d; the ray extends because
+    images are legal."""
     current: tuple[Dart, ...] = (d,)
     while len(current) < dart_cap + 1:
         img = map_path(f, EdgePath(current))
         if img.darts[:len(current)] != current or len(img.darts) <= len(current):
             break  # not an expanding direction after all
         current = img.darts
-    return [current[:n] for n in range(1, min(dart_cap, len(current)) + 1)]
+    return current[:dart_cap]
 
 
 def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
@@ -571,29 +572,30 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
     for v in fixed_vertices(f):
         seeds.extend(fixed_directions(f, v, info.edges))
     dart_cap = max(max_len, 16 * (int(metric_cap) + 2))
-    rays = {d: _ray_prefixes(f, d, dart_cap) for d in seeds}
+    rays = {d: _ray(f, d, dart_cap) for d in seeds}
 
     # Metric length of every ray prefix, as one running sum per ray.
-    lens = {d: list(itertools.accumulate(float(info.metric(x.name)) for x in rays[d][-1]))
+    lens = {d: list(itertools.accumulate(float(info.metric(x.name)) for x in rays[d]))
             for d in seeds}
 
     cands: list[EdgePath] = []
     for ia in range(len(seeds)):
         for ib in range(ia + 1, len(seeds)):
             d1, d2 = seeds[ia], seeds[ib]
-            for q1, len1 in zip(rays[d1], lens[d1]):
+            # The prefix of n darts ends in dart e; it is sliced for candidates only.
+            for n1, (e1, len1) in enumerate(zip(rays[d1], lens[d1]), start=1):
                 if len1 > metric_cap:
                     break
-                for q2, len2 in zip(rays[d2], lens[d2]):
+                for n2, (e2, len2) in enumerate(zip(rays[d2], lens[d2]), start=1):
                     if len2 > metric_cap:
                         break
-                    if f.graph.terminus(q1[-1]) != f.graph.terminus(q2[-1]):
+                    if f.graph.terminus(e1) != f.graph.terminus(e2):
                         continue
-                    if q1[-1] == q2[-1]:
+                    if e1 == e2:
                         continue
-                    if not turn_degenerates_in_one_step(f, q1[-1].rev, q2[-1].rev):
+                    if not turn_degenerates_in_one_step(f, e1.rev, e2.rev):
                         continue
-                    darts = q1 + tuple(d.rev for d in reversed(q2))
+                    darts = rays[d1][:n1] + tuple(d.rev for d in reversed(rays[d2][:n2]))
                     p = EdgePath(darts)
                     if _path_is_nielsen(f, darts) and is_indivisible(f, p):
                         cands.append(p)

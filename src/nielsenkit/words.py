@@ -8,7 +8,7 @@ stack scan, so every operation here is linear in the data it touches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -31,6 +31,19 @@ def reduce_letters(raw: Iterable[int]) -> tuple[int, ...]:
         else:
             out.append(x)
     return tuple(out)
+
+
+def extend_reduced(out: list[int], letters: Sequence[int]) -> int:
+    """Append the reduced word `letters` to the reduced list `out`, keeping it
+    reduced; returns how many letters of `out` cancelled.  Only a prefix of
+    `letters` can cancel, because `letters` is itself reduced, so the rest is
+    appended in one `extend`."""
+    j, n = 0, len(letters)
+    while j < n and out and out[-1] == -letters[j]:
+        out.pop()
+        j += 1
+    out.extend(letters[j:] if j else letters)
+    return j
 
 
 @dataclass(frozen=True)
@@ -181,20 +194,31 @@ class Endomorphism:
     def rank(self) -> int:
         return self.basis.rank
 
+    @cached_property
+    def image_table(self) -> dict[int, tuple[int, ...]]:
+        """Reduced image letters of every signed letter, inverses included.
+        Built on first use; a letter outside the basis has no entry."""
+        table: dict[int, tuple[int, ...]] = {}
+        for i, im in enumerate(self.images, start=1):
+            letters = reduce_letters(im.letters)
+            table[i] = letters
+            table[-i] = tuple(-y for y in reversed(letters))
+        return table
+
     def letter_image(self, x: int) -> tuple[int, ...]:
-        im = self.images[abs(x) - 1]
-        return im.letters if x > 0 else im.inverse().letters
+        try:
+            return self.image_table[x]
+        except KeyError:
+            raise BasisMismatch(f"letter {x} does not live over this basis") from None
 
     def apply(self, w: Word) -> Word:
-        if w.max_generator() > self.rank:
-            raise BasisMismatch("word does not live over this basis")
+        table = self.image_table
         out: list[int] = []
-        for x in w.letters:
-            for y in self.letter_image(x):
-                if out and out[-1] == -y:
-                    out.pop()
-                else:
-                    out.append(y)
+        try:
+            for x in w.letters:
+                extend_reduced(out, table[x])
+        except KeyError:
+            raise BasisMismatch("word does not live over this basis") from None
         return Word(tuple(out))
 
     def __call__(self, w: Word) -> Word:
@@ -394,27 +418,76 @@ def fold_words(rank: int, gens: Sequence[Word]) -> FoldedGraph:
 
 
 # ---------------------------------------------------------------------------
-# Word enumeration and the bounded similarity search.
+# The bounded twisted-equation search.
 
 
-def enumerate_words(rank: int, max_len: int) -> Iterator[Word]:
-    """All reduced words of length <= max_len in length-lexicographic order.
+def twisted_solutions(phi: Endomorphism, left: Word, right: Word,
+                      depth: int) -> Iterator[Word]:
+    """Every reduced u with |u| <= depth and left.phi(u) = u.right, shortest
+    first, and within one length in the lexicographic order of the letters
+    1 < -1 < 2 < -2 < ...
 
-    Letter order is 1 < -1 < 2 < -2 < ...; ties cannot arise.
+    The search grows u one letter at a time and carries phi(u) along, one
+    letter image per step.  A branch u is cut when no u.v (u.v reduced, v
+    possibly empty) can be a solution, by bounded cancellation (Cooper,
+    J. Algebra 111, 1987), the rule `rtt.nielsen_paths_brute` uses for paths.
+
+    Proof.  Let B = phi.cancellation_bound().  At most B letters of phi(u)
+    cancel in phi(u).phi(v), so phi(u) without its last B letters, S, is a
+    prefix of phi(u.v).  When |S| >= |left|, the free reduction of
+    left.phi(u.v) cancels only within the first |left| letters of phi(u.v),
+    all of them in S, so L = [left.S] is a prefix of [left.phi(u.v)].  On the
+    other side at most |right| letters of u.v cancel against right, so Q = u
+    without its last |right| letters is a prefix of [u.v.right], a word of at
+    most depth + |right| letters.  A solution u.v therefore needs
+    |L| <= depth + |right| and L, Q equal on their first min(|L|, |Q|)
+    letters; when either fails the branch is cut.  For a non-injective phi no
+    B exists and nothing is cut.
     """
-    order = [s * i for i in range(1, rank + 1) for s in (1, -1)]
-    yield IDENTITY
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(max_len):
-        nxt: list[tuple[int, ...]] = []
-        for stem in frontier:
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    try:
+        bound = phi.cancellation_bound()
+    except ValueError:  # not injective: cancellation is unbounded
+        bound = None
+    table = phi.image_table
+    lt, rt = left.letters, right.letters
+    cap = depth + len(rt)
+
+    def cut(u: tuple[int, ...], img: tuple[int, ...]) -> bool:
+        if bound is None or len(img) - bound < len(lt):
+            return False
+        settled = img[:len(img) - bound]
+        if lt:
+            settled = reduce_letters(lt + settled)
+        m = min(len(settled), max(0, len(u) - len(rt)))
+        return len(settled) > cap or settled[:m] != u[:m]
+
+    def solves(u: tuple[int, ...], img: tuple[int, ...]) -> bool:
+        return ((reduce_letters(lt + img) if lt else img)
+                == (reduce_letters(u + rt) if rt else u))
+
+    if cut((), ()):
+        return
+    if solves((), ()):
+        yield IDENTITY
+    order = [s * i for i in range(1, phi.rank + 1) for s in (1, -1)]
+    level: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]  # (u, phi(u))
+    for _ in range(depth):
+        grown = []
+        for u, img in level:
             for x in order:
-                if stem and stem[-1] == -x:
+                if u and u[-1] == -x:
                     continue
-                w = stem + (x,)
-                nxt.append(w)
-                yield Word(w)
-        frontier = nxt
+                letters = list(img)
+                extend_reduced(letters, table[x])
+                v, img_v = u + (x,), tuple(letters)
+                if cut(v, img_v):
+                    continue
+                if solves(v, img_v):
+                    yield Word(v)
+                grown.append((v, img_v))
+        level = grown
 
 
 def subgroup_ball(gens: Sequence[Word], depth: int) -> list[Word]:
@@ -447,13 +520,10 @@ class RouteSearch:
 
 
 def route_equivalent(w: Word, w2: Word, phi: Endomorphism, depth: int) -> RouteSearch:
-    """Search all u with |u| <= depth for w2 = u * w * phi(u)^-1."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    for u in enumerate_words(phi.rank, depth):
-        if (u * w * phi.apply(u).inverse()) == w2:
-            return RouteSearch(True, u, depth)
-    return RouteSearch(False, None, depth)
+    """The first u with |u| <= depth and w2 = u * w * phi(u)^-1, i.e.
+    w2.phi(u) = u.w, in the order of `twisted_solutions`."""
+    u = next(twisted_solutions(phi, w2, w, depth), None)
+    return RouteSearch(u is not None, u, depth)
 
 
 def fixed_subgroup_graph(phi: Endomorphism, gens: Sequence[Word]) -> FoldedGraph:

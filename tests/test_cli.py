@@ -198,6 +198,18 @@ class TestCommands:
         capsys.readouterr()
         assert code == 2
 
+    def test_route_bounds_inconclusive(self, tmp_path, capsys):
+        # No constant-route witness, yet the class is not empty: it is b@1/2
+        # (ind -1, rk 0, a 2), so 1 - rk - a = -1 proves nothing wrong.
+        p = tmp_path / "route.json"
+        p.write_text(json.dumps({"rank": 2, "letters": ["a", "b"],
+                                 "images": {"a": "Ab", "b": "bbA"}}))
+        code, data = run(capsys, "route", "--word", "A", str(p))
+        assert code == 0
+        assert (data["rk"], data["a"], data["ichr"]) == (0, 2, -1)
+        assert data["constant_route_witness"] is None
+        assert data["verdicts"]["empty_class_bounds"] == "inconclusive"
+
     def test_route_unknown_base(self, tmp_path, capsys):
         data = _rose_with(base="v")
         p = tmp_path / "base.json"

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,21 +7,25 @@ from hypothesis import strategies as st
 
 from conftest import endo
 from test_multivertex import theta_collapse, theta_swap
-from nielsenkit.graphs import EdgePath, map_path, subdivided_fixed_map
-from nielsenkit.io import rose_map
+from nielsenkit.graphs import EdgePath, map_path, subdivided_fixed_map, trivial_route_endo
+from nielsenkit.invariants import fixed_subgroup_basis
+from nielsenkit.io import corpus_files, endo_from_json, graph_map_from_json, rose_map
 from nielsenkit.sampling import random_injective_endos
 from nielsenkit.words import (
     IDENTITY,
+    BasisMismatch,
     Endomorphism,
+    Word,
     common_prefix,
     default_basis,
-    enumerate_words,
     fixed_subgroup_graph,
     fold_words,
     identity_endo,
     matrix_multiply,
     matrix_trace,
+    reduce_letters,
     route_equivalent,
+    twisted_solutions,
     word,
 )
 
@@ -37,6 +42,24 @@ short2 = st.builds(
     st.lists(st.sampled_from([1, -1, 2, -2]), max_size=4))
 
 endos2 = st.builds(lambda u, v: Endomorphism(b2, (u, v)), short2, short2)
+
+
+def enumerate_words(rank: int, max_len: int):
+    """All reduced words of length <= max_len in length-lexicographic order,
+    letters ordered 1 < -1 < 2 < -2 < ...; the reference enumeration."""
+    order = [s * i for i in range(1, rank + 1) for s in (1, -1)]
+    yield IDENTITY
+    frontier: list[tuple[int, ...]] = [()]
+    for _ in range(max_len):
+        nxt: list[tuple[int, ...]] = []
+        for stem in frontier:
+            for x in order:
+                if stem and stem[-1] == -x:
+                    continue
+                w = stem + (x,)
+                nxt.append(w)
+                yield Word(w)
+        frontier = nxt
 
 
 class TestReduce:
@@ -90,6 +113,25 @@ class TestApply:
     @given(endos2, endos2, words2)
     def test_respects_composition(self, phi, psi, w):
         assert phi.compose(psi).apply(w) == phi.apply(psi.apply(w))
+
+    @given(endos2, words2, words2)
+    def test_table_kernel(self, phi, u, v):
+        # the image of a word is the free reduction of its letter images
+        images = {}
+        for i, im in enumerate(phi.images, start=1):
+            images[i], images[-i] = im.letters, im.inverse().letters
+        raw = itertools.chain.from_iterable(images[x] for x in u.letters)
+        assert phi.apply(u) == Word(reduce_letters(raw))
+        assert phi.apply(u * v) == phi.apply(u) * phi.apply(v)
+
+    @given(endos2, words2, st.integers(min_value=0, max_value=64),
+           st.sampled_from([0, 3, -3, 7]))
+    def test_out_of_basis(self, phi, w, at, bad):
+        letters = w.letters[:at] + (bad,) + w.letters[at:]
+        with pytest.raises(BasisMismatch):
+            phi.apply(Word(letters))
+        with pytest.raises(BasisMismatch):
+            phi.letter_image(bad)
 
 
 class TestComposeAndTwist:
@@ -284,6 +326,135 @@ class TestGraphCancellationBound:
             assert observed_graph_cancellation(f, 4) <= f.cancellation_bound()
         # p.q- maps to (p r-).(r q-): one dart cancels
         assert observed_graph_cancellation(theta_collapse(), 4) == 1
+
+
+def reference_solutions(phi, left, right, depth):
+    """Unpruned: every u with |u| <= depth and left.phi(u) = u.right."""
+    return [u for u in enumerate_words(phi.rank, depth)
+            if left * phi.apply(u) == u * right]
+
+
+def reference_route_search(phi, route, depth):
+    """One unpruned enumeration for a (map, route) pair: the words fixed by
+    i_route o phi, and the u with u.route.phi(u)^-1 = 1 (phi(u) = u.route),
+    each in `enumerate_words` order."""
+    twisted = phi.inner_twist(route)
+    fixed, moves = [], []
+    for u in enumerate_words(phi.rank, depth):
+        if twisted.apply(u) == u:
+            fixed.append(u)
+        if phi.apply(u) == u * route:
+            moves.append(u)
+    return fixed, moves
+
+
+def greedy_basis(rank, fixed_words):
+    """The greedy independent set `fixed_subgroup_basis` takes, over a list
+    of fixed words."""
+    gens = []
+    graph = fold_words(rank, gens)
+    for w in fixed_words:
+        if w.is_identity or (gens and graph.accepts(w)):
+            continue
+        gens.append(w)
+        graph = fold_words(rank, gens)
+    return gens
+
+
+def route_pairs(seed, count=440):
+    """Rank-2 maps with images of length <= 4, each with a route cycling
+    through the identity, a letter and a reduced two-letter word."""
+    gen = random_injective_endos(2, 4, seed)
+    rng = random.Random(f"routes-{seed}")
+    pairs = []
+    for k in range(count):
+        phi = next(gen)
+        route = []
+        while len(route) < k % 3:
+            x = rng.choice([1, -1, 2, -2])
+            if not route or x != -route[-1]:
+                route.append(x)
+        pairs.append((phi, Word(tuple(route))))
+    return pairs
+
+
+def corpus_endos():
+    """The endomorphism of every corpus rose, at its one vertex."""
+    out = []
+    for _, data in sorted(corpus_files().items()):
+        if "images" in data:
+            out.append(endo_from_json(data))
+        else:
+            f, _, _ = graph_map_from_json(data)
+            out.append(trivial_route_endo(f, "*"))
+    return out
+
+
+def assert_search_exact(phi, route, depth):
+    fixed, moves = reference_route_search(phi, route, depth)
+    twisted = phi.inner_twist(route)
+    assert list(twisted_solutions(twisted, IDENTITY, IDENTITY, depth)) == fixed
+    assert fixed_subgroup_basis(twisted, depth) == greedy_basis(phi.rank, fixed)
+    assert list(twisted_solutions(phi, IDENTITY, route, depth)) == moves
+    r = route_equivalent(route, IDENTITY, phi, depth)
+    assert (r.found, r.witness) == (bool(moves), moves[0] if moves else None)
+
+
+class TestTwistedSearchExact:
+    """The pruned search against the unpruned reference enumeration."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_route_pairs(self, seed):
+        for phi, route in route_pairs(seed):
+            assert_search_exact(phi, route, 6)
+
+    def test_corpus_roses(self):
+        for phi in corpus_endos():
+            letters = [x for i in range(1, phi.rank + 1) for x in (i, -i)]
+            routes = [IDENTITY] + [Word((x,)) for x in letters]
+            if phi.rank <= 2:
+                routes += [Word((x, y)) for x in letters for y in letters if x != -y]
+            for route in routes:
+                assert_search_exact(phi, route, 6 if phi.rank <= 2 else 5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(endos2, short2, short2)
+    def test_any_sides(self, phi, left, right):
+        # non-injective maps included: there nothing may be cut
+        assert (list(twisted_solutions(phi, left, right, 4))
+                == reference_solutions(phi, left, right, 4))
+
+    def test_left_and_right_on_injective_maps(self):
+        rng = random.Random(7)
+        gen = random_injective_endos(2, 4, 3)
+        for _ in range(150):
+            phi = next(gen)
+            left, right = (word(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 3)))
+                           for _ in range(2))
+            assert (list(twisted_solutions(phi, left, right, 5))
+                    == reference_solutions(phi, left, right, 5))
+
+    def test_left_side_shifts_the_settled_prefix(self):
+        # a.phi(u) = u for a -> aa, b -> b: u = A.v with v fixed.  Without
+        # the left side in the settled prefix, AAbbb would cut u = Abbb.
+        phi = endo(2, "aa", "b")
+        found = list(twisted_solutions(phi, b2.parse("a"), IDENTITY, 4))
+        assert found == [b2.parse(u) for u in ("A", "Ab", "AB", "Abb", "ABB", "Abbb", "ABBB")]
+        assert found == reference_solutions(phi, b2.parse("a"), IDENTITY, 4)
+
+    @pytest.mark.parametrize("images,left,right,solutions", [
+        # phi(bab) = BA = [bab.BABBA]: right cancels into u, so u's last
+        # |right| letters are not settled
+        (("Ab", "B"), "", "BABBA", ["bab"]),
+        # a.phi(abab) = ababbab = abab.bab is longer than the depth
+        (("ba", "b"), "a", "bab", ["abab"]),
+    ])
+    def test_right_side_widens_the_cut(self, images, left, right, solutions):
+        phi = endo(2, *images)
+        left, right = b2.parse(left), b2.parse(right)
+        found = list(twisted_solutions(phi, left, right, 4))
+        assert found == [b2.parse(u) for u in solutions]
+        assert found == reference_solutions(phi, left, right, 4)
 
 
 class TestRouteEquivalent:
