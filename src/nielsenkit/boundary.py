@@ -298,8 +298,6 @@ def attraction_check(w: InfiniteWord, phi: Endomorphism,
         exact_fixed = ev_periodic_image(w, phi) == w
     elif isinstance(w, MorphicRay) and w.endo == phi and w.pre.is_identity and w._skip == 0:
         exact_fixed = True  # fixed by construction of the ray
-    elif getattr(w, "constructed_fixed_for", None) == phi:
-        exact_fixed = True  # projected graph rays carry their endomorphism
 
     try:
         full = w.prefix(s * n + 1)

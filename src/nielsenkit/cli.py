@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .boundary import attraction_check
-from .graphs import any_route_endo, trivial_route_endo
+from .graphs import any_route_endo
 from .invariants import (
     AnalysisConfig,
     AnalysisError,
@@ -120,7 +120,7 @@ def cmd_route(args) -> int:
     base = base or f.graph.vertices[0]
     if f.vertex_map[base] != base:
         raise InputError("route analysis needs a fixed base vertex")
-    phi = trivial_route_endo(f, base)
+    phi = any_route_endo(f, base)
     if not phi.is_injective():
         raise AnalysisError("selfmap is not injective on the fundamental group")
     try:

@@ -8,12 +8,12 @@ its image path is traversed at uniform speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping, NamedTuple, Optional
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .words import Basis, Endomorphism, Word, reduce_letters
+from .words import IDENTITY, Basis, Endomorphism, Word, reduce_letters
 
 
 class Dart(NamedTuple):
@@ -490,108 +490,77 @@ def subdivided_fixed_map(f: GraphMap) -> tuple[GraphMap, list[tuple[str, Fractio
 # Fundamental-group bookkeeping.
 
 
-@dataclass
-class SpanningData:
-    """A spanning tree rooted at `base`; non-tree edges index the free basis."""
+@dataclass(frozen=True)
+class Marking:
+    """A marking of pi_1 at `base`: a BFS spanning tree (`parent[v]` is the
+    dart at v leading back toward the base) whose non-tree edges index the
+    free basis through `letter_of`.  `basis` is None when the graph is a tree."""
 
     graph: Graph
     base: str
-    tree_darts: set[Dart] = field(default_factory=set)
-    parent: dict[str, Dart] = field(default_factory=dict)  # dart leading back toward base
-    basis_edges: list[str] = field(default_factory=list)
-    letter_of: dict[str, int] = field(default_factory=dict)  # basis edge -> letter
-    basis: Basis = None
+    parent: dict[str, Dart]
+    letter_of: dict[str, int]
+    basis: Optional[Basis]
 
-    def tree_path(self, src: str, dst: str) -> EdgePath:
-        """The unique tight tree path between two vertices."""
-        def to_base(v: str) -> list[Dart]:
-            out = []
-            while v != self.base:
-                d = self.parent[v]
-                out.append(d)
-                v = self.graph.terminus(d)
-            return out
-        up, down = to_base(src), to_base(dst)
-        darts = up + [d.rev for d in reversed(down)]
-        return tighten(self.graph, darts, at=src)
-
-    def word_of_path(self, p: EdgePath) -> Word:
-        """Collapse the spanning tree: emit one signed letter per non-tree dart."""
+    def word(self, darts: Iterable[Dart]) -> Word:
+        """Collapse the tree: one signed letter per non-tree dart, reduced."""
         letter_of = self.letter_of
         return Word(reduce_letters(
             letter_of[d.name] if d.fwd else -letter_of[d.name]
-            for d in p.darts if d.name in letter_of))
+            for d in darts if d.name in letter_of))
 
-    def basis_loop(self, e: str) -> EdgePath:
-        d = Dart(e, True)
-        a = self.tree_path(self.base, self.graph.origin(d))
-        b = self.tree_path(self.graph.terminus(d), self.base)
-        return tighten(self.graph, a.darts + (d,) + b.darts, at=self.base)
+    def endo(self, f: GraphMap) -> Endomorphism:
+        """The endomorphism f induces on pi_1 at the base, along the tree route
+        from the base to its image (a tree route spells the empty word):
+        x_e -> [w(f g_u) . w(f e) . w(f g_v)^-1] for each basis edge e = (u, v),
+        where g_x is the tree path from the base to x.  The endomorphism along
+        a route r is `endo(f).inner_twist(word(r))`."""
+        if self.basis is None:
+            raise ValueError("graph is a tree; fundamental group is trivial")
+        g, imgs = self.graph, f.image_table
+        spell = {self.base: IDENTITY}  # x -> w(f g_x); parents come first
+        for v, back in self.parent.items():
+            spell[v] = spell[g.terminus(back)] * self.word(imgs[back.rev])
+        images = []
+        for e in self.basis.letters:
+            u, v = g.edge_ends[e]
+            images.append(spell[u] * self.word(imgs[Dart(e, True)]) * spell[v].inverse())
+        return Endomorphism(self.basis, tuple(images))
 
 
-def spanning_data(graph: Graph, base: str) -> SpanningData:
+def marking(graph: Graph, base: str) -> Marking:
     if base not in graph.vertices:
         raise ValueError(f"unknown base vertex {base}")
-    data = SpanningData(graph, base)
-    seen = {base}
-    queue = [base]
-    while queue:
-        v = queue.pop(0)
+    parent: dict[str, Dart] = {}
+    order = [base]  # BFS order; the loop visits vertices as they are appended
+    for v in order:
         for d in sorted(graph.darts_at(v), key=lambda d: (d.name, not d.fwd)):
             t = graph.terminus(d)
-            if t not in seen:
-                seen.add(t)
-                data.tree_darts.add(d)
-                data.tree_darts.add(d.rev)
-                data.parent[t] = d.rev
-                queue.append(t)
-    if seen != set(graph.vertices):
+            if t != base and t not in parent:
+                parent[t] = d.rev
+                order.append(t)
+    if len(order) != len(graph.vertices):
         raise ValueError("graph is not connected")
-    data.basis_edges = [e for e in graph.edges
-                        if Dart(e, True) not in data.tree_darts]
-    data.letter_of = {e: i for i, e in enumerate(data.basis_edges, start=1)}
-    data.basis = Basis(tuple(data.basis_edges)) if data.basis_edges else None
-    return data
-
-
-def induced_endo(f: GraphMap, base: str, route: EdgePath) -> Endomorphism:
-    """The route-induced endomorphism of pi_1: [a] -> [route (f.a) route^-1]."""
-    g = f.graph
-    r_from, r_to = g.path_endpoints(route)
-    if r_from != base or r_to != f.vertex_map[base]:
-        raise ValueError("route must run from the base to its image")
-    data = spanning_data(g, base)
-    if data.basis is None:
-        raise ValueError("graph is a tree; fundamental group is trivial")
-    rev = route.reverse()
-    images = []
-    for e in data.basis_edges:
-        loop = data.basis_loop(e)
-        img = map_path(f, loop)
-        total = tighten(g, route.darts + img.darts + rev.darts, at=base)
-        images.append(data.word_of_path(total))
-    return Endomorphism(data.basis, tuple(images))
-
-
-def trivial_route_endo(f: GraphMap, base: str) -> Endomorphism:
-    return induced_endo(f, base, trivial_path(base))
+    tree = {d.name for d in parent.values()}
+    names = tuple(e for e in graph.edges if e not in tree)
+    return Marking(graph, base, parent, {e: i for i, e in enumerate(names, start=1)},
+                   Basis(names) if names else None)
 
 
 def any_route_endo(f: GraphMap, base: Optional[str] = None) -> Endomorphism:
     """Induced endomorphism along the spanning-tree route; injectivity and
     homology data do not depend on the route choice."""
-    if base is None:
-        base = f.graph.vertices[0]
-    data = spanning_data(f.graph, base)
-    route = data.tree_path(base, f.vertex_map[base])
-    return induced_endo(f, base, route)
+    return marking(f.graph, f.graph.vertices[0] if base is None else base).endo(f)
 
 
-def circle_degree(f: GraphMap) -> int:
-    """Signed winding degree of a selfmap of a circle graph."""
-    if not f.graph.is_circle():
-        raise ValueError("graph is not a circle")
-    phi = any_route_endo(f)
-    if phi.rank != 1:
-        raise AssertionError("circle has cyclic fundamental group")
-    return sum(1 if x > 0 else -1 for x in phi.images[0].letters)
+def ray_images(f: GraphMap, d: Dart) -> Iterator[tuple[Dart, ...]]:
+    """The ray grown from a fixed direction d with Df(d) = d: the darts of
+    d, [f(d)], [f^2(d)], ..., each extending the one before.  It stops at the
+    first image that does not extend its predecessor."""
+    current: tuple[Dart, ...] = (d,)
+    while True:
+        yield current
+        img = map_path(f, EdgePath(current)).darts
+        if len(img) <= len(current) or img[:len(current)] != current:
+            return
+        current = img

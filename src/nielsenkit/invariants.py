@@ -23,16 +23,12 @@ from typing import Optional, Sequence
 from .boundary import MorphicRay, attraction_check, equivalent_under
 from .graphs import (
     Dart,
-    EdgePath,
     GraphMap,
-    SpanningData,
     fixed_directions,
     fixed_vertices,
-    induced_endo,
-    map_path,
-    spanning_data,
+    marking,
+    ray_images,
     subdivided_fixed_map,
-    trivial_path,
 )
 from .rtt import (
     Filtration,
@@ -85,43 +81,28 @@ class ClassData:
         return 1 - self.rank - self.attract
 
 
-@dataclass
 class ProjectedRay:
     """An expanding fixed direction's ray, read as a boundary word of the
-    class's own route endomorphism (spanning-tree letters, tree darts silent)."""
+    route endomorphism at its own start vertex: in the marking there, the ray
+    spells a word that this endomorphism fixes."""
 
-    f: GraphMap
-    start: Dart
-    spanning: SpanningData
-    endo: Endomorphism
-    _darts: tuple[Dart, ...] = ()
-    _letters: list[int] = field(default_factory=list)
-    _emitted: int = 0
-
-    @property
-    def constructed_fixed_for(self) -> Endomorphism:
-        return self.endo
-
-    def _grow(self) -> None:
-        current = self._darts if self._darts else (self.start,)
-        img = map_path(self.f, EdgePath(current))
-        if img.darts[:len(current)] != current or len(img.darts) <= len(current):
-            raise AnalysisError(f"direction {self.start} does not expand along itself")
-        letter_of = self.spanning.letter_of
-        for d in img.darts[self._emitted:]:
-            i = letter_of.get(d.name)
-            if i is not None:
-                self._letters.append(i if d.fwd else -i)
-        self._emitted = len(img.darts)
-        self._darts = img.darts
+    def __init__(self, f: GraphMap, start: Dart):
+        self.start = start
+        self.marking = marking(f.graph, f.graph.origin(start))
+        self.endo = self.marking.endo(f)
+        self._images = ray_images(f, start)
+        self._letters: list[int] = []
+        self._emitted = 0
 
     def prefix(self, m: int) -> Word:
-        guard = 0
+        # A tight path spells a reduced word, so the letters of each new
+        # stretch of darts extend the letters so far without cancelling.
         while len(self._letters) < m:
-            self._grow()
-            guard += 1
-            if guard > 64 + 4 * m:
-                raise AnalysisError("ray projection stalled")
+            darts = next(self._images, None)
+            if darts is None:
+                raise AnalysisError(f"direction {self.start} does not expand along itself")
+            self._letters.extend(self.marking.word(darts[self._emitted:]).letters)
+            self._emitted = len(darts)
         return Word(tuple(self._letters[:m]))
 
 
@@ -161,7 +142,6 @@ class Report:
     verdicts: dict[str, str] = field(default_factory=dict)
     verdict_details: dict[str, str] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
-    base: str = ""
     map: Optional[GraphMap] = None
 
     def class_of(self, vertex: str) -> Optional[ClassData]:
@@ -169,26 +149,6 @@ class Report:
             if vertex in c.members:
                 return c
         return None
-
-
-# ---------------------------------------------------------------------------
-# Base cases.
-
-
-def base_point_invariants() -> tuple[int, int, int]:
-    """(index, rank, attracting count) of an isolated fixed point."""
-    return (1, 0, 0)
-
-
-def base_circle_invariants(k: int) -> list[tuple[int, int, int]]:
-    """Per-class (index, rank, attracting count) of a degree-k circle map."""
-    if k == 0:
-        raise AnalysisError("degree 0 circle maps are not injective on the fundamental group")
-    if k == 1:
-        return [(0, 1, 0)]
-    sign = 1 if k < 1 else -1
-    attract = 2 if k > 1 else 0
-    return [(sign, 0, attract)] * abs(1 - k)
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +326,8 @@ def _merge_leg_seeds(c: _ClassState, info: StratumInfo) -> None:
 # Attracting representatives.
 
 
-def class_route_endo(f: GraphMap, members: Sequence[str]) -> tuple[str, SpanningData, Endomorphism]:
-    base = sorted(members)[0]
-    data = spanning_data(f.graph, base)
-    endo = induced_endo(f, base, trivial_path(base))
-    return base, data, endo
-
-
 def attracting_rays(f: GraphMap, cls: ClassData) -> list[ProjectedRay]:
-    if not cls.ray_seeds:
-        return []
-    base, data, endo = class_route_endo(f, cls.members)
-    return [ProjectedRay(f, d, data, endo) for _, d in cls.ray_seeds]
+    return [ProjectedRay(f, d) for _, d in cls.ray_seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +400,7 @@ def _identity_report(f: GraphMap) -> Report:
         graph_edges=f.graph.edges, chi=chi, trace=tr, lefschetz=lef,
         classes=[cls], strata=[], filtration=None, subdivided_at=[],
         classification_complete=True, literal_classification_complete=True,
-        base=members[0], map=f,
+        map=f,
         notes=["identity map handled directly; every point is fixed"],
     )
     _check_theorems(report)
@@ -575,7 +525,6 @@ def analyze(f: GraphMap, config: Optional[AnalysisConfig] = None,
         subdivided_at=points,
         classification_complete=complete,
         literal_classification_complete=literal,
-        base=fixed[0] if fixed else "",
         map=g,
     )
     if points:

@@ -56,6 +56,8 @@ def endo_to_json(phi: Endomorphism) -> dict:
 def endo_from_json(data: dict) -> Endomorphism:
     try:
         letters = tuple(data["letters"])
+        if not all(isinstance(x, str) for x in letters):
+            raise ValueError("letters must be strings")
         basis = Basis(letters)
         if data.get("rank") not in (None, basis.rank):
             raise InputError(f"rank {data['rank']} does not match {basis.rank} letters")
@@ -132,6 +134,8 @@ def graph_map_from_json(data: dict) -> tuple[GraphMap, Optional[list[list[str]]]
         f.validate()
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    if not vertices:
+        raise InputError("graph has no vertices")
     if not graph.is_connected():
         raise InputError("graph is not connected")
     if graph.euler_characteristic() == 1:

@@ -36,6 +36,7 @@ from .graphs import (
     fixed_directions,
     fixed_vertices,
     map_path,
+    ray_images,
     reachable,
     turn_degenerates_in_one_step,
     trivial_path,
@@ -329,16 +330,6 @@ def illegal_turns_in(f: GraphMap, edges: Iterable[str]) -> list[tuple[Dart, Dart
 # Nielsen paths.
 
 
-def verify_nielsen_path(f: GraphMap, p: EdgePath) -> bool:
-    """True iff the tight image of p equals p; endpoints must be fixed."""
-    if p.is_trivial:
-        raise ValueError("Nielsen paths are nontrivial")
-    src, dst = f.graph.path_endpoints(p)
-    if f.vertex_map[src] != src or f.vertex_map[dst] != dst:
-        raise ValueError("endpoints of a Nielsen-path candidate must be fixed")
-    return map_path(f, p) == p
-
-
 def _path_is_nielsen(f: GraphMap, darts: tuple[Dart, ...]) -> bool:
     return map_path(f, EdgePath(darts)) == EdgePath(darts)
 
@@ -491,14 +482,10 @@ def _leg_decomposition(f: GraphMap, p: EdgePath) -> NielsenPathData:
 
 def _ray(f: GraphMap, d: Dart, dart_cap: int) -> tuple[Dart, ...]:
     """The first dart_cap darts (fewer if it stops growing) of the expanding
-    ray grown from a fixed direction d with Df(d) = d; the ray extends because
-    images are legal."""
-    current: tuple[Dart, ...] = (d,)
-    while len(current) < dart_cap + 1:
-        img = map_path(f, EdgePath(current))
-        if img.darts[:len(current)] != current or len(img.darts) <= len(current):
-            break  # not an expanding direction after all
-        current = img.darts
+    ray grown from a fixed direction d with Df(d) = d."""
+    for current in ray_images(f, d):
+        if len(current) > dart_cap:
+            break
     return current[:dart_cap]
 
 

@@ -76,10 +76,6 @@ class Word:
     def prefix(self, m: int) -> "Word":
         return Word(self.letters[:m])
 
-    def conjugate_by(self, c: "Word") -> "Word":
-        """c * self * c^-1."""
-        return c * self * c.inverse()
-
     @property
     def is_identity(self) -> bool:
         return not self.letters
@@ -235,11 +231,6 @@ class Endomorphism:
         ci = c.inverse()
         return Endomorphism(self.basis, tuple(c * im * ci for im in self.images))
 
-    def conjugate_by(self, c: Word) -> "Endomorphism":
-        """i_c o self o i_c^-1, i.e. the similarity twist by c."""
-        m = c * self.apply(c).inverse()
-        return self.inner_twist(m)
-
     def abelianization(self) -> list[list[int]]:
         """M[j][i] = exponent sum of generator j+1 in the image of generator i+1."""
         n = self.rank
@@ -278,11 +269,6 @@ def _injective(phi: "Endomorphism") -> bool:
 
 def identity_endo(basis: Basis) -> Endomorphism:
     return Endomorphism(basis, tuple(Word((i,)) for i in range(1, basis.rank + 1)))
-
-
-def matrix_multiply(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
 def matrix_trace(a: list[list[int]]) -> int:

@@ -98,9 +98,9 @@ class TestAcceptance:
         assert rep.classes[0].index == 1
         assert rep.lefschetz == 1 == sum(c.index for c in rep.classes)
         f, _, _ = load_instance(corpus_dir / "ex6_3.json")
-        from nielsenkit.graphs import trivial_route_endo
+        from nielsenkit.graphs import any_route_endo
 
-        phi = trivial_route_endo(f, "*")
+        phi = any_route_endo(f, "*")
         route = analyze_route(phi, phi.basis.parse("a"), 8)
         assert route.rank_found == 1
         assert route.generators == [phi.basis.parse("abAB")]

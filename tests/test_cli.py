@@ -1,6 +1,11 @@
+import contextlib
+import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nielsenkit.cli import main
 from nielsenkit.io import (
@@ -48,7 +53,45 @@ MALFORMED = {
     "disconnected": _two_vertices([("a", "u", "u"), ("b", "v", "v")],
                                   {"a": ["a", "a"], "b": ["b", "b"]}),
     "tree": _two_vertices([("a", "u", "v")], {"a": ["a"]}),
+    "empty-graph": {"vertices": [], "edges": [], "vertex_map": {}, "edge_map": {}},
+    "non-string-letters": {"letters": [2, 0, "a"], "images": []},
 }
+
+COMMANDS = ("invariants", "validate", "lefschetz", "attracting", "classify", "route")
+
+
+def argv_for(command: str, path) -> list[str]:
+    return [command, str(path)] + (["--word", "a"] if command == "route" else [])
+
+
+# Arbitrary JSON over the schema's keys, and documents shaped like the two
+# schemas with wrong types, names and structure mixed in.
+KEYS = ["rank", "letters", "images", "vertices", "edges", "name", "from", "to",
+        "vertex_map", "edge_map", "at", "filtration", "base", "a", "b", "u", "v"]
+NAMES = st.sampled_from(["a", "b", "", "A", "a-", "ab", "a b", 1, None])
+VERTS = st.sampled_from(["u", "v", "*", "", 0])
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text("abAB*uv-@: ", max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(KEYS), kids,
+                                                              max_size=4),
+    max_leaves=12)
+ENDO_LIKE = st.fixed_dictionaries(
+    {"letters": st.lists(NAMES, max_size=3),
+     "images": st.dictionaries(NAMES, st.text("abAB -", max_size=5) | st.integers(),
+                               max_size=3)},
+    optional={"rank": st.integers(-1, 3)})
+GRAPH_LIKE = st.fixed_dictionaries(
+    {"vertices": st.lists(VERTS, max_size=3),
+     "edges": st.lists(st.fixed_dictionaries(
+         {"name": st.sampled_from(["a", "b", ""]), "from": VERTS, "to": VERTS}), max_size=3),
+     "vertex_map": st.dictionaries(VERTS, VERTS, max_size=3),
+     "edge_map": st.dictionaries(
+         st.sampled_from(["a", "b"]),
+         st.lists(st.sampled_from(["a", "a-", "b", "b-", "-", ""]), max_size=4)
+         | st.fixed_dictionaries({"at": VERTS}), max_size=2)},
+    optional={"filtration": st.lists(st.lists(st.sampled_from(["a", "b", "x"]), max_size=2),
+                                      max_size=2),
+              "base": VERTS})
 
 
 def run(capsys, *argv) -> tuple[int, dict]:
@@ -125,6 +168,16 @@ class TestCorpus:
         for p in d1.glob("*.json"):
             assert p.read_bytes() == (d2 / p.name).read_bytes()
 
+    def test_invariants_output_pinned(self, corpus_dir, capsys):
+        # The byte-identical default report: invariants on every corpus file,
+        # in sorted order, concatenated.
+        out = []
+        for p in sorted(corpus_dir.glob("*.json")):
+            assert main(["invariants", str(p)]) == 0
+            out.append(capsys.readouterr().out)
+        digest = hashlib.sha256("".join(out).encode()).hexdigest()
+        assert digest == "880fb3e450c7101e3d99d3a80dbaf883ac3e06f2aee5cc8cf3987b07d7e3655a"
+
     def test_round_trip_parse(self, corpus_dir):
         for p in corpus_dir.glob("*.json"):
             load_instance(p)
@@ -188,15 +241,39 @@ class TestCommands:
         capsys.readouterr()
         assert code == 2
 
-    @pytest.mark.parametrize("command", ["invariants", "validate", "lefschetz"])
+    @pytest.mark.parametrize("command", ["invariants", "validate", "lefschetz", "route"])
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_exit_code_2_on_malformed(self, tmp_path, capsys, command, name):
         p = tmp_path / "broken.json"
         text = MALFORMED[name]
         p.write_text(text if isinstance(text, str) else json.dumps(text))
-        code = main([command, str(p)])  # no exception may escape
+        code = main(argv_for(command, p))  # no exception may escape
         capsys.readouterr()
         assert code == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(ANY_JSON | ENDO_LIKE | GRAPH_LIKE, st.sampled_from(COMMANDS))
+    def test_fuzzed_input_exits_cleanly(self, tmp_path_factory, data, command):
+        p = tmp_path_factory.mktemp("fuzz") / "input.json"
+        p.write_text(json.dumps(data))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv_for(command, p))  # no exception may escape
+        assert code in (0, 1, 2)
+
+    def test_rays_read_at_their_own_start(self, tmp_path, capsys):
+        # Class {*, a@1/2} has rays starting at both members; each is read in
+        # the marking at its start vertex, so each is a fixed word of the
+        # endomorphism printed with it.
+        p = tmp_path / "rays.json"
+        p.write_text(json.dumps({"rank": 2, "letters": ["a", "b"],
+                                 "images": {"a": "aaB", "b": "bb"}}))
+        code, data = run(capsys, "attracting", str(p))
+        assert code == 0
+        rays = [r for c in data["classes"] for r in c["rays"]]
+        assert len(rays) == 4
+        assert "a:1-" in {r["initial_direction"] for r in rays}
+        assert all(r["status"] == "attracting" for r in rays)
 
     def test_route_bounds_inconclusive(self, tmp_path, capsys):
         # No constant-route witness, yet the class is not empty: it is b@1/2

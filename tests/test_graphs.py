@@ -9,21 +9,22 @@ from nielsenkit.graphs import (
     Graph,
     GraphMap,
     NonIsolatedFixedSet,
-    circle_degree,
+    any_route_endo,
     classify_turn,
     derivative,
     fixed_directions,
     fixed_vertices,
-    induced_endo,
     interior_fixed_points,
     map_path,
-    spanning_data,
+    marking,
     subdivide_at,
     subdivided_fixed_map,
     tighten,
     trivial_path,
-    trivial_route_endo,
 )
+from nielsenkit.io import corpus_files, endo_from_json, graph_map_from_json, rose_map
+from nielsenkit.sampling import random_injective_endos
+from nielsenkit.words import Endomorphism, identity_endo
 
 ex1 = rose({"a": ["a", "a"], "b": ["b", "b"]})
 ex2 = rose({"a1": ["a1"], "a2": ["a2-", "a1", "a2"]})
@@ -200,34 +201,111 @@ class TestSubdivision:
         g.validate()
 
 
+def tree_path(m, src: str, dst: str) -> list:
+    """The tree path of marking m from src to dst (tight after `tighten`)."""
+    def to_base(v):
+        out = []
+        while v != m.base:
+            out.append(m.parent[v])
+            v = m.graph.terminus(m.parent[v])
+        return out
+    return to_base(src) + [d.rev for d in reversed(to_base(dst))]
+
+
+def induced_endo(f: GraphMap, base: str, route: EdgePath) -> Endomorphism:
+    """Reference for `Marking.endo`, computed on tight dart paths: the
+    route-induced endomorphism [a] -> [route (f.a) route^-1], with each basis
+    loop built, mapped and conjugated by the route as an edge path."""
+    g = f.graph
+    assert g.path_endpoints(route) == (base, f.vertex_map[base])
+    m = marking(g, base)
+    images = []
+    for e in m.basis.letters:
+        u, v = g.edge_ends[e]
+        loop = tighten(g, tree_path(m, base, u) + [Dart(e, True)] + tree_path(m, v, base),
+                       at=base)
+        img = map_path(f, loop)
+        total = tighten(g, route.darts + img.darts + route.reverse().darts, at=base)
+        images.append(m.word(total.darts))
+    return Endomorphism(m.basis, tuple(images))
+
+
+def marked_maps():
+    """Seeded rank-2 maps (images of length <= 4, seed 1) and the corpus maps,
+    each with its subdivision at interior fixed points when there is one."""
+    gen = random_injective_endos(2, 4, 1)
+    maps = [rose_map(next(gen)) for _ in range(150)]
+    for _, data in sorted(corpus_files().items()):
+        maps.append(rose_map(endo_from_json(data)) if "images" in data
+                    else graph_map_from_json(data)[0])
+    out = []
+    for f in maps:
+        out.append(f)
+        if not f.is_identity():
+            g, points = subdivided_fixed_map(f)
+            if points:
+                out.append(g)
+    return out
+
+
 class TestPi1:
     def test_rotation_route(self):
-        phi = induced_endo(ex3, "*", EdgePath(darts("a")))
+        m = marking(ex3.graph, "*")
+        phi = m.endo(ex3).inner_twist(m.word(darts("a")))
         b = phi.basis
         assert [b.format(w) for w in phi.images] == ["abA", "A"]
+        assert phi == induced_endo(ex3, "*", EdgePath(darts("a")))
 
     def test_trivial_route_is_the_endo(self):
-        phi = trivial_route_endo(ex2, "*")
+        phi = marking(ex2.graph, "*").endo(ex2)
         b = phi.basis
         assert [b.format(w) for w in phi.images] == ["a1", "a2- a1 a2"]
 
     def test_identity_map(self):
         ident = rose({"a": ["a"], "b": ["b"]})
-        phi = induced_endo(ident, "*", trivial_path("*"))
-        assert phi == __import__("nielsenkit.words", fromlist=["identity_endo"]).identity_endo(phi.basis)
-
-    def test_wrong_route_rejected(self):
-        # a route must start at the base
-        g, _ = subdivided_fixed_map(ex4)
-        with pytest.raises(ValueError):
-            induced_endo(g, "a@1/2", trivial_path("*"))
+        phi = marking(ident.graph, "*").endo(ident)
+        assert phi == identity_endo(phi.basis)
 
     def test_spanning_tree_multi_vertex(self):
         g, _ = subdivided_fixed_map(ex4)
-        data = spanning_data(g.graph, "*")
-        assert sorted(data.basis_edges) == ["a:2", "b:2"]
-        phi = trivial_route_endo(g, "*")
-        assert phi.rank == 2
+        m = marking(g.graph, "*")
+        assert sorted(m.basis.letters) == ["a:2", "b:2"]
+        assert m.endo(g).rank == 2
+
+    def test_tree_has_no_endo(self):
+        g = Graph(("u", "v"), {"a": ("u", "v")})
+        f = GraphMap(g, {"u": "u", "v": "v"}, {"a": EdgePath(darts("a"))})
+        assert marking(g, "u").basis is None
+        with pytest.raises(ValueError):
+            marking(g, "u").endo(f)
+
+    def test_matches_dart_level_reference(self):
+        # At every base, along the tree route and along a route that first
+        # runs once around a basis loop.
+        checked = 0
+        for f in marked_maps():
+            g = f.graph
+            for base in g.vertices:
+                m = marking(g, base)
+                e = m.basis.letters[0]
+                u, v = g.edge_ends[e]
+                loop = tree_path(m, base, u) + [Dart(e, True)] + tree_path(m, v, base)
+                to_image = tree_path(m, base, f.vertex_map[base])
+                for darts_ in (to_image, loop + to_image):
+                    route = tighten(g, darts_, at=base)
+                    expect = induced_endo(f, base, route)
+                    assert m.endo(f).inner_twist(m.word(route.darts)) == expect
+                    checked += 1
+        assert checked > 400
+
+
+def circle_degree(f: GraphMap) -> int:
+    """Signed winding degree of a selfmap of a circle graph."""
+    if not f.graph.is_circle():
+        raise ValueError("graph is not a circle")
+    phi = any_route_endo(f)
+    assert phi.rank == 1
+    return sum(1 if x > 0 else -1 for x in phi.images[0].letters)
 
 
 class TestCircle:

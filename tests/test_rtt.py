@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rose
-from nielsenkit.graphs import EdgePath, fixed_vertices, parse_dart, subdivided_fixed_map
+from nielsenkit.graphs import EdgePath, GraphMap, fixed_vertices, map_path, parse_dart, subdivided_fixed_map
 from nielsenkit.invariants import analyze
 from nielsenkit.io import load_instance, rose_map
 from nielsenkit.rtt import (
@@ -19,7 +19,6 @@ from nielsenkit.rtt import (
     nielsen_paths_brute,
     pf_metric,
     transition_matrix,
-    verify_nielsen_path,
 )
 from nielsenkit.sampling import random_injective_endos
 
@@ -31,6 +30,16 @@ derived = rose({"a": ["a"], "b": ["b", "a"]})
 
 def path(*tokens):
     return EdgePath(tuple(parse_dart(t) for t in tokens))
+
+
+def verify_nielsen_path(f: GraphMap, p: EdgePath) -> bool:
+    """True iff the tight image of p equals p; endpoints must be fixed."""
+    if p.is_trivial:
+        raise ValueError("Nielsen paths are nontrivial")
+    src, dst = f.graph.path_endpoints(p)
+    if f.vertex_map[src] != src or f.vertex_map[dst] != dst:
+        raise ValueError("endpoints of a Nielsen-path candidate must be fixed")
+    return map_path(f, p) == p
 
 
 class TestFiltration:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import endo
 from test_multivertex import theta_collapse, theta_swap
-from nielsenkit.graphs import EdgePath, map_path, subdivided_fixed_map, trivial_route_endo
+from nielsenkit.graphs import EdgePath, any_route_endo, map_path, subdivided_fixed_map
 from nielsenkit.invariants import fixed_subgroup_basis
 from nielsenkit.io import corpus_files, endo_from_json, graph_map_from_json, rose_map
 from nielsenkit.sampling import random_injective_endos
@@ -21,7 +21,6 @@ from nielsenkit.words import (
     fixed_subgroup_graph,
     fold_words,
     identity_endo,
-    matrix_multiply,
     matrix_trace,
     reduce_letters,
     route_equivalent,
@@ -213,6 +212,11 @@ class TestAbelianization:
         assert lhs == rhs
 
 
+def matrix_multiply(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
 def observed_cancellation(phi, max_len: int) -> int:
     """Largest cancellation seen in phi(W)phi(V) over reduced products W.V with
     |W|, |V| <= max_len."""
@@ -386,7 +390,7 @@ def corpus_endos():
             out.append(endo_from_json(data))
         else:
             f, _, _ = graph_map_from_json(data)
-            out.append(trivial_route_endo(f, "*"))
+            out.append(any_route_endo(f, "*"))
     return out
 
 
