@@ -1,7 +1,7 @@
 """nielsenkit: fixed point classes, indices, and attracting boundary words of
 graph selfmaps and injective free-group endomorphisms."""
 
-from .boundary import MorphicRay, attraction_check, ev_periodic
+from .boundary import MorphicRay, attraction_check
 from .invariants import AnalysisConfig, Report, analyze, analyze_endomorphism
 from .words import Basis, Endomorphism, Word, default_basis, word
 
@@ -16,7 +16,6 @@ __all__ = [
     "analyze_endomorphism",
     "attraction_check",
     "default_basis",
-    "ev_periodic",
     "word",
 ]
 __version__ = "0.1.0"

@@ -1,96 +1,37 @@
-"""Points of the Gromov boundary of a free group: infinite reduced words.
+"""Points of the Gromov boundary of a free group: the attracting fixed words
+at infinity of an injective endomorphism phi.
 
-Two representations are maintained:
+These are the rays phi(x) = x.u grown from fixed directions, and the program
+builds two kinds of them:
 
-* eventually periodic words, with an exact normal form (equality is decidable);
-* morphic rays seeded by a word e with phi(e) = e.u, generated lazily as
+* `MorphicRay`, seeded by a word e with phi(e) = e.u and generated lazily as
   e u phi(u) phi^2(u) ... with junction cancellations absorbed eagerly, so the
-  emitted letters are already reduced.
+  emitted letters are already reduced;
+* `invariants.ProjectedRay`, a graph ray [f^k(d)] read in the marking at its
+  start vertex.
 
-Fixedness and attraction against an endomorphism are decided where a finite
-certificate exists and reported as `inconclusive` otherwise; the tool never
-upgrades a bounded observation into a claim silently.
+Both expose `prefix(m)`.  `attraction_check` reports a ray as attracting or
+not fixed only on a finite certificate and as `inconclusive` otherwise; the
+tool never upgrades a bounded observation into a claim silently.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .words import (
     Endomorphism,
-    FoldedGraph,
     IDENTITY,
     Word,
     common_prefix,
-    cyclic_reduce,
     extend_reduced,
-    fixed_subgroup_graph,
     subgroup_ball,
 )
 
 
 class DegenerateRay(ValueError):
     """Raised when a morphic seed does not generate a convergent infinite ray."""
-
-
-def _rotate_left(t: tuple[int, ...]) -> tuple[int, ...]:
-    return t[1:] + t[:1]
-
-
-def _rotate_right(t: tuple[int, ...]) -> tuple[int, ...]:
-    return t[-1:] + t[:-1]
-
-
-def _primitive_root(t: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(t)
-    for d in range(1, n + 1):
-        if n % d == 0 and t == t[:d] * (n // d):
-            return t[:d]
-    return t
-
-
-@dataclass(frozen=True)
-class EventuallyPeriodic:
-    """prefix . period^infinity in normal form: build through `ev_periodic`."""
-
-    pre: tuple[int, ...]
-    period: tuple[int, ...]
-
-    def prefix(self, m: int) -> Word:
-        if m <= len(self.pre):
-            return Word(self.pre[:m])
-        need = m - len(self.pre)
-        reps = need // len(self.period) + 1
-        return Word((self.pre + self.period * reps)[:m])
-
-    def __repr__(self):
-        return f"EventuallyPeriodic(pre={self.pre}, period={self.period})"
-
-
-def ev_periodic(pre: Word, period: Word) -> EventuallyPeriodic:
-    """Normalize pre . period^inf: cyclically reduced primitive period, junction
-    cancellation absorbed, shortest prefix.  Normal forms compare by equality."""
-    if period.is_identity:
-        raise ValueError("period must be nonempty")
-    conj, core = cyclic_reduce(period)
-    if core.is_identity:
-        raise ValueError("period is conjugate to the identity")
-    p = list((pre * conj).letters)
-    q = core.letters
-    while p and p[-1] == -q[0]:
-        p.pop()
-        q = _rotate_left(q)
-    while p and p[-1] == q[-1]:
-        p.pop()
-        q = _rotate_right(q)
-    return EventuallyPeriodic(tuple(p), _primitive_root(q))
-
-
-def ev_periodic_image(w: EventuallyPeriodic, phi: Endomorphism) -> EventuallyPeriodic:
-    """Exact push-forward of an eventually periodic word along phi."""
-    return ev_periodic(phi.apply(Word(w.pre)), phi.apply(Word(w.period)))
 
 
 class MorphicRay:
@@ -181,61 +122,19 @@ class MorphicRay:
         return f"MorphicRay(pre={self.pre.letters}, seed={self.seed.letters})"
 
 
-InfiniteWord = EventuallyPeriodic | MorphicRay
-
-
-def left_multiply(u: Word, w: InfiniteWord) -> InfiniteWord:
-    """The reduced infinite word u.w."""
-    if isinstance(w, EventuallyPeriodic):
-        return ev_periodic(u * Word(w.pre), Word(w.period))
+def left_multiply(u: Word, w: MorphicRay) -> MorphicRay:
+    """The reduced ray u.w."""
     return MorphicRay(w.seed, w.endo, pre=u * w.pre, _skip=w._skip)
 
 
-def agree_length(w: InfiniteWord, v: InfiniteWord, cap: int) -> float:
-    """|W ^ V| when below cap; math.inf for a proven-equal pair; cap otherwise."""
+def rays_equal(w: MorphicRay, v: MorphicRay, cap: int) -> tuple[bool, bool]:
+    """(equal, exact).  Structurally equal rays are equal, exactly; any other
+    pair counts as equal when its first `cap` letters agree, never exactly."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if isinstance(w, EventuallyPeriodic) and isinstance(v, EventuallyPeriodic):
-        if w == v:
-            return math.inf
-        bound = (len(w.pre) + len(v.pre)
-                 + 2 * len(w.period) * len(v.period) + 2)
-        n = len(common_prefix(w.prefix(bound), v.prefix(bound)))
-        return n  # genuinely distinct: the agreement is exact and finite
-    if isinstance(w, MorphicRay) and isinstance(v, MorphicRay):
-        if w.structurally_equal(v):
-            return math.inf
-    n = len(common_prefix(w.prefix(cap), v.prefix(cap)))
-    return cap if n >= cap else n
-
-
-def infinite_equal(w: InfiniteWord, v: InfiniteWord, cap: int) -> tuple[bool, bool]:
-    """(equal, exact): exact means decided, not just agreement to cap."""
-    a = agree_length(w, v, cap)
-    if a is math.inf:
+    if w.structurally_equal(v):
         return True, True
-    if isinstance(w, EventuallyPeriodic) and isinstance(v, EventuallyPeriodic):
-        return False, True
-    return a >= cap, False
-
-
-# ---------------------------------------------------------------------------
-# Membership of a boundary word in the boundary of a folded subgroup.
-
-
-@dataclass(frozen=True)
-class BoundaryTrace:
-    escapes_at: Optional[int]  # 1-based letter index, None = read to depth
-    depth: int
-
-    @property
-    def stays_to_depth(self) -> bool:
-        return self.escapes_at is None
-
-
-def in_boundary_of_subgroup(w: InfiniteWord, graph: FoldedGraph, depth: int) -> BoundaryTrace:
-    """Trace prefix(w, depth) through the folded graph from its base state."""
-    return BoundaryTrace(graph.trace_escape(w.prefix(depth).letters), depth)
+    return w.prefix(cap) == v.prefix(cap), False
 
 
 # ---------------------------------------------------------------------------
@@ -244,66 +143,37 @@ def in_boundary_of_subgroup(w: InfiniteWord, graph: FoldedGraph, depth: int) -> 
 
 @dataclass
 class AttractionVerdict:
-    """Outcome of the bounded attraction test.
+    """Outcome of the bounded attraction test; `not-fixed` always carries a
+    certificate, `attracting` certifies what the finite window can."""
 
-    `attracting` and `fixed_not_attracting` certify what the finite window can
-    certify (see module docstring); `not_fixed` always carries a certificate.
-    """
-
-    status: str  # attracting | fixed-not-attracting | not-fixed | inconclusive
+    status: str  # attracting | not-fixed | inconclusive
     evidence: list[tuple[int, int]] = field(default_factory=list)
     reason: str = ""
     bound: int = 0
-    burn_in: int = 0
-    window: int = 0
 
 
-def _certified_in_fixed_boundary(w: InfiniteWord, phi: Endomorphism,
-                                 fix_gens: Optional[Sequence[Word]], depth: int) -> bool:
-    if isinstance(w, EventuallyPeriodic):
-        carrier = Word(w.pre) * Word(w.period) * Word(w.pre).inverse()
-        if not carrier.is_identity and phi.apply(carrier) == carrier:
-            return True
-    if fix_gens:
-        graph = fixed_subgroup_graph(phi, fix_gens)
-        if in_boundary_of_subgroup(w, graph, depth).stays_to_depth:
-            return True
-    return False
+def attraction_check(w, phi: Endomorphism) -> AttractionVerdict:
+    """Sample k(i) = |W ^ phi(W_i)| and classify the ray W against phi.
 
-
-def attraction_check(w: InfiniteWord, phi: Endomorphism,
-                     burn_in: Optional[int] = None, window: Optional[int] = None,
-                     fix_gens: Optional[Sequence[Word]] = None) -> AttractionVerdict:
-    """Sample k(i) = |W ^ phi(W_i)| and classify W against phi.
-
-    not-fixed fires on the certificate |phi(W_i)| - k(i) > B (impossible for a
-    fixed word); for eventually periodic W fixedness is decided exactly first.
-    attracting requires k(i) - i to clear B and to gain at least 1 over every
-    stretch of s = max generator image length steps of the window.
+    not-fixed fires on the certificate |phi(W_i)| - k(i) > B, impossible for a
+    fixed word; a MorphicRay of phi itself is fixed by construction.
+    attracting requires k(i) - i to clear B after a burn-in of 4B + 8 letters
+    and to gain at least 1 over every stretch of s = max generator image
+    length steps of the 4s-letter window that follows.
     """
     if not phi.is_injective():
         raise ValueError("attraction is defined for injective endomorphisms only")
     bound = phi.cancellation_bound()
     s = max(1, phi.max_image_length())
-    if burn_in is None:
-        burn_in = 4 * bound + 8
-    if window is None:
-        window = 4 * s
-    if burn_in < 1 or window < 1:
-        raise ValueError("burn_in and window must be at least 1")
-    n = burn_in + window
-
-    exact_fixed: Optional[bool] = None
-    if isinstance(w, EventuallyPeriodic):
-        exact_fixed = ev_periodic_image(w, phi) == w
-    elif isinstance(w, MorphicRay) and w.endo == phi and w.pre.is_identity and w._skip == 0:
-        exact_fixed = True  # fixed by construction of the ray
+    burn_in = 4 * bound + 8
+    n = burn_in + 4 * s
+    fixed = (isinstance(w, MorphicRay) and w.endo == phi
+             and w.pre.is_identity and w._skip == 0)
 
     try:
         full = w.prefix(s * n + 1)
     except DegenerateRay:
-        return AttractionVerdict("inconclusive", [], "ray generation failed",
-                                 bound, burn_in, window)
+        return AttractionVerdict("inconclusive", [], "ray generation failed", bound)
     evidence: list[tuple[int, int]] = []
     not_fixed_at: Optional[int] = None
     # Incremental image of growing prefixes, and its agreement k with W: the
@@ -318,36 +188,29 @@ def attraction_check(w: InfiniteWord, phi: Endomorphism,
         while k < len(img_letters) and k < len(ray) and img_letters[k] == ray[k]:
             k += 1
         evidence.append((i, k))
-        if exact_fixed is not True and len(img_letters) - k > bound:
+        if not fixed and len(img_letters) - k > bound:
             not_fixed_at = i
 
-    if exact_fixed is False or (not_fixed_at is not None and exact_fixed is not True):
+    if not_fixed_at is not None:
         return AttractionVerdict(
             "not-fixed", evidence,
-            "exact decision on periodic normal forms" if exact_fixed is False
-            else f"|phi(W_i)| - k(i) exceeds the cancellation bound at i={not_fixed_at}",
-            bound, burn_in, window)
+            f"|phi(W_i)| - k(i) exceeds the cancellation bound at i={not_fixed_at}",
+            bound)
 
     gaps = [k - i for i, k in evidence]
-    win = gaps[burn_in:]
-    grows = all(g > bound for g in win) and all(
+    grows = all(g > bound for g in gaps[burn_in:]) and all(
         gaps[j + s] >= gaps[j] + 1 for j in range(burn_in, n - s))
     if grows:
         return AttractionVerdict("attracting", evidence,
                                  "gap clears the cancellation bound and keeps growing",
-                                 bound, burn_in, window)
-    flat = max(win) - min(win) <= bound
-    if flat and _certified_in_fixed_boundary(w, phi, fix_gens, depth=n):
-        return AttractionVerdict("fixed-not-attracting", evidence,
-                                 "bounded gap and certified inside the fixed-subgroup boundary",
-                                 bound, burn_in, window)
+                                 bound)
     return AttractionVerdict("inconclusive", evidence,
                              "window shows neither certified growth nor a certificate",
-                             bound, burn_in, window)
+                             bound)
 
 
 # ---------------------------------------------------------------------------
-# Equivalence of boundary words modulo the fixed subgroup.
+# Equivalence of rays modulo the fixed subgroup.
 
 
 @dataclass(frozen=True)
@@ -358,7 +221,7 @@ class EquivalenceWitness:
     depth: int
 
 
-def equivalent_under(w: InfiniteWord, v: InfiniteWord, fix_gens: Sequence[Word],
+def equivalent_under(w: MorphicRay, v: MorphicRay, fix_gens: Sequence[Word],
                      phi: Endomorphism, depth: int, cap: int = 256) -> EquivalenceWitness:
     """Search U in the <fix_gens> ball of radius `depth` with w = U.v."""
     for g in fix_gens:
@@ -369,7 +232,7 @@ def equivalent_under(w: InfiniteWord, v: InfiniteWord, fix_gens: Sequence[Word],
             shifted = left_multiply(u, v)
         except DegenerateRay:
             continue
-        equal, exact = infinite_equal(w, shifted, cap)
+        equal, exact = rays_equal(w, shifted, cap)
         if equal:
             return EquivalenceWitness(True, u, exact, depth)
     return EquivalenceWitness(False, None, True, depth)

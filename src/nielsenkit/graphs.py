@@ -110,9 +110,6 @@ class Graph:
     def darts_at(self, v: str, names: Optional[Iterable[str]] = None) -> list[Dart]:
         return [d for d in self.darts(names) if self.origin(d) == v]
 
-    def valence(self, v: str) -> int:
-        return len(self.darts_at(v))
-
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edge_ends)
 
@@ -139,10 +136,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return not self.vertices or self.component_of(self.vertices[0]) == set(self.vertices)
-
-    def is_circle(self) -> bool:
-        return (self.is_connected() and bool(self.edge_ends)
-                and all(self.valence(v) == 2 for v in self.vertices))
 
 
 def tighten(graph: Graph, darts: Iterable[Dart], at: Optional[str] = None) -> EdgePath:

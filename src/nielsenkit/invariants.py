@@ -161,12 +161,12 @@ def local_index(f: GraphMap, members: Sequence[str]) -> int:
     return sum(1 - len(fixed_directions(f, v)) for v in members)
 
 
-def lefschetz_number(f: GraphMap, base: Optional[str] = None) -> tuple[int, int]:
+def lefschetz_number(f: GraphMap) -> tuple[int, int]:
     """(lefschetz, trace) from the induced endomorphism on first homology."""
     # Local: perfbench/spans.py hooks any_route_endo on graphs only.
     from .graphs import any_route_endo
 
-    phi = any_route_endo(f, base)
+    phi = any_route_endo(f)
     tr = matrix_trace(phi.abelianization())
     return 1 - tr, tr
 

@@ -1,5 +1,5 @@
-"""JSON schemas for endomorphisms, graph maps, infinite words, and reports,
-plus emission of the shipped instance corpus.
+"""JSON schemas for endomorphisms, graph maps and reports, plus emission of
+the shipped instance corpus.
 
 Graph-map files:
     {"vertices": ["v"],
@@ -20,10 +20,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional
 
-from .boundary import EventuallyPeriodic, InfiniteWord, MorphicRay, ev_periodic
 from .graphs import Dart, EdgePath, Graph, GraphMap, parse_dart, trivial_path
 from .invariants import ClassData, Report
-from .words import Basis, Endomorphism, Word
+from .words import Basis, Endomorphism
 
 
 class InputError(ValueError):
@@ -42,15 +41,6 @@ def load_json(path: str | Path) -> Any:
 
 # ---------------------------------------------------------------------------
 # Endomorphisms.
-
-
-def endo_to_json(phi: Endomorphism) -> dict:
-    return {
-        "rank": phi.rank,
-        "letters": list(phi.basis.letters),
-        "images": {name: phi.basis.format(im)
-                   for name, im in zip(phi.basis.letters, phi.images)},
-    }
 
 
 def endo_from_json(data: dict) -> Endomorphism:
@@ -85,23 +75,6 @@ def rose_map(phi: Endomorphism, vertex: str = "*") -> GraphMap:
 
 # ---------------------------------------------------------------------------
 # Graph maps.
-
-
-def graph_map_to_json(f: GraphMap, filtration: Optional[list[list[str]]] = None) -> dict:
-    g = f.graph
-    data: dict[str, Any] = {
-        "vertices": list(g.vertices),
-        "edges": [{"name": e, "from": g.edge_ends[e][0], "to": g.edge_ends[e][1]}
-                  for e in g.edges],
-        "vertex_map": dict(f.vertex_map),
-        "edge_map": {
-            e: ({"at": p.at} if p.is_trivial else [str(d) for d in p.darts])
-            for e, p in ((e, f.edge_map[e]) for e in g.edges)
-        },
-    }
-    if filtration is not None:
-        data["filtration"] = filtration
-    return data
 
 
 def graph_map_from_json(data: dict) -> tuple[GraphMap, Optional[list[list[str]]], Optional[str]]:
@@ -161,35 +134,6 @@ def load_instance(path: str | Path) -> tuple[GraphMap, Optional[list[list[str]]]
     if "edge_map" in data:
         return graph_map_from_json(data)
     raise InputError(f"{path}: neither an endomorphism nor a graph-map file")
-
-
-# ---------------------------------------------------------------------------
-# Infinite words.
-
-
-def infinite_word_to_json(w: InfiniteWord, basis: Basis) -> dict:
-    if isinstance(w, EventuallyPeriodic):
-        return {"type": "evperiodic",
-                "prefix": basis.format(Word(w.pre)),
-                "period": basis.format(Word(w.period))}
-    if isinstance(w, MorphicRay):
-        if not w.pre.is_identity or w._skip:
-            raise ValueError("only pristine morphic rays serialize")
-        return {"type": "morphic", "seed": basis.format(w.seed),
-                "endo": endo_to_json(w.endo)}
-    raise ValueError(f"cannot serialize {type(w).__name__}")
-
-
-def infinite_word_from_json(data: dict, basis: Optional[Basis] = None) -> InfiniteWord:
-    kind = data.get("type")
-    if kind == "evperiodic":
-        if basis is None:
-            raise InputError("evperiodic words need a basis context")
-        return ev_periodic(basis.parse(data["prefix"]), basis.parse(data["period"]))
-    if kind == "morphic":
-        phi = endo_from_json(data["endo"])
-        return MorphicRay(phi.basis.parse(data["seed"]), phi)
-    raise InputError(f"unknown infinite-word type {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ construction and re-verified.  Stratum types:
 * type3: irreducible transition matrix with expansion > 1 whose derivative
   keeps stratum darts in the stratum.
 
-An expanding train-track stratum carries at most one indivisible Nielsen path
-crossing it; finding two there is a structure violation of the input.
-Permutation strata outside normal form may carry several, and then only their
-merges are trusted.
+For a homotopy equivalence an expanding train-track stratum carries at most
+one indivisible Nielsen path crossing it (Bestvina-Handel).  An injective
+endomorphism that is not onto may carry several there, as may a permutation
+stratum outside normal form; then only their merges are trusted.
 """
 
 from __future__ import annotations
@@ -491,7 +491,7 @@ def _ray(f: GraphMap, d: Dart, dart_cap: int) -> tuple[Dart, ...]:
 
 def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
              lower_classes: Sequence[frozenset]) -> StratumInfo:
-    """Locate the at-most-one indivisible Nielsen path crossing the stratum.
+    """Locate the indivisible Nielsen paths crossing the stratum.
 
     type1 and multi-edge type2 strata certify `none`.  Single-edge type2
     strata get a bounded combinatorial search within the level; candidates
@@ -516,15 +516,10 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
             a, b = f.graph.path_endpoints(p)
             by_pair.setdefault(frozenset((class_of[a], class_of[b])), p)
         if len(by_pair) > 1:
-            if info.stype == "type3":
-                # An expanding train-track stratum carries at most one; two
-                # survivors mean the input structure is broken.
-                raise StructureViolation(
-                    f"distinct indivisible Nielsen paths cross stratum {info.edges}: "
-                    + "; ".join(str(p) for p in by_pair.values()))
-            # Outside normal form a permutation stratum can carry several
-            # (e.g. a merging path plus an independent loop); the merges are
-            # all real, the rank bookkeeping is not pinned down.
+            # A permutation stratum outside normal form (e.g. a merging path
+            # plus an independent loop), or an expanding one of a map that is
+            # not onto, can carry several; the merges are all real, the rank
+            # bookkeeping is not pinned down.
             info.inp_multi = [_leg_decomposition(f, p) for p in by_pair.values()]
             info.inp_status = "multiple"
         elif by_pair:

@@ -100,16 +100,6 @@ def common_prefix(w: Word, v: Word) -> Word:
     return Word(w.letters[:n])
 
 
-def cyclic_reduce(w: Word) -> tuple[Word, Word]:
-    """Return (c, core) with w = c * core * c^-1 and core cyclically reduced."""
-    letters = list(w.letters)
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i] == -letters[j - 1]:
-        i += 1
-        j -= 1
-    return Word(tuple(letters[:i])), Word(tuple(letters[i:j]))
-
-
 @dataclass(frozen=True)
 class Basis:
     """Ordered generator names; the CLI restricts these to single ASCII letters."""
@@ -220,12 +210,6 @@ class Endomorphism:
     def __call__(self, w: Word) -> Word:
         return self.apply(w)
 
-    def compose(self, other: "Endomorphism") -> "Endomorphism":
-        """self after other: (self.compose(other))(g) = self(other(g))."""
-        if self.basis != other.basis:
-            raise BasisMismatch("endomorphisms live over different bases")
-        return Endomorphism(self.basis, tuple(self.apply(im) for im in other.images))
-
     def inner_twist(self, c: Word) -> "Endomorphism":
         """The endomorphism i_c o self: g -> c self(g) c^-1."""
         ci = c.inverse()
@@ -267,10 +251,6 @@ def _injective(phi: "Endomorphism") -> bool:
     return phi.folded_image().subgroup_rank() == phi.rank
 
 
-def identity_endo(basis: Basis) -> Endomorphism:
-    return Endomorphism(basis, tuple(Word((i,)) for i in range(1, basis.rank + 1)))
-
-
 def matrix_trace(a: list[list[int]]) -> int:
     return sum(a[i][i] for i in range(len(a)))
 
@@ -306,16 +286,6 @@ class FoldedGraph:
 
     def accepts(self, w: Word) -> bool:
         return self.read(w) == self.base
-
-    def trace_escape(self, letters: Iterable[int]) -> Optional[int]:
-        """1-based index of the first letter with no transition, None if all read."""
-        s = self.base
-        for i, x in enumerate(letters, start=1):
-            nxt = self.step(s, x)
-            if nxt is None:
-                return i
-            s = nxt
-        return None
 
     def edge_count(self) -> int:
         return sum(1 for (_, x) in self.delta if x > 0)
@@ -510,11 +480,3 @@ def route_equivalent(w: Word, w2: Word, phi: Endomorphism, depth: int) -> RouteS
     w2.phi(u) = u.w, in the order of `twisted_solutions`."""
     u = next(twisted_solutions(phi, w2, w, depth), None)
     return RouteSearch(u is not None, u, depth)
-
-
-def fixed_subgroup_graph(phi: Endomorphism, gens: Sequence[Word]) -> FoldedGraph:
-    """Fold verified fixed-subgroup generators; raises if any is not fixed."""
-    for g in gens:
-        if phi.apply(g) != g:
-            raise ValueError(f"certificate invalid: word is not fixed: {g.letters}")
-    return fold_words(phi.rank, gens)

@@ -1,7 +1,7 @@
 import pytest
 
 from nielsenkit.graphs import EdgePath, Graph, GraphMap, parse_dart, trivial_path
-from nielsenkit.words import Basis, Endomorphism, default_basis
+from nielsenkit.words import Basis, BasisMismatch, Endomorphism, Word, default_basis
 
 
 def rose(images: dict[str, list[str]]) -> GraphMap:
@@ -21,6 +21,42 @@ def rose(images: dict[str, list[str]]) -> GraphMap:
 def endo(rank: int, *images: str) -> Endomorphism:
     b = default_basis(rank)
     return Endomorphism(b, tuple(b.parse(s) for s in images))
+
+
+def identity_endo(basis: Basis) -> Endomorphism:
+    return Endomorphism(basis, tuple(Word((i,)) for i in range(1, basis.rank + 1)))
+
+
+def compose(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:
+    """phi after psi: compose(phi, psi)(g) = phi(psi(g))."""
+    if phi.basis != psi.basis:
+        raise BasisMismatch("endomorphisms live over different bases")
+    return Endomorphism(phi.basis, tuple(phi.apply(im) for im in psi.images))
+
+
+def endo_to_json(phi: Endomorphism) -> dict:
+    """The endomorphism-file form that `io.endo_from_json` reads."""
+    return {
+        "rank": phi.rank,
+        "letters": list(phi.basis.letters),
+        "images": {name: phi.basis.format(im)
+                   for name, im in zip(phi.basis.letters, phi.images)},
+    }
+
+
+def graph_map_to_json(f: GraphMap) -> dict:
+    """The graph-map-file form that `io.graph_map_from_json` reads."""
+    g = f.graph
+    return {
+        "vertices": list(g.vertices),
+        "edges": [{"name": e, "from": g.edge_ends[e][0], "to": g.edge_ends[e][1]}
+                  for e in g.edges],
+        "vertex_map": dict(f.vertex_map),
+        "edge_map": {
+            e: ({"at": p.at} if p.is_trivial else [str(d) for d in p.darts])
+            for e, p in ((e, f.edge_map[e]) for e in g.edges)
+        },
+    }
 
 
 @pytest.fixture(scope="session")

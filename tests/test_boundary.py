@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,15 +6,12 @@ from conftest import endo
 from nielsenkit.boundary import (
     DegenerateRay,
     MorphicRay,
-    agree_length,
     attraction_check,
     equivalent_under,
-    ev_periodic,
-    ev_periodic_image,
-    in_boundary_of_subgroup,
     left_multiply,
+    rays_equal,
 )
-from nielsenkit.words import IDENTITY, default_basis, fold_words, identity_endo, word
+from nielsenkit.words import IDENTITY, default_basis, fold_words, word
 
 b1 = default_basis(1)
 b2 = default_basis(2)
@@ -28,7 +23,7 @@ square1 = endo(1, "aa")
 
 class TestPrefix:
     def test_periodic(self):
-        w = ev_periodic(IDENTITY, b1.parse("a"))
+        w = MorphicRay(b1.parse("a"), square1)
         assert w.prefix(3) == b1.parse("aaa")
 
     def test_jiang_ray(self):
@@ -53,70 +48,62 @@ class TestPrefix:
         with pytest.raises(DegenerateRay):
             MorphicRay(b2.parse("b"), jiang)  # phi(b) does not start with b
 
-
-class TestEvPeriodicNormalForm:
-    def test_rotation_equality(self):
-        # b (ab)^inf == (ba)^inf
-        w = ev_periodic(b2.parse("b"), b2.parse("ab"))
-        v = ev_periodic(IDENTITY, b2.parse("ba"))
-        assert w == v
-
-    def test_junction_cancellation(self):
-        # A (ab)^inf = (ba)^inf shifted: A a b a b ... = b a b ...
-        w = ev_periodic(b2.parse("A"), b2.parse("ab"))
-        assert w.prefix(4) == b2.parse("baba")
-
-    def test_primitive_period(self):
-        assert ev_periodic(IDENTITY, b2.parse("abab")) == ev_periodic(IDENTITY, b2.parse("ab"))
-
-    def test_conjugate_period(self):
-        # (a b A)^inf = a b b b ...
-        w = ev_periodic(IDENTITY, b2.parse("abA"))
-        assert w.prefix(4) == b2.parse("abbb")
-
-    def test_empty_period_rejected(self):
-        with pytest.raises(ValueError):
-            ev_periodic(b2.parse("a"), IDENTITY)
-        with pytest.raises(ValueError):
-            ev_periodic(IDENTITY, b2.parse("aA"))
+    def test_empty_seed_rejected(self):
+        with pytest.raises(DegenerateRay):
+            MorphicRay(IDENTITY, jiang)
 
 
 class TestAgreeLength:
     def test_same(self):
-        w = ev_periodic(IDENTITY, b1.parse("a"))
-        assert agree_length(w, w, 10) is math.inf
+        w = MorphicRay(b1.parse("a"), square1)
+        assert rays_equal(w, w, 10) == (True, True)
 
     def test_opposite_rays(self):
-        w = ev_periodic(IDENTITY, b1.parse("a"))
-        v = ev_periodic(IDENTITY, b1.parse("A"))
-        assert agree_length(w, v, 10) == 0
+        w = MorphicRay(b1.parse("a"), square1)
+        v = MorphicRay(b1.parse("A"), square1)
+        assert rays_equal(w, v, 10) == (False, False)
 
     def test_exact_decision_beats_cap(self):
-        # two distinct periodic words agreeing far beyond any small cap
-        w = ev_periodic(b2.parse("a" * 50), b2.parse("b"))
-        v = ev_periodic(b2.parse("a" * 50), b2.parse("B"))
-        got = agree_length(w, v, 3)
-        assert got == 50  # exact, not the cap
+        # shifting there and back is structurally the same ray, exact at any cap
+        ray = MorphicRay(b2.parse("B"), conj2)
+        back = left_multiply(b2.parse("A"), left_multiply(b2.parse("a"), ray))
+        assert rays_equal(back, ray, 1) == (True, True)
 
     def test_morphic_structural(self):
         r1 = MorphicRay(b2.parse("B"), jiang)
         r2 = MorphicRay(b2.parse("B"), jiang)
-        assert agree_length(r1, r2, 5) is math.inf
+        assert rays_equal(r1, r2, 5) == (True, True)
+
+    def test_agreement_to_cap_is_not_exact(self):
+        # a^inf grown by a -> aa and by a -> aaa: equal words, different rays
+        w = MorphicRay(b1.parse("a"), square1)
+        v = MorphicRay(b1.parse("a"), endo(1, "aaa"))
+        assert rays_equal(w, v, 1) == rays_equal(w, v, 50) == (True, False)
+        # a b b b ... and a b b a ...: equal to cap 3, told apart at cap 4
+        w = MorphicRay(b2.parse("a"), endo(2, "ab", "bb"))
+        v = MorphicRay(b2.parse("a"), endo(2, "ab", "ba"))
+        assert rays_equal(w, v, 3) == (True, False)
+        assert rays_equal(w, v, 4) == (False, False)
 
     def test_symmetry(self):
         r = MorphicRay(b2.parse("B"), jiang)
-        v = ev_periodic(IDENTITY, b2.parse("B"))
-        assert agree_length(r, v, 40) == agree_length(v, r, 40)
+        v = MorphicRay(b2.parse("B"), conj2)
+        assert rays_equal(r, v, 40) == rays_equal(v, r, 40)
+
+    def test_cap_must_be_positive(self):
+        w = MorphicRay(b1.parse("a"), square1)
+        with pytest.raises(ValueError):
+            rays_equal(w, w, 0)
 
 
 class TestLeftMultiply:
     def test_identity(self):
-        w = ev_periodic(IDENTITY, b1.parse("a"))
-        assert left_multiply(IDENTITY, w) == w
+        ray = MorphicRay(b2.parse("B"), conj2)
+        assert left_multiply(IDENTITY, ray).prefix(12) == ray.prefix(12)
 
     def test_cancellation(self):
-        w = ev_periodic(IDENTITY, b1.parse("a"))
-        assert left_multiply(b1.parse("A"), w) == w
+        w = MorphicRay(b1.parse("a"), square1)
+        assert left_multiply(b1.parse("A"), w).prefix(8) == w.prefix(8)
 
     def test_ray_prefix(self):
         ray = MorphicRay(b2.parse("B"), conj2)
@@ -131,30 +118,29 @@ class TestLeftMultiply:
 
 
 class TestMembership:
+    # A ray lies in the boundary of a subgroup to depth m when its first m
+    # letters read through the folded graph from the base.
     def test_stays(self):
         graph = fold_words(2, [b2.parse("a")])
-        w = ev_periodic(IDENTITY, b2.parse("a"))
-        assert in_boundary_of_subgroup(w, graph, 32).stays_to_depth
+        w = MorphicRay(b2.parse("a"), endo(2, "aa", "b"))
+        assert graph.read(w.prefix(32)) is not None
 
     def test_escapes(self):
         graph = fold_words(2, [b2.parse("a")])
-        w = ev_periodic(IDENTITY, b2.parse("ab"))
-        assert in_boundary_of_subgroup(w, graph, 32).escapes_at == 2
+        w = MorphicRay(b2.parse("a"), endo(2, "ab", "b"))   # a b b b ...
+        assert graph.read(w.prefix(1)) is not None
+        assert graph.read(w.prefix(2)) is None
 
     def test_ray_escapes_immediately(self):
         graph = fold_words(2, [b2.parse("a")])
         ray = MorphicRay(b2.parse("B"), conj2)
-        assert in_boundary_of_subgroup(ray, graph, 32).escapes_at == 1
+        assert graph.read(ray.prefix(1)) is None
 
 
 class TestAttraction:
     def test_square_attracting(self):
-        w = ev_periodic(IDENTITY, b1.parse("a"))
+        w = MorphicRay(b1.parse("a"), square1)
         assert attraction_check(w, square1).status == "attracting"
-
-    def test_identity_fixed_not_attracting(self):
-        w = ev_periodic(IDENTITY, b1.parse("a"))
-        assert attraction_check(w, identity_endo(b1)).status == "fixed-not-attracting"
 
     def test_jiang_ray_attracting(self):
         ray = MorphicRay(b2.parse("B"), jiang)
@@ -165,24 +151,19 @@ class TestAttraction:
         assert attraction_check(ray, conj2).status == "attracting"
 
     def test_reversed_power_not_fixed(self):
-        w = ev_periodic(IDENTITY, b1.parse("a"))
+        w = MorphicRay(b1.parse("a"), square1)
         assert attraction_check(w, endo(1, "AA")).status == "not-fixed"
 
-    def test_fixed_subgroup_boundary_point(self):
-        # a^inf is in the boundary of fix(a -> a, b -> b a b) and not attracting
-        phi = endo(2, "a", "bab")
-        w = ev_periodic(IDENTITY, b2.parse("a"))
-        v = attraction_check(w, phi, fix_gens=[b2.parse("a")])
-        assert v.status == "fixed-not-attracting"
+    def test_shifted_ray_not_fixed(self):
+        # b.ray is not fixed by a -> a, b -> Bab: b is not a fixed word
+        ray = left_multiply(b2.parse("b"), MorphicRay(b2.parse("B"), conj2))
+        v = attraction_check(ray, conj2)
+        assert v.status == "not-fixed" and "cancellation bound" in v.reason
 
-    def test_window_stability(self):
-        # doubling the window does not flip periodic verdicts
-        for phi, w in [(square1, ev_periodic(IDENTITY, b1.parse("a"))),
-                       (identity_endo(b1), ev_periodic(IDENTITY, b1.parse("a"))),
-                       (endo(1, "AA"), ev_periodic(IDENTITY, b1.parse("a")))]:
-            v1 = attraction_check(w, phi)
-            v2 = attraction_check(w, phi, window=2 * v1.window)
-            assert v1.status == v2.status
+    def test_fixed_shift_still_attracting(self):
+        # a is fixed, so a.ray is again a fixed and attracting word
+        ray = left_multiply(b2.parse("a"), MorphicRay(b2.parse("B"), conj2))
+        assert attraction_check(ray, conj2).status == "attracting"
 
     def test_evidence_monotone_in_i(self):
         ray = MorphicRay(b2.parse("B"), jiang)
@@ -191,7 +172,7 @@ class TestAttraction:
 
     def test_non_injective_rejected(self):
         with pytest.raises(ValueError):
-            attraction_check(ev_periodic(IDENTITY, b1.parse("a")), endo(1, ""))
+            attraction_check(MorphicRay(b1.parse("a"), square1), endo(1, ""))
 
 
 class TestEquivalence:
@@ -207,8 +188,8 @@ class TestEquivalence:
         assert res.found and res.witness == b2.parse("a")
 
     def test_rank_one_poles_distinct(self):
-        plus = ev_periodic(IDENTITY, b1.parse("a"))
-        minus = ev_periodic(IDENTITY, b1.parse("A"))
+        plus = MorphicRay(b1.parse("a"), square1)
+        minus = MorphicRay(b1.parse("A"), square1)
         res = equivalent_under(plus, minus, [], square1, 6)
         assert not res.found
 
@@ -220,18 +201,16 @@ class TestEquivalence:
 
 class TestPushForward:
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=5),
-           st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=4))
-    def test_image_matches_prefixes(self, pre_raw, per_raw):
-        try:
-            w = ev_periodic(word(pre_raw), word(per_raw))
-        except ValueError:
-            return
-        img = ev_periodic_image(w, conj2)
-        # the pushed-forward word agrees with the image of long prefixes
-        long = conj2.apply(w.prefix(64))
-        assert img.prefix(len(long) - conj2.cancellation_bound()).letters == \
-            long.letters[:len(long) - conj2.cancellation_bound()]
+    @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=5))
+    def test_image_matches_prefixes(self, raw):
+        # phi(u.R) = phi(u).R for a fixed ray R: the shifted ray agrees with
+        # the image of its long prefixes up to the cancellation bound
+        ray = MorphicRay(b2.parse("B"), conj2)
+        u = word(raw)
+        img = left_multiply(conj2.apply(u), ray)
+        long = conj2.apply(left_multiply(u, ray).prefix(64))
+        m = len(long) - conj2.cancellation_bound()
+        assert img.prefix(m).letters == long.letters[:m]
 
     def test_morphic_fixedness_up_to_bound(self):
         ray = MorphicRay(b2.parse("B"), jiang)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rose
+from conftest import identity_endo, rose
 from nielsenkit.graphs import (
     Dart,
     EdgePath,
@@ -24,7 +24,7 @@ from nielsenkit.graphs import (
 )
 from nielsenkit.io import corpus_files, endo_from_json, graph_map_from_json, rose_map
 from nielsenkit.sampling import random_injective_endos
-from nielsenkit.words import Endomorphism, identity_endo
+from nielsenkit.words import Endomorphism
 
 ex1 = rose({"a": ["a", "a"], "b": ["b", "b"]})
 ex2 = rose({"a1": ["a1"], "a2": ["a2-", "a1", "a2"]})
@@ -299,9 +299,15 @@ class TestPi1:
         assert checked > 400
 
 
+def is_circle(g: Graph) -> bool:
+    """Connected, with at least one edge and every vertex of valence two."""
+    return (g.is_connected() and bool(g.edge_ends)
+            and all(len(g.darts_at(v)) == 2 for v in g.vertices))
+
+
 def circle_degree(f: GraphMap) -> int:
     """Signed winding degree of a selfmap of a circle graph."""
-    if not f.graph.is_circle():
+    if not is_circle(f.graph):
         raise ValueError("graph is not a circle")
     phi = any_route_endo(f)
     assert phi.rank == 1

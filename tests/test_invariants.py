@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import endo, rose
-from nielsenkit.boundary import attraction_check, in_boundary_of_subgroup
+from nielsenkit.boundary import attraction_check
 from nielsenkit.invariants import (
     AnalysisConfig,
     AnalysisError,
@@ -200,7 +200,7 @@ class TestAttractingReps:
             phi = ray.endo
             graph = fold_words(phi.rank, fixed_subgroup_basis(phi, 6))
             assert attraction_check(ray, phi).status == "attracting"
-            assert in_boundary_of_subgroup(ray, graph, 24).escapes_at is not None
+            assert graph.read(ray.prefix(24)) is None
 
     def test_merged_pair_counts_once(self):
         rep = analyze_endomorphism(endo(2, "A", "Abb"))

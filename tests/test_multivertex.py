@@ -81,7 +81,7 @@ class TestFixedPointFree:
 
 class TestCliOnMultiVertex:
     def test_round_trip_through_json(self, tmp_path, capsys):
-        from nielsenkit.io import graph_map_to_json
+        from conftest import graph_map_to_json
 
         p = tmp_path / "theta.json"
         p.write_text(json.dumps(graph_map_to_json(theta_swap())))
