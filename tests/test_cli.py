@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -294,6 +295,25 @@ class TestCommands:
         assert (data["rk"], data["a"], data["ichr"]) == (0, 2, -1)
         assert data["constant_route_witness"] is None
         assert data["verdicts"]["empty_class_bounds"] == "inconclusive"
+
+    def test_route_unsettled_ray_returns(self, tmp_path, capsys):
+        # The ray of B under a -> BaBA, b -> ab never settles; it is given up
+        # as inconclusive instead of growing until memory runs out.
+        def too_slow(signum, frame):
+            raise TimeoutError("route did not return")
+
+        p = tmp_path / "route.json"
+        p.write_text(json.dumps({"rank": 2, "letters": ["a", "b"],
+                                 "images": {"a": "BaBA", "b": "ab"}}))
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 5)
+        try:
+            code, data = run(capsys, "route", "--word", "", str(p))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 0
+        assert (data["a"], data["attracting_prefixes"]) == (0, [])
 
     def test_route_unknown_base(self, tmp_path, capsys):
         data = _rose_with(base="v")

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from nielsenkit.invariants import (
     local_index,
 )
 from nielsenkit.io import rose_map
+from nielsenkit.sampling import random_injective_endos
 from nielsenkit.words import (
     Endomorphism,
     IDENTITY,
@@ -236,6 +240,32 @@ class TestRouteAnalysis:
         rep = analyze_route(phi, IDENTITY, 6)
         assert rep.rank_found == 1 and rep.attract_found == 1
         assert rep.improved_char == -1
+
+    def test_seeded_route_outputs_pinned(self):
+        # 440 seeded rank-2 maps (images of length <= 4), each with the
+        # identity, a random letter or a random reduced 2-letter route in
+        # turn: the rank, generators, attracting 24-letter prefixes and
+        # constant-route witness of every depth-6 route analysis.
+        maps = random_injective_endos(2, 4, 1)
+        rng = random.Random("routes-1")
+        lines = []
+        for k in range(440):
+            phi = next(maps)
+            route: list[int] = []
+            while len(route) < k % 3:
+                x = rng.choice([1, -1, 2, -2])
+                if not route or x != -route[-1]:
+                    route.append(x)
+            rep = analyze_route(phi, word(route), 6)
+            fmt = phi.basis.format
+            lines.append(" ".join([
+                fmt(phi.images[0]), fmt(phi.images[1]), fmt(rep.route),
+                str(rep.rank_found), ",".join(fmt(g) for g in rep.generators),
+                ",".join(fmt(r.prefix(24)) for r in rep.attracting),
+                "-" if rep.constant_witness is None else fmt(rep.constant_witness),
+            ]) + "\n")
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "53cf91414a8ceeae76ca0a90f2692ca0dafdad265099f13cc3a7b99755253be0"
 
 
 class TestTheoremSuite:

@@ -2,15 +2,14 @@
 break `perfbench/run.py --trace 1` must fail here first."""
 
 import runpy
-import signal
 from pathlib import Path
 
 import pytest
 
 import nielsenkit
 import nielsenkit.io  # noqa: F401  (spans hooks io functions)
-from nielsenkit.invariants import analyze_route
-from nielsenkit.words import IDENTITY, Endomorphism, default_basis
+from nielsenkit.boundary import MorphicRay
+from nielsenkit.words import Endomorphism, default_basis
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -28,11 +27,11 @@ class LetterBudget(Exception):
 
 
 def test_ray_growth_goes_through_apply(monkeypatch):
-    """The benchmark abandons a route analysis once Endomorphism.apply has
-    taken its letter budget; the identity route of a -> BaBA, b -> ab grows
-    its rays without bound, so the budget must stop it."""
+    """The benchmark abandons an instance once Endomorphism.apply has taken
+    its letter budget, so ray growth must go through apply: a small budget
+    stops a convergent ray asked for many letters."""
     original = Endomorphism.apply
-    left = [300_000]
+    left = [5_000]
 
     def apply(endo, w):
         left[0] -= len(w)
@@ -40,19 +39,8 @@ def test_ray_growth_goes_through_apply(monkeypatch):
             raise LetterBudget
         return original(endo, w)
 
-    def too_slow(signum, frame):
-        raise TimeoutError("ray growth bypassed Endomorphism.apply")
-
     monkeypatch.setattr(Endomorphism, "apply", apply)
     b = default_basis(2)
-    phi = Endomorphism(b, (b.parse("BaBA"), b.parse("ab")))
-    # Without the budget the rays would grow until memory runs out; fail
-    # after 3 s instead.  The budget stops the analysis well within 1 s.
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.setitimer(signal.ITIMER_REAL, 3)
-    try:
-        with pytest.raises(LetterBudget):
-            analyze_route(phi, IDENTITY, 6)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    phi = Endomorphism(b, (b.parse("A"), b.parse("Abb")))
+    with pytest.raises(LetterBudget):
+        MorphicRay(b.parse("B"), phi).prefix(100_000)
