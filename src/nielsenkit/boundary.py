@@ -15,6 +15,13 @@ builds two kinds of them:
 Both expose `prefix(m)`.  `attraction_check` reports a ray as attracting or
 not fixed only on a finite certificate and as `inconclusive` otherwise; the
 tool never upgrades a bounded observation into a claim silently.
+
+Attracting rays are counted up to the fixed subgroup Fix phi: W ~ V when
+W = U.V for some U in Fix phi.  `equivalent_under` searches U in the ball of
+the generators found and compares W with U.V on their first EQUIVALENCE_CAP
+letters, reading U.V off V's own buffer with `prefix(m, pre=U)`.  Agreement
+to that cap is a bounded observation: two rays that agree so far count as
+one class.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ STALL_BLOCKS = 8
 
 
 class MorphicRay:
-    """The ray pre . e u phi(u) phi^2(u) ... for a seed e with phi(e) = e.u.
+    """The ray e u phi(u) phi^2(u) ... for a seed e with phi(e) = e.u.
 
     The buffer holds P_k = [phi^k(e)].  Appending the block phi^k(u) turns it
     into P_{k+1}; its first `kept` letters survive, so X = P_{k+1}[:kept] is
@@ -71,8 +78,7 @@ class MorphicRay:
     once STALL_BLOCKS blocks in a row certified nothing.
     """
 
-    def __init__(self, seed: Word, endo: Endomorphism, pre: Word = IDENTITY,
-                 _skip: int = 0):
+    def __init__(self, seed: Word, endo: Endomorphism):
         if seed.is_identity:
             raise DegenerateRay("empty seed")
         img = endo.apply(seed)
@@ -92,17 +98,6 @@ class MorphicRay:
         self._buf: list[int] = list(seed.letters)
         self._certified = 0
         self._stalled = 0
-        # Absorb cancellation between the stored prefix and certified letters.
-        p = list(pre.letters)
-        skip = _skip
-        while p:
-            self._ensure(skip + 1)
-            if p[-1] != -self._buf[skip]:
-                break
-            p.pop()
-            skip += 1
-        self.pre = Word(tuple(p))
-        self._skip = skip
 
     def _append_block(self) -> None:
         self._block = self._tail if self._block is None else self.endo.apply(self._block)
@@ -129,34 +124,26 @@ class MorphicRay:
                     f"no letter certified in {STALL_BLOCKS} blocks; seed does not converge")
             self._append_block()
 
-    def ray_letters(self, m: int) -> tuple[int, ...]:
-        self._ensure(m + self._skip)
-        return tuple(self._buf[self._skip:self._skip + m])
-
-    def prefix(self, m: int) -> Word:
-        if m <= len(self.pre):
-            return Word(self.pre.letters[:m])
-        return Word(self.pre.letters + self.ray_letters(m - len(self.pre)))
-
-    def structurally_equal(self, other: "MorphicRay") -> bool:
-        return (self.endo == other.endo and self.seed == other.seed
-                and self._skip == other._skip and self.pre == other.pre)
+    def prefix(self, m: int, pre: Word = IDENTITY) -> Word:
+        """The first m letters of the reduced ray pre.W, read off this ray's
+        own buffer: the last letters of pre that cancel against certified
+        letters of W are absorbed first."""
+        p = list(pre.letters)
+        skip = 0
+        while p:
+            self._ensure(skip + 1)
+            if p[-1] != -self._buf[skip]:
+                break
+            p.pop()
+            skip += 1
+        if m <= len(p):
+            return Word(tuple(p[:m]))
+        end = skip + m - len(p)
+        self._ensure(end)
+        return Word(tuple(p) + tuple(self._buf[skip:end]))
 
     def __repr__(self):
-        return f"MorphicRay(pre={self.pre.letters}, seed={self.seed.letters})"
-
-
-def left_multiply(u: Word, w: MorphicRay) -> MorphicRay:
-    """The reduced ray u.w."""
-    return MorphicRay(w.seed, w.endo, pre=u * w.pre, _skip=w._skip)
-
-
-def rays_equal(w: MorphicRay, v: MorphicRay, cap: int) -> bool:
-    """Structurally equal rays are equal; any other pair counts as equal when
-    its first `cap` letters agree."""
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    return w.structurally_equal(v) or w.prefix(cap) == v.prefix(cap)
+        return f"MorphicRay(seed={self.seed.letters})"
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +174,7 @@ def attraction_check(w, phi: Endomorphism) -> AttractionVerdict:
     s = max(1, phi.max_image_length())
     burn_in = 4 * bound + 8
     n = burn_in + 4 * s
-    fixed = (isinstance(w, MorphicRay) and w.endo == phi
-             and w.pre.is_identity and w._skip == 0)
+    fixed = isinstance(w, MorphicRay) and w.endo == phi
 
     try:
         ray = w.prefix(s * n + 1).letters
@@ -224,22 +210,27 @@ def attraction_check(w, phi: Endomorphism) -> AttractionVerdict:
 # Equivalence of rays modulo the fixed subgroup.
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
-    found: bool
-    witness: Optional[Word]
+# Letters of w and U.v that equivalent_under compares: agreement this far is
+# a bounded observation, not a proof that the two words are equal.
+EQUIVALENCE_CAP = 256
 
 
-def equivalent_under(w: MorphicRay, v: MorphicRay, fix_gens: Sequence[Word],
-                     phi: Endomorphism, depth: int, cap: int = 256) -> EquivalenceWitness:
-    """Search U in the <fix_gens> ball of radius `depth` with w = U.v."""
+def equivalent_under(w, v: MorphicRay, fix_gens: Sequence[Word],
+                     phi: Endomorphism, depth: int) -> Optional[Word]:
+    """The first U in the <fix_gens> ball of radius `depth` with w = U.v on
+    their first EQUIVALENCE_CAP letters, or None.  U.v is read off v's own
+    buffer; a ray that cannot be certified that far matches nothing."""
     for g in fix_gens:
         if phi.apply(g) != g:
             raise ValueError(f"certificate invalid: generator not fixed: {g.letters}")
+    try:
+        target = w.prefix(EQUIVALENCE_CAP)
+    except DegenerateRay:
+        return None
     for u in subgroup_ball(fix_gens, depth):
         try:
-            if rays_equal(w, left_multiply(u, v), cap):
-                return EquivalenceWitness(True, u)
-        except DegenerateRay:  # a ray that cannot be certified to cap letters
+            if v.prefix(EQUIVALENCE_CAP, pre=u) == target:
+                return u
+        except DegenerateRay:
             continue
-    return EquivalenceWitness(False, None)
+    return None

@@ -256,15 +256,16 @@ def derivative(f: GraphMap, d: Dart) -> Optional[Dart]:
     return img[0] if img else None
 
 
-def classify_turn(f: GraphMap, d1: Dart, d2: Dart, max_iter: Optional[int] = None) -> str:
-    """legal / illegal / degenerate, decided by iterating the derivative map."""
-    if max_iter is None:
-        max_iter = (2 * len(f.graph.edges)) ** 2 + 1
+def classify_turn(f: GraphMap, d1: Dart, d2: Dart) -> str:
+    """legal / illegal / degenerate, decided by iterating the derivative map.
+
+    Each pass either returns or records a new unordered pair of darts, so the
+    loop ends within D(D-1)/2 + 1 passes for D darts."""
     if d1 == d2:
         return "degenerate"
     seen = set()
     a, b = d1, d2
-    for _ in range(max_iter):
+    while True:
         if a is None and b is None:
             return "degenerate"
         if a is None or b is None:
@@ -276,7 +277,6 @@ def classify_turn(f: GraphMap, d1: Dart, d2: Dart, max_iter: Optional[int] = Non
             return "legal"
         seen.add(key)
         a, b = derivative(f, a), derivative(f, b)
-    return "unknown"
 
 
 def turn_degenerates_in_one_step(f: GraphMap, d1: Dart, d2: Dart) -> bool:

@@ -126,7 +126,6 @@ class RouteReport:
 
 @dataclass
 class Report:
-    graph_edges: tuple[str, ...]
     chi: int
     trace: int
     lefschetz: int
@@ -369,7 +368,7 @@ def analyze_route(phi: Endomorphism, route: Word, depth: int) -> RouteReport:
             attracting.append(ray)
     kept: list[MorphicRay] = []
     for ray in attracting:
-        if any(equivalent_under(ray, other, gens, f_w, depth).found for other in kept):
+        if any(equivalent_under(ray, other, gens, f_w, depth) is not None for other in kept):
             continue
         kept.append(ray)
     witness = route_equivalent(route, IDENTITY, phi, depth)
@@ -397,7 +396,7 @@ def _identity_report(f: GraphMap) -> Report:
                     provenance="identity-map", essential=chi != 0)
     lef, tr = chi, 1 - chi
     report = Report(
-        graph_edges=f.graph.edges, chi=chi, trace=tr, lefschetz=lef,
+        chi=chi, trace=tr, lefschetz=lef,
         classes=[cls], strata=[], filtration=None, subdivided_at=[],
         classification_complete=True, literal_classification_complete=True,
         map=f,
@@ -515,7 +514,6 @@ def analyze(f: GraphMap, config: Optional[AnalysisConfig] = None,
     literal = all(i.stype != "unclassifiable" or i.expanding_not_train_track
                   for i in infos)
     report = Report(
-        graph_edges=f.graph.edges,
         chi=g.graph.euler_characteristic(),
         trace=tr,
         lefschetz=lef,

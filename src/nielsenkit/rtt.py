@@ -39,7 +39,6 @@ from .graphs import (
     ray_images,
     reachable,
     turn_degenerates_in_one_step,
-    trivial_path,
 )
 
 
@@ -221,7 +220,6 @@ class StratumInfo:
     edges: tuple[str, ...]
     stype: str  # type1 | type2 | type3 | unclassifiable
     note: str = ""
-    matrix: list[list[int]] = field(default_factory=list)
     expansion: Optional[ExpansionData] = None
     illegal_turns: list[tuple[Dart, Dart]] = field(default_factory=list)
     inp: Optional["NielsenPathData"] = None
@@ -247,7 +245,7 @@ class StratumInfo:
 def classify_stratum(f: GraphMap, filt: Filtration, i: int, tol: float = 1e-9) -> StratumInfo:
     stratum = filt.strata[i]
     m = transition_matrix(f, stratum)
-    info = StratumInfo(index=i, edges=stratum, stype="unclassifiable", matrix=m)
+    info = StratumInfo(index=i, edges=stratum, stype="unclassifiable")
     if all(x == 0 for row in m for x in row):
         info.stype = "type1"
         info.note = "all stratum edges map into the lower level"
@@ -411,7 +409,7 @@ def nielsen_paths_brute(f: GraphMap, max_len: int,
     def visit(start: str) -> None:
         at = g.terminus(path[-1]) if path else start
         if path and at in fixed and len(img) == len(path) and img == path:
-            if must is None or any(d.name in must for d in path):
+            if any(d.name in must for d in path):
                 p = EdgePath(tuple(path))
                 if not indivisible_only or is_indivisible(f, p):
                     found.setdefault(_canonical(p), p)
@@ -457,8 +455,6 @@ class NielsenPathData:
     endpoints: tuple[str, str]
     leg1: Optional[EdgePath] = None
     leg2: Optional[EdgePath] = None
-    turn_vertex: Optional[str] = None
-    tail: Optional[EdgePath] = None
 
 
 def _leg_decomposition(f: GraphMap, p: EdgePath) -> NielsenPathData:
@@ -471,11 +467,6 @@ def _leg_decomposition(f: GraphMap, p: EdgePath) -> NielsenPathData:
         if not turn_degenerates_in_one_step(f, t1, t2):
             continue
         data.leg1, data.leg2 = leg1, leg2
-        data.turn_vertex = g.terminus(leg1.darts[-1])
-        img1 = map_path(f, leg1)
-        if len(img1.darts) >= len(leg1.darts) and img1.darts[:len(leg1.darts)] == leg1.darts:
-            data.tail = EdgePath(img1.darts[len(leg1.darts):]) if len(img1.darts) > len(leg1.darts) \
-                else trivial_path(g.terminus(leg1.darts[-1]))
         break
     return data
 

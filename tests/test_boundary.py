@@ -3,14 +3,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import endo
-from nielsenkit.boundary import (
-    DegenerateRay,
-    MorphicRay,
-    attraction_check,
-    equivalent_under,
-    left_multiply,
-    rays_equal,
-)
+from nielsenkit import boundary
+from nielsenkit.boundary import DegenerateRay, MorphicRay, attraction_check, equivalent_under
 from nielsenkit.words import IDENTITY, Endomorphism, Word, default_basis, fold_words, word
 
 b1 = default_basis(1)
@@ -19,6 +13,21 @@ b2 = default_basis(2)
 jiang = endo(2, "A", "Abb")          # a -> a^-1, b -> a^-1 b^2
 conj2 = endo(2, "a", "Bab")          # a1 -> a1, a2 -> a2^-1 a1 a2
 square1 = endo(1, "aa")
+
+
+class Shifted:
+    """The ray u.R, read off R's own buffer."""
+
+    def __init__(self, u: Word, ray: MorphicRay):
+        self.u, self.ray = u, ray
+
+    def prefix(self, m: int) -> Word:
+        return self.ray.prefix(m, pre=self.u)
+
+
+def same_word(w, v) -> bool:
+    """w and v agree on the letters equivalent_under compares."""
+    return equivalent_under(w, v, [], square1, 0) is not None
 
 
 class TestPrefix:
@@ -56,69 +65,64 @@ class TestPrefix:
 class TestAgreeLength:
     def test_same(self):
         w = MorphicRay(b1.parse("a"), square1)
-        assert rays_equal(w, w, 10)
+        assert same_word(w, w)
 
     def test_opposite_rays(self):
         w = MorphicRay(b1.parse("a"), square1)
         v = MorphicRay(b1.parse("A"), square1)
-        assert not rays_equal(w, v, 10)
-
-    def test_exact_decision_beats_cap(self):
-        # shifting there and back is structurally the same ray
-        ray = MorphicRay(b2.parse("B"), conj2)
-        back = left_multiply(b2.parse("A"), left_multiply(b2.parse("a"), ray))
-        assert rays_equal(back, ray, 1)
-        # structural equality decides without growing a ray that cannot be
-        # certified: a -> ab, b -> b never certifies a letter
-        parabolic = MorphicRay(b2.parse("a"), endo(2, "ab", "b"))
-        assert rays_equal(parabolic, parabolic, 10)
+        assert not same_word(w, v)
 
     def test_morphic_structural(self):
         r1 = MorphicRay(b2.parse("B"), jiang)
         r2 = MorphicRay(b2.parse("B"), jiang)
-        assert rays_equal(r1, r2, 5)
+        assert same_word(r1, r2)
 
-    def test_agreement_to_cap_counts_as_equal(self):
+    def test_agreement_to_cap_counts_as_equal(self, monkeypatch):
         # a^inf grown by a -> aa and by a -> aaa: equal words, different rays
         w = MorphicRay(b1.parse("a"), square1)
         v = MorphicRay(b1.parse("a"), endo(1, "aaa"))
-        assert rays_equal(w, v, 1) and rays_equal(w, v, 50)
+        assert same_word(w, v)
         # a b b b ... and a b b a ...: equal to cap 3, told apart at cap 4
         w = MorphicRay(b2.parse("a"), endo(2, "ab", "bb"))
         v = MorphicRay(b2.parse("a"), endo(2, "ab", "ba"))
-        assert rays_equal(w, v, 3)
-        assert not rays_equal(w, v, 4)
+        monkeypatch.setattr(boundary, "EQUIVALENCE_CAP", 3)
+        assert same_word(w, v)
+        monkeypatch.setattr(boundary, "EQUIVALENCE_CAP", 4)
+        assert not same_word(w, v)
 
     def test_symmetry(self):
         r = MorphicRay(b2.parse("B"), jiang)
         v = MorphicRay(b2.parse("B"), conj2)
-        assert rays_equal(r, v, 40) == rays_equal(v, r, 40)
-
-    def test_cap_must_be_positive(self):
-        w = MorphicRay(b1.parse("a"), square1)
-        with pytest.raises(ValueError):
-            rays_equal(w, w, 0)
+        assert same_word(r, v) == same_word(v, r)
 
 
 class TestLeftMultiply:
     def test_identity(self):
         ray = MorphicRay(b2.parse("B"), conj2)
-        assert left_multiply(IDENTITY, ray).prefix(12) == ray.prefix(12)
+        assert ray.prefix(12, pre=IDENTITY) == ray.prefix(12)
 
     def test_cancellation(self):
         w = MorphicRay(b1.parse("a"), square1)
-        assert left_multiply(b1.parse("A"), w).prefix(8) == w.prefix(8)
+        assert w.prefix(8, pre=b1.parse("A")) == w.prefix(8)
 
-    def test_ray_prefix(self):
-        ray = MorphicRay(b2.parse("B"), conj2)
-        shifted = left_multiply(b2.parse("a"), ray)
-        assert shifted.prefix(8) == b2.parse("a") * ray.prefix(7)
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["jiang", "conj2"]),
+           st.lists(st.sampled_from([1, -1, 2, -2]), max_size=5).map(word),
+           st.lists(st.integers(0, 40), min_size=1, max_size=4))
+    @example("conj2", word([1]), [8])
+    @example("conj2", word([1, 2]), [5])
+    def test_ray_prefix(self, name, u, ms):
+        # u.R read off R's buffer is the reduced word u + R's letters
+        phi = {"jiang": jiang, "conj2": conj2}[name]
+        ray = MorphicRay(b2.parse("B"), phi)
+        for m in ms:
+            expected = word(u.letters + ray.prefix(m + len(u)).letters).prefix(m)
+            assert ray.prefix(m, pre=u) == expected
 
     def test_ray_deep_cancellation(self):
         ray = MorphicRay(b2.parse("B"), conj2)   # starts B A b ...
         # ab . BAb... : the b cancels B, then a cancels A
-        shifted = left_multiply(b2.parse("ab"), ray)
-        assert shifted.prefix(5) == word(ray.prefix(7).letters[2:])
+        assert ray.prefix(5, pre=b2.parse("ab")) == word(ray.prefix(7).letters[2:])
 
 
 class TestMembership:
@@ -160,13 +164,13 @@ class TestAttraction:
 
     def test_shifted_ray_not_fixed(self):
         # b.ray is not fixed by a -> a, b -> Bab: b is not a fixed word
-        ray = left_multiply(b2.parse("b"), MorphicRay(b2.parse("B"), conj2))
+        ray = Shifted(b2.parse("b"), MorphicRay(b2.parse("B"), conj2))
         v = attraction_check(ray, conj2)
         assert v.status == "not-fixed" and "cancellation bound" in v.reason
 
     def test_fixed_shift_still_attracting(self):
         # a is fixed, so a.ray is again a fixed and attracting word
-        ray = left_multiply(b2.parse("a"), MorphicRay(b2.parse("B"), conj2))
+        ray = Shifted(b2.parse("a"), MorphicRay(b2.parse("B"), conj2))
         assert attraction_check(ray, conj2).status == "attracting"
 
     def test_parabolic_ray_inconclusive(self):
@@ -184,20 +188,17 @@ class TestAttraction:
 class TestEquivalence:
     def test_reflexive(self):
         ray = MorphicRay(b2.parse("B"), conj2)
-        res = equivalent_under(ray, ray, [], conj2, 3)
-        assert res.found and res.witness == IDENTITY
+        assert equivalent_under(ray, ray, [], conj2, 3) == IDENTITY
 
     def test_shifted_ray(self):
         ray = MorphicRay(b2.parse("B"), conj2)
-        shifted = left_multiply(b2.parse("a"), ray)
-        res = equivalent_under(shifted, ray, [b2.parse("a")], conj2, 4)
-        assert res.found and res.witness == b2.parse("a")
+        shifted = Shifted(b2.parse("a"), ray)
+        assert equivalent_under(shifted, ray, [b2.parse("a")], conj2, 4) == b2.parse("a")
 
     def test_rank_one_poles_distinct(self):
         plus = MorphicRay(b1.parse("a"), square1)
         minus = MorphicRay(b1.parse("A"), square1)
-        res = equivalent_under(plus, minus, [], square1, 6)
-        assert not res.found
+        assert equivalent_under(plus, minus, [], square1, 6) is None
 
     def test_bad_certificate(self):
         ray = MorphicRay(b2.parse("B"), conj2)
@@ -213,8 +214,8 @@ class TestPushForward:
         # the image of its long prefixes up to the cancellation bound
         ray = MorphicRay(b2.parse("B"), conj2)
         u = word(raw)
-        img = left_multiply(conj2.apply(u), ray)
-        long = conj2.apply(left_multiply(u, ray).prefix(64))
+        img = Shifted(conj2.apply(u), ray)
+        long = conj2.apply(ray.prefix(64, pre=u))
         m = len(long) - conj2.cancellation_bound()
         assert img.prefix(m).letters == long.letters[:m]
 
@@ -272,7 +273,7 @@ class TestExactness:
         # b -> BB no letter of the ray is ever certified
         ray = MorphicRay(b2.parse("a"), endo(2, "aB", "BB"))
         with pytest.raises(DegenerateRay):
-            left_multiply(b2.parse("A"), ray)
+            ray.prefix(1, pre=b2.parse("A"))
 
     def test_non_injective_rejected(self):
         with pytest.raises(DegenerateRay):
@@ -310,7 +311,7 @@ class TestExactness:
             reference = _iterates(seed, phi, 6000, 300)
             for m in (1, 6, 24, 60):
                 try:
-                    letters = ray.ray_letters(m)
+                    letters = ray.prefix(m).letters
                 except DegenerateRay:
                     break
                 assert len(letters) == m

@@ -119,13 +119,26 @@ class TestTurns:
         assert classify_turn(ex1, Dart("a", True), Dart("b", True)) == "legal"
 
     def test_stable_under_longer_iteration(self):
+        # classify_turn stops at the first repeated dart pair; iterating the
+        # derivative 4(D^2 + 1) times without that stop gives the same verdict
+        def reference(f, a, b, steps):
+            if a == b:
+                return "degenerate"
+            for _ in range(steps):
+                if a is None or b is None:
+                    return "degenerate" if a is None and b is None else "legal"
+                if a == b:
+                    return "illegal"
+                a, b = derivative(f, a), derivative(f, b)
+            return "legal"
+
         for f in (ex1, ex2, ex3, ex4, derived):
             ds = f.graph.darts()
-            bound = len(ds) ** 2 + 1
+            steps = 4 * (len(ds) ** 2 + 1)
             for i in range(len(ds)):
                 for j in range(i, len(ds)):
                     a, b = ds[i], ds[j]
-                    assert classify_turn(f, a, b, bound) == classify_turn(f, a, b, 4 * bound)
+                    assert classify_turn(f, a, b) == reference(f, a, b, steps)
 
 
 class TestFixedData:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import endo, rose
-from nielsenkit.boundary import attraction_check
+from nielsenkit import invariants
+from nielsenkit.boundary import MorphicRay, attraction_check
 from nielsenkit.invariants import (
     AnalysisConfig,
     AnalysisError,
@@ -17,6 +18,7 @@ from nielsenkit.invariants import (
     fixed_subgroup_basis,
     lefschetz_number,
     local_index,
+    word_attracting_candidates,
 )
 from nielsenkit.io import rose_map
 from nielsenkit.sampling import random_injective_endos
@@ -240,6 +242,30 @@ class TestRouteAnalysis:
         rep = analyze_route(phi, IDENTITY, 6)
         assert rep.rank_found == 1 and rep.attract_found == 1
         assert rep.improved_char == -1
+
+    @pytest.mark.parametrize("images,route", [(("a", "bAb"), ""), (("ba", "bb"), "b")])
+    def test_equivalence_builds_no_rays(self, monkeypatch, images, route):
+        # Two attracting rays compared modulo a nonempty fixed subgroup (both
+        # pairs are from the seeded route workload): every shifted ray U.V is
+        # read off V's own buffer, so the candidates are the only rays built.
+        phi, w = endo(2, *images), b2.parse(route)
+        candidates = len(word_attracting_candidates(phi.inner_twist(w)))
+        built, compared = [0], [0]
+        init, equivalent_under = MorphicRay.__init__, invariants.equivalent_under
+
+        def counting_init(ray, *args, **kwargs):
+            built[0] += 1
+            init(ray, *args, **kwargs)
+
+        def counting_equivalent_under(*args):
+            compared[0] += 1
+            return equivalent_under(*args)
+
+        monkeypatch.setattr(MorphicRay, "__init__", counting_init)
+        monkeypatch.setattr(invariants, "equivalent_under", counting_equivalent_under)
+        rep = analyze_route(phi, w, 6)
+        assert rep.generators and rep.attract_found == 2 and compared[0] == 1
+        assert built[0] == candidates
 
     def test_seeded_route_outputs_pinned(self):
         # 440 seeded rank-2 maps (images of length <= 4), each with the

@@ -248,7 +248,8 @@ class TestFindInp:
         inp = top.inp
         assert {tuple(str(d) for d in inp.leg1.darts),
                 tuple(str(d) for d in inp.leg2.darts)} == {("b",), ("b", "a")}
-        assert tuple(str(d) for d in inp.tail.darts) == ("a",)
+        img1 = map_path(derived, inp.leg1)
+        assert tuple(str(d) for d in img1.darts) == tuple(str(d) for d in inp.leg1.darts) + ("a",)
 
     def test_doubling_certified_none(self):
         for info in analyze(ex1).strata:
