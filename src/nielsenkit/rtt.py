@@ -15,11 +15,22 @@ For a homotopy equivalence an expanding train-track stratum carries at most
 one indivisible Nielsen path crossing it (Bestvina-Handel).  An injective
 endomorphism that is not onto may carry several there, as may a permutation
 stratum outside normal form; then only their merges are trusted.
+
+Nielsen paths are searched as indivisible ones, by one bounded depth-first
+search that stops at the first Nielsen prefix.  Cancellation lemma: if
+P = A.B is tight and P and A are Nielsen paths, then
+[f(B)] = [f(A)^-1 f(P)] = [A^-1 P] = B.  So a Nielsen path is indivisible iff
+no proper nonempty prefix of it is Nielsen, and every extension of a Nielsen
+path is divisible.  The partition oracle searches from every fixed vertex but
+the last and still finds the partition that all Nielsen paths of length
+<= max_len give: such a path splits at its fixed vertices into indivisible
+pieces no longer than itself that join the same vertices, and a piece
+starting at the last vertex is a loop, joining nothing, or is found reversed
+from its other end.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -333,16 +344,16 @@ def _path_is_nielsen(f: GraphMap, darts: tuple[Dart, ...]) -> bool:
 
 
 def is_indivisible(f: GraphMap, p: EdgePath) -> bool:
-    """No split at an intermediate fixed vertex into two Nielsen subpaths."""
+    """Whether the Nielsen path p (it must be one) has no split at an
+    intermediate fixed vertex into two Nielsen subpaths.
+
+    By the cancellation lemma (see the module docstring) the part after a
+    Nielsen prefix of a Nielsen path is Nielsen too, so only the prefixes are
+    mapped."""
     fixed = set(fixed_vertices(f))
-    for j in range(1, len(p.darts)):
-        v = f.graph.terminus(p.darts[j - 1])
-        if v not in fixed:
-            continue
-        left, right = p.darts[:j], p.darts[j:]
-        if _path_is_nielsen(f, left) and _path_is_nielsen(f, right):
-            return False
-    return True
+    return not any(f.graph.terminus(p.darts[j - 1]) in fixed
+                   and _path_is_nielsen(f, p.darts[:j])
+                   for j in range(1, len(p.darts)))
 
 
 def _canonical(p: EdgePath) -> tuple:
@@ -352,97 +363,129 @@ def _canonical(p: EdgePath) -> tuple:
     return min(a, b)
 
 
+def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
+                               names: Iterable[str],
+                               must: Optional[set[str]]) -> list[tuple[Dart, ...]]:
+    """Every indivisible Nielsen path of length <= max_len that starts at one
+    of `starts`, runs in the edges `names` and crosses an edge of `must`
+    (any edge when None), in depth-first preorder, starts taken in order.
+
+    The search descends tight paths P and stops at the first Nielsen node,
+    since every extension of a Nielsen path is divisible (the cancellation
+    lemma in the module docstring).  Darts are integer codes,
+    edge k being 2k forward and 2k+1 reversed, so reversal is `x ^ 1`.  The
+    image [f(P)] is kept tight incrementally: pushing a dart cancels the prefix
+    of its image that meets its reversal at the tail of [f(P)] and extends by
+    the rest, and popping deletes that rest and restores the cancelled tail.
+
+    Branches are cut by bounded cancellation, exactly for pi1-injective f
+    (analyze rejects other maps).  With C = f.cancellation_bound() and
+    k = |[f(P)]| - C, the first k darts of [f(P)] are a prefix of [f(PQ)] for
+    every tight extension PQ, and a Nielsen path has [f(PQ)] = PQ.  So a
+    branch is cut when k > max_len, or when the first min(k, |P|) darts of
+    [f(P)] and of P differ."""
+    g = f.graph
+    darts = g.darts()
+    code = {d: i for i, d in enumerate(darts)}
+    imgs = [[code[x] for x in f.image_table[d]] for d in darts]
+    names = list(names)
+    out_at = {v: [code[d] for d in g.darts_at(v, names)] for v in g.vertices}
+    # after[c]: the darts that may follow dart c on a tight path.
+    after = [[d for d in out_at[g.terminus(dart)] if d != c ^ 1]
+             for c, dart in enumerate(darts)]
+    # first_rev[c]: the reversal of the first dart of c's image (-1: none).
+    first_rev = [x[0] ^ 1 if x else -1 for x in imgs]
+    marked = [must is None or d.name in must for d in darts]
+    bound = f.cancellation_bound()
+    path: list[int] = []
+    img: list[int] = []
+    found: list[tuple[Dart, ...]] = []
+
+    def visit(nexts: list[int]) -> None:
+        m = len(img)
+        for d in nexts:
+            x = imgs[d]
+            if m and img[-1] == first_rev[d]:
+                n = 1
+                while n < m and n < len(x) and img[m - 1 - n] == x[n] ^ 1:
+                    n += 1
+                cut = img[m - n:]
+                del img[m - n:]
+                img.extend(x[n:])
+            else:
+                n = 0
+                img.extend(x)
+            path.append(d)
+            if img == path:
+                # A Nielsen path has both ends fixed.
+                if any(marked[c] for c in path):
+                    found.append(tuple(darts[c] for c in path))
+            elif len(path) < max_len:
+                k = len(img) - bound
+                if k <= 0:
+                    visit(after[d])
+                elif k <= max_len:
+                    j = min(k, len(path))
+                    if img[:j] == path[:j]:
+                        visit(after[d])
+            path.pop()
+            del img[m - n:]
+            if n:
+                img.extend(cut)
+
+    for start in starts:
+        visit(out_at[start])
+    return found
+
+
 def nielsen_paths_brute(f: GraphMap, max_len: int,
                         within: Optional[Iterable[str]] = None,
-                        crossing: Optional[Iterable[str]] = None,
-                        indivisible_only: bool = False) -> list[EdgePath]:
-    """Every Nielsen path of length <= max_len, found by a depth-first search
-    over tight paths pruned by bounded cancellation.
+                        crossing: Optional[Iterable[str]] = None) -> list[EdgePath]:
+    """Every indivisible Nielsen path of length <= max_len, deduplicated up to
+    reversal, by a depth-first search from every fixed vertex over the tight
+    paths, pruned by bounded cancellation; optionally restricted to a subgraph
+    and to paths crossing given edges.
 
-    Starts only at fixed vertices, optionally restricted to a subgraph and to
-    paths crossing given edges; results are deduplicated up to reversal.  The
-    image of the growing path is maintained incrementally with an undo journal,
-    so each extension costs the image length of one dart.
+    The search stops descending at the first Nielsen node, which loses no
+    indivisible path.  Cancellation lemma: if P = A.B is tight and P and A
+    are Nielsen paths, then [f(B)] = [f(A)^-1 f(P)] = [A^-1 P] = B, so B is
+    Nielsen too.  Hence a Nielsen path is indivisible iff no proper nonempty
+    prefix of it is Nielsen, and every extension of a Nielsen path is
+    divisible.  The reversal of an indivisible path is indivisible, so each is
+    found from both of its ends.
 
-    The pruning is exact for pi1-injective f (analyze rejects other maps).
-    With C = f.cancellation_bound() and k = |[f(P)]| - C, the first k darts of
-    [f(P)] are a prefix of [f(PQ)] for every tight extension PQ, and a Nielsen
-    path has [f(PQ)] = PQ.  So a branch is cut when k > max_len, or when the
-    first min(k, |P|) darts of [f(P)] and of P differ.  The result is the
-    unpruned search's, path for path.  The function keeps its historical
-    name because the benchmark's span hooks (perfbench/spans.py) time it
-    under that name.
+    nielsen_partition_oracle runs the same search from every fixed vertex but
+    the last, and its partition is still the one all Nielsen paths of length
+    <= max_len give: such a path splits at its fixed vertices into indivisible
+    pieces no longer than itself that join the same vertices, and a piece
+    starting at the last vertex is a loop, joining nothing, or is found
+    reversed from its other end.
+
+    The function keeps its historical name because the benchmark's span hooks
+    (perfbench/spans.py) time it under that name.
     """
-    g = f.graph
-    names = list(g.edges) if within is None else list(within)
-    must = set(names) if crossing is None else set(crossing)
-    fixed = set(fixed_vertices(f))
-    imgs = f.image_table
-    rev_of = {d: d.rev for d in imgs}
-    out_at = {v: [d for d in g.darts_at(v, names)] for v in g.vertices}
+    names = f.graph.edges if within is None else within
+    must = None if crossing is None else set(crossing)
     found: dict[tuple, EdgePath] = {}
-    bound = f.cancellation_bound()
-
-    path: list[Dart] = []
-    img: list[Dart] = []
-    journal: list[list] = []
-
-    def push(d: Dart) -> None:
-        ops: list = []
-        for x in imgs[d]:
-            if img and img[-1] == rev_of[x]:
-                ops.append(img.pop())
-            else:
-                img.append(x)
-                ops.append(None)
-        path.append(d)
-        journal.append(ops)
-
-    def pop() -> None:
-        path.pop()
-        for op in reversed(journal.pop()):
-            if op is None:
-                img.pop()
-            else:
-                img.append(op)
-
-    def visit(start: str) -> None:
-        at = g.terminus(path[-1]) if path else start
-        if path and at in fixed and len(img) == len(path) and img == path:
-            if any(d.name in must for d in path):
-                p = EdgePath(tuple(path))
-                if not indivisible_only or is_indivisible(f, p):
-                    found.setdefault(_canonical(p), p)
-        if len(path) >= max_len:
-            return
-        k = len(img) - bound
-        if k > 0:
-            j = min(k, len(path))
-            if k > max_len or img[:j] != path[:j]:
-                return
-        last_rev = rev_of[path[-1]] if path else None
-        for d in out_at[at]:
-            if d == last_rev:
-                continue
-            push(d)
-            visit(start)
-            pop()
-
-    for start in sorted(fixed):
-        visit(start)
+    for darts in _indivisible_nielsen_paths(f, max_len, sorted(fixed_vertices(f)),
+                                            names, must):
+        p = EdgePath(darts)
+        found.setdefault(_canonical(p), p)
     return sorted(found.values(), key=lambda p: (len(p.darts), _canonical(p)))
 
 
 def nielsen_partition_oracle(f: GraphMap, max_len: int) -> list[frozenset[str]]:
     """Partition of the fixed vertices by bounded Nielsen-path search: the
-    connected components of "joined by a path found"."""
+    connected components of "joined by a Nielsen path of length <= max_len".
+    Only indivisible paths are searched, from every fixed vertex but the last
+    in sorted order; nielsen_paths_brute says why the partition is the same."""
+    g = f.graph
     fixed = sorted(fixed_vertices(f))
     adj: dict[str, set[str]] = {v: set() for v in fixed}
-    if len(fixed) > 1:
-        for p in nielsen_paths_brute(f, max_len):
-            a, b = f.graph.path_endpoints(p)
-            adj[a].add(b)
-            adj[b].add(a)
+    for darts in _indivisible_nielsen_paths(f, max_len, fixed[:-1], g.edges, None):
+        a, b = g.origin(darts[0]), g.terminus(darts[-1])
+        adj[a].add(b)
+        adj[b].add(a)
     return sorted({frozenset(reachable(adj, v)) for v in fixed}, key=sorted)
 
 
@@ -471,13 +514,22 @@ def _leg_decomposition(f: GraphMap, p: EdgePath) -> NielsenPathData:
     return data
 
 
-def _ray(f: GraphMap, d: Dart, dart_cap: int) -> tuple[Dart, ...]:
-    """The first dart_cap darts (fewer if it stops growing) of the expanding
-    ray grown from a fixed direction d with Df(d) = d."""
+def _ray(f: GraphMap, d: Dart, info: StratumInfo, metric_cap: float,
+         dart_cap: int) -> tuple[tuple[Dart, ...], list[float]]:
+    """The expanding ray grown from a fixed direction d with Df(d) = d, and the
+    metric length of each of its prefixes as one running sum.  Growth stops at
+    the first image whose metric length exceeds metric_cap or whose length
+    exceeds dart_cap (or where the ray stops growing); both are cut to
+    dart_cap darts.  Images extend each other, so their sums are shared."""
+    lens: list[float] = []
     for current in ray_images(f, d):
-        if len(current) > dart_cap:
+        total = lens[-1] if lens else 0.0
+        for x in current[len(lens):]:
+            total += float(info.metric(x.name))
+            lens.append(total)
+        if len(current) > dart_cap or total > metric_cap:
             break
-    return current[:dart_cap]
+    return current[:dart_cap], lens[:dart_cap]
 
 
 def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
@@ -525,8 +577,7 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
         return info
 
     if info.stype == "type2":
-        cands = nielsen_paths_brute(f, max_len, within=level, crossing=stratum,
-                                    indivisible_only=True)
+        cands = nielsen_paths_brute(f, max_len, within=level, crossing=stratum)
         record(cands, "none-within-bound")
         return info
 
@@ -545,11 +596,9 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
     for v in fixed_vertices(f):
         seeds.extend(fixed_directions(f, v, info.edges))
     dart_cap = max(max_len, 16 * (int(metric_cap) + 2))
-    rays = {d: _ray(f, d, dart_cap) for d in seeds}
-
-    # Metric length of every ray prefix, as one running sum per ray.
-    lens = {d: list(itertools.accumulate(float(info.metric(x.name)) for x in rays[d]))
-            for d in seeds}
+    rays, lens = {}, {}
+    for d in seeds:
+        rays[d], lens[d] = _ray(f, d, info, metric_cap, dart_cap)
 
     cands: list[EdgePath] = []
     for ia in range(len(seeds)):

@@ -156,9 +156,7 @@ class TestAcceptance:
                 if info.stype not in ("type2", "type3"):
                     continue
                 level = rep.filtration.level_edges(info.index + 1)
-                brute = nielsen_paths_brute(g, 6, within=level,
-                                            crossing=info.edges,
-                                            indivisible_only=True)
+                brute = nielsen_paths_brute(g, 6, within=level, crossing=info.edges)
                 if info.inp_status == "found":
                     assert any(p == info.inp.path or p == info.inp.path.reverse()
                                for p in brute), (path.name, info.edges)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rose
+from nielsenkit import graphs, rtt
 from nielsenkit.graphs import EdgePath, GraphMap, fixed_vertices, map_path, parse_dart, subdivided_fixed_map
 from nielsenkit.invariants import analyze
 from nielsenkit.io import load_instance, rose_map
@@ -235,7 +236,7 @@ class TestNielsenPaths:
         assert is_indivisible(f, path("a"))
 
     def test_brute_force_finds_derived_inp(self):
-        found = nielsen_paths_brute(derived, 6, indivisible_only=True)
+        found = nielsen_paths_brute(derived, 6)
         assert any(p.darts in (path("b", "a", "b-").darts, path("b", "a-", "b-").darts)
                    for p in found)
 
@@ -267,8 +268,7 @@ class TestFindInp:
                 if info.stype not in ("type2", "type3"):
                     continue
                 level = rep.filtration.level_edges(info.index + 1)
-                brute = nielsen_paths_brute(
-                    rep.map, 6, within=level, crossing=info.edges, indivisible_only=True)
+                brute = nielsen_paths_brute(rep.map, 6, within=level, crossing=info.edges)
                 if info.inp_status.startswith("certified") or info.inp_status == "none-within-bound":
                     assert brute == [], (info.edges, [str(p) for p in brute])
                 elif info.inp_status == "found":
@@ -299,7 +299,8 @@ class TestPartitionOracle:
         # No path of length <= 8 joins * to b@2/5; both reach a@1/2.
         g, _ = subdivided_fixed_map(rose({"a": ["a", "a", "b"],
                                           "b": ["a", "b-", "a-", "a-"]}))
-        ends = {frozenset(g.graph.path_endpoints(p)) for p in nielsen_paths_brute(g, 8)}
+        ends = {frozenset((g.graph.origin(p[0]), g.graph.terminus(p[-1])))
+                for p in reference_nielsen_paths(g, 8)}
         assert ends == {frozenset({"*", "a@1/2"}), frozenset({"a@1/2", "b@2/5"})}
         assert nielsen_partition_oracle(g, 8) == [frozenset({"*", "a@1/2", "b@2/5"})]
 
@@ -333,20 +334,27 @@ def reference_nielsen_paths(f, max_len):
     return [tuple(darts[i] for i in p) for p in found]
 
 
+def divisible(ref, p):
+    """The two-sided rule: p splits into two Nielsen subpaths (they meet at a
+    fixed vertex), read off `ref`, a set holding every Nielsen path shorter
+    than p."""
+    return any(p[:j] in ref and p[j:] in ref for j in range(1, len(p)))
+
+
 def assert_search_exact(f, filt, depths):
-    """nielsen_paths_brute equals the reference at every depth, unrestricted
-    and with each stratum's within / crossing / indivisible_only variants."""
-    ref = reference_nielsen_paths(f, max(depths))
+    """nielsen_paths_brute equals the reference's indivisible paths at every
+    depth, unrestricted and with each stratum's within / crossing variants."""
+    ref = set(reference_nielsen_paths(f, max(depths)))
+    indivisible = [p for p in ref if not divisible(ref, p)]
     variants = [{}]
     for i, stratum in enumerate(filt.strata):
         level = filt.level_edges(i + 1)
         variants += [{"within": level}, {"crossing": stratum},
-                     {"within": level, "crossing": stratum, "indivisible_only": True}]
+                     {"within": level, "crossing": stratum}]
 
-    def admitted(p, within=(), crossing=(), indivisible_only=False):
+    def admitted(p, within=(), crossing=()):
         return ((not within or all(d.name in within for d in p))
-                and (not crossing or any(d.name in crossing for d in p))
-                and (not indivisible_only or is_indivisible(f, EdgePath(p))))
+                and (not crossing or any(d.name in crossing for d in p)))
 
     def key(darts):
         return frozenset((darts, tuple(d.rev for d in reversed(darts))))
@@ -354,8 +362,32 @@ def assert_search_exact(f, filt, depths):
     for depth in depths:
         for kw in variants:
             got = [key(p.darts) for p in nielsen_paths_brute(f, depth, **kw)]
-            want = {key(p) for p in ref if len(p) <= depth and admitted(p, **kw)}
+            want = {key(p) for p in indivisible if len(p) <= depth and admitted(p, **kw)}
             assert len(got) == len(set(got)) and set(got) == want, (depth, kw)
+
+
+def assert_oracle_exact(f, depths):
+    """nielsen_partition_oracle equals the classes joined by the reference's
+    full path set, searched from every fixed vertex, at every depth.  Returns
+    whether the last fixed vertex shares a class at the largest depth."""
+    fixed = sorted(fixed_vertices(f))
+    # With one fixed vertex nothing can be joined, and the rank-3 rose's
+    # reference would visit ~5^10 paths.
+    ref = reference_nielsen_paths(f, max(depths)) if len(fixed) > 1 else []
+    for depth in depths:
+        classes = [{v} for v in fixed]
+        for p in ref:
+            if len(p) > depth:
+                continue
+            a, b = f.graph.origin(p[0]), f.graph.terminus(p[-1])
+            ca = next(c for c in classes if a in c)
+            cb = next(c for c in classes if b in c)
+            if ca is not cb:
+                ca |= cb
+                classes.remove(cb)
+        want = sorted((frozenset(c) for c in classes), key=sorted)
+        assert nielsen_partition_oracle(f, depth) == want, depth
+    return any(fixed[-1] in c and len(c) > 1 for c in classes)
 
 
 class TestPrunedSearchExact:
@@ -387,3 +419,95 @@ class TestPrunedSearchExact:
             g, _ = subdivided_fixed_map(f)
             assert_search_exact(g, derive_filtration(g), (6, 8, 10))
             checked += 1
+
+
+class TestPartitionOracleExact:
+    """Searching only indivisible paths, from every fixed vertex but the last,
+    changes no partition."""
+
+    def test_corpus_maps(self, corpus_dir):
+        for p in sorted(corpus_dir.glob("*.json")):
+            f, filtration, _ = load_instance(p)
+            assert_oracle_exact(analyze(f, filtration=filtration).map, (6, 8, 10))
+
+    @pytest.mark.parametrize("rank, max_len, count, min_fixed", [
+        (2, 4, 100, 2), (2, 6, 50, 2), (3, 3, 15, 3)])
+    def test_seeded_maps(self, rank, max_len, count, min_fixed):
+        # Rank-3 maps with fewer fixed vertices keep the rose's ~5^L paths.
+        gen = random_injective_endos(rank, max_len, seed=1)
+        checked = many_fixed = last_joined = 0
+        while checked < count:
+            f = rose_map(next(gen))
+            if f.is_identity():
+                continue
+            g, _ = subdivided_fixed_map(f)
+            n_fixed = len(fixed_vertices(g))
+            if n_fixed < min_fixed:
+                continue
+            last_joined += assert_oracle_exact(g, (6, 8, 10))
+            many_fixed += n_fixed >= 4
+            checked += 1
+        assert many_fixed > 0 and last_joined > 0, (many_fixed, last_joined)
+
+
+class TestSearchWork:
+    """The searches do less work, with the same results."""
+
+    def test_type2_search_maps_no_path(self, monkeypatch):
+        # Indivisibility is settled inside the search, with no path mapped.
+        searches, mapped = [], []
+        brute, real_map_path = rtt.nielsen_paths_brute, graphs.map_path
+
+        def counted_brute(*args, **kw):
+            searches.append(kw)
+            return brute(*args, **kw)
+
+        def counted_map_path(f, p):  # counts only once a search has begun
+            if searches:
+                mapped.append(p)
+            return real_map_path(f, p)
+
+        monkeypatch.setattr(rtt, "nielsen_paths_brute", counted_brute)
+        monkeypatch.setattr(rtt, "map_path", counted_map_path)
+        monkeypatch.setattr(graphs, "map_path", counted_map_path)
+        f, _ = subdivided_fixed_map(rose({"a": ["a"], "b": ["a-", "b", "a"]}))
+        filt = derive_filtration(f)
+        for i in range(filt.depth):
+            info = classify_stratum(f, filt, i)
+            assert info.stype == "type2"
+            searches.clear()
+            rtt.find_inp(f, filt, info, 8, [frozenset({v}) for v in fixed_vertices(f)])
+            assert len(searches) == 1 and info.inp_status == "found", i
+            assert mapped == [], (i, [str(p) for p in mapped])
+
+    def test_rays_stop_at_metric_cap(self, monkeypatch):
+        # Each ray grows to its first image longer than find_inp's metric cap.
+        images: dict = {}
+        real = rtt.ray_images
+
+        def recorded(f, d):
+            for current in real(f, d):
+                images.setdefault(d, []).append(current)
+                yield current
+
+        monkeypatch.setattr(rtt, "ray_images", recorded)
+        f, _ = subdivided_fixed_map(rose({"a": ["b", "a", "a"], "b": ["b", "a"]}))
+        filt = derive_filtration(f)
+        info = classify_stratum(f, filt, 0)
+        assert info.stype == "type3" and info.illegal_turns
+        rtt.find_inp(f, filt, info, 8, [frozenset({v}) for v in fixed_vertices(f)])
+        assert info.inp_status == "found"
+        lam, lengths = info.expansion.lam, info.expansion.lengths
+        metric_cap = (lam * sum(float(x) for x in lengths)) * lam / (lam - 1.0)
+
+        def metric(darts):  # summed left to right, as find_inp does
+            total = 0.0
+            for d in darts:
+                total += float(info.metric(d.name))
+            return total
+
+        assert len(images) == 4
+        for ray in images.values():
+            assert all(metric(c) <= metric_cap for c in ray[:-1])
+            assert metric(ray[-1]) > metric_cap
+        assert sum(len(c) for ray in images.values() for c in ray) == 120
