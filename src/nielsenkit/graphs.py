@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .words import IDENTITY, Basis, Endomorphism, Word, reduce_letters
@@ -107,8 +108,20 @@ class Graph:
         names = self.edges if names is None else names
         return [Dart(e, s) for e in names for s in (True, False)]
 
-    def darts_at(self, v: str, names: Optional[Iterable[str]] = None) -> list[Dart]:
-        return [d for d in self.darts(names) if self.origin(d) == v]
+    @cached_property
+    def _darts_at(self) -> dict[str, tuple[Dart, ...]]:
+        out: dict[str, list[Dart]] = {v: [] for v in self.vertices}
+        for d in self.darts():
+            out[self.origin(d)].append(d)
+        return {v: tuple(ds) for v, ds in out.items()}
+
+    def darts_at(self, v: str, names: Optional[Iterable[str]] = None) -> tuple[Dart, ...]:
+        """Darts with origin v, in the order of `darts(names)`."""
+        if names is None:
+            return self._darts_at[v]
+        rank = {e: i for i, e in enumerate(names)}
+        return tuple(sorted((d for d in self._darts_at[v] if d.name in rank),
+                            key=lambda d: rank[d.name]))
 
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edge_ends)
@@ -136,25 +149,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return not self.vertices or self.component_of(self.vertices[0]) == set(self.vertices)
-
-
-def tighten(graph: Graph, darts: Iterable[Dart], at: Optional[str] = None) -> EdgePath:
-    """Remove all backtracks e.e^-1; the result is tight or trivial."""
-    darts = list(darts)
-    graph.check_path(darts)
-    out: list[Dart] = []
-    for d in darts:
-        if out and out[-1] == d.rev:
-            out.pop()
-        else:
-            out.append(d)
-    if not out:
-        if at is None:
-            at = graph.origin(darts[0]) if darts else None
-        if at is None:
-            raise ValueError("cannot tighten an empty sequence without a vertex")
-        return trivial_path(at)
-    return EdgePath(tuple(out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,11 +221,12 @@ class GraphMap:
                 and all(self.edge_map[e].darts == (Dart(e, True),)
                         for e in self.graph.edges))
 
-    def identity_edges(self) -> set[str]:
+    @cached_property
+    def identity_edges(self) -> frozenset[str]:
         """Edges mapped to themselves pointwise; treated as perturbed off the
         edge when counting fixed points and expanding tips."""
-        return {e for e in self.graph.edges
-                if self.edge_map[e].darts == (Dart(e, True),)}
+        return frozenset(e for e in self.graph.edges
+                         if self.edge_map[e].darts == (Dart(e, True),))
 
 
 def map_path(f: GraphMap, p: EdgePath) -> EdgePath:
@@ -293,7 +288,7 @@ def fixed_vertices(f: GraphMap) -> list[str]:
 def fixed_directions(f: GraphMap, v: str, among: Optional[Iterable[str]] = None) -> list[Dart]:
     """Darts at v fixed by the derivative map, the identity-edge convention
     applied: a pointwise-fixed edge counts at its origin tip only."""
-    ident = f.identity_edges()
+    ident = f.identity_edges
     out = []
     for d in f.graph.darts_at(v, among):
         if derivative(f, d) != d:
@@ -343,140 +338,65 @@ def interior_fixed_points(f: GraphMap) -> list[tuple[str, Fraction]]:
     return found
 
 
-def _point_on_image(f: GraphMap, e: str, t: Fraction) -> tuple[Optional[str], Optional[tuple[str, Fraction]]]:
-    """Image of the point e@t: either a vertex name or a point (edge, pos)."""
-    img = f.edge_map[e]
-    if img.is_trivial:
-        return img.at, None
-    k = len(img.darts)
-    arc = k * t
-    j = int(arc)
-    if arc == j:  # lands on a junction vertex of the image path
-        if j == 0:
-            return f.graph.origin(img.darts[0]), None
-        return f.graph.terminus(img.darts[j - 1]), None
-    local = arc - j
-    d = img.darts[j]
-    pos = local if d.fwd else 1 - local
-    return None, (d.name, pos)
-
-
-def subdivide_at(f: GraphMap, points: Iterable[tuple[str, Fraction]]) -> GraphMap:
-    """Subdivide at interior points (new vertices "e@p/q", sub-edges "e:i") and
-    re-express the map; the point set must be closed under f."""
-    cuts: dict[str, list[Fraction]] = {}
-    for e, t in points:
-        if e not in f.graph.edge_ends:
-            raise ValueError(f"unknown edge {e}")
-        if not 0 < t < 1:
-            raise ValueError(f"subdivision point must be interior: {e}@{t}")
-        cuts.setdefault(e, [])
-        if t not in cuts[e]:
-            cuts[e].append(t)
-    for e in cuts:
-        cuts[e].sort()
-
-    def cut_vertex(e: str, t: Fraction) -> str:
-        return f"{e}@{t}"
-
-    g = f.graph
-    new_vertices = list(g.vertices)
-    new_ends: dict[str, tuple[str, str]] = {}
-    sub_names: dict[str, list[str]] = {}
-    sub_bounds: dict[str, list[Fraction]] = {}
-    for e, (u, v) in g.edge_ends.items():
-        ts = cuts.get(e, [])
-        if not ts:
-            new_ends[e] = (u, v)
-            sub_names[e] = [e]
-            sub_bounds[e] = [Fraction(0), Fraction(1)]
-            continue
-        stops = [Fraction(0)] + ts + [Fraction(1)]
-        names = [f"{e}:{i}" for i in range(1, len(stops))]
-        verts = [u] + [cut_vertex(e, t) for t in ts] + [v]
-        new_vertices.extend(verts[1:-1])
-        for nm, a, b in zip(names, verts, verts[1:]):
-            new_ends[nm] = (a, b)
-        sub_names[e] = names
-        sub_bounds[e] = stops
-    new_graph = Graph(tuple(new_vertices), new_ends)
-
-    def vertex_of_point(e: str, t: Fraction) -> str:
-        stops = sub_bounds[e]
-        if t == 0:
-            return g.edge_ends[e][0]
-        if t == 1:
-            return g.edge_ends[e][1]
-        if t not in stops:
-            raise ValueError(f"image point {e}@{t} is not a subdivision point; "
-                             "the point set is not closed under the map")
-        return cut_vertex(e, t)
-
-    def subpath(e: str, a: Fraction, b: Fraction, forward: bool) -> list[Dart]:
-        """Sub-darts of e covering [a,b] (a<b in e's own coordinates)."""
-        stops = sub_bounds[e]
-        if a not in stops or b not in stops:
-            raise ValueError(f"portion [{a},{b}] of {e} does not respect the cuts")
-        i, j = stops.index(a), stops.index(b)
-        darts = [Dart(sub_names[e][k], True) for k in range(i, j)]
-        return darts if forward else [d.rev for d in reversed(darts)]
-
-    def image_portion(e: str, a: Fraction, b: Fraction) -> list[Dart]:
-        """Image of e@[a,b] in the subdivided graph, traversed at uniform speed."""
-        img = f.edge_map[e]
-        k = len(img.darts)
-        out: list[Dart] = []
-        lo, hi = k * a, k * b
-        j = int(lo)
-        while Fraction(j) < hi:
-            seg_lo, seg_hi = max(lo, Fraction(j)), min(hi, Fraction(j + 1))
-            if seg_lo < seg_hi:
-                d = img.darts[j]
-                u, v = seg_lo - j, seg_hi - j
-                if d.fwd:
-                    out.extend(subpath(d.name, u, v, True))
-                else:
-                    out.extend(subpath(d.name, 1 - v, 1 - u, False))
-            j += 1
-        return out
-
-    new_vmap: dict[str, str] = {}
-    for v in g.vertices:
-        new_vmap[v] = f.vertex_map[v]
-    for e, ts in cuts.items():
-        for t in ts:
-            vtx, pt = _point_on_image(f, e, t)
-            if vtx is None:
-                vtx = vertex_of_point(pt[0], pt[1])
-            new_vmap[cut_vertex(e, t)] = vtx
-
-    new_emap: dict[str, EdgePath] = {}
-    for e in g.edges:
-        img = f.edge_map[e]
-        stops = sub_bounds[e]
-        for nm, a, b in zip(sub_names[e], stops, stops[1:]):
-            if img.is_trivial:
-                new_emap[nm] = trivial_path(img.at)
-                continue
-            darts = image_portion(e, a, b)
-            origin = new_graph.origin(Dart(nm, True))
-            new_emap[nm] = tighten(new_graph, darts, at=new_vmap[origin])
-    out = GraphMap(new_graph, new_vmap, new_emap)
-    out.validate()
-    return out
-
-
 def subdivided_fixed_map(f: GraphMap) -> tuple[GraphMap, list[tuple[str, Fraction]]]:
     """Subdivide at every interior fixed point; afterwards all fixed points are
-    vertices (up to the identity-edge perturbation convention)."""
+    vertices (up to the identity-edge perturbation convention).
+
+    A cut point e@t becomes the vertex "e@t" and splits e into the sub-edges
+    "e:1", ..., "e:m+1" for m cuts; every cut vertex is fixed.  Let S(e) be
+    f(e) with each dart written out as its sub-darts, and k = |f(e)|.  The
+    i-th cut t of e (0-based) lands inside dart j = floor(k t) of f(e), and
+    that dart is e itself, so the cut sits after start[j] + i + 1 darts of
+    S(e) when the dart is e forward and after start[j] + m - i when it is e
+    reversed, where start[j] counts the sub-darts of the darts before j.  The
+    image of e:i is the slice of S(e) between consecutive cuts.  S(e) is
+    tight because f(e) is, and a slice of a tight path is tight, so the
+    integer cut positions are all the arithmetic the images need.
+    """
     pts = interior_fixed_points(f)
     if not pts:
         return f, []
-    g = subdivide_at(f, pts)
-    left = interior_fixed_points(g)
+    g = f.graph
+    cuts: dict[str, list[Fraction]] = {}
+    for e, t in pts:
+        cuts.setdefault(e, []).append(t)
+    vertices = list(g.vertices)
+    ends: dict[str, tuple[str, str]] = {}
+    sub: dict[Dart, tuple[Dart, ...]] = {}  # each dart of g as its sub-darts
+    for e, (u, v) in g.edge_ends.items():
+        ts = cuts.get(e, [])
+        stops = [u] + [f"{e}@{t}" for t in ts] + [v]
+        names = [f"{e}:{i}" for i in range(1, len(stops))] if ts else [e]
+        vertices.extend(stops[1:-1])
+        for nm, a, b in zip(names, stops, stops[1:]):
+            ends[nm] = (a, b)
+        sub[Dart(e, True)] = tuple(Dart(nm, True) for nm in names)
+        sub[Dart(e, False)] = tuple(Dart(nm, False) for nm in reversed(names))
+    vmap = {v: f.vertex_map[v] for v in g.vertices}
+    vmap.update((v, v) for v in vertices[len(g.vertices):])
+    emap: dict[str, EdgePath] = {}
+    for e in g.edges:
+        img = f.edge_map[e]
+        spelled = tuple(x for d in img.darts for x in sub[d])
+        ts = cuts.get(e)
+        if not ts:
+            emap[e] = EdgePath(spelled, img.at)
+            continue
+        k, m = len(img.darts), len(ts)
+        start = list(accumulate((len(sub[d]) for d in img.darts), initial=0))
+        bounds = [0]
+        for i, t in enumerate(ts):
+            j = int(k * t)
+            bounds.append(start[j] + (i + 1 if img.darts[j].fwd else m - i))
+        bounds.append(len(spelled))
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1):
+            emap[f"{e}:{i}"] = EdgePath(spelled[a:b])
+    out = GraphMap(Graph(tuple(vertices), ends), vmap, emap)
+    out.validate()
+    left = interior_fixed_points(out)
     if left:
         raise AssertionError(f"subdivision left interior fixed points: {left}")
-    return g, pts
+    return out, pts
 
 
 # ---------------------------------------------------------------------------

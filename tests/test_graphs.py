@@ -1,4 +1,5 @@
 from fractions import Fraction
+from typing import Iterable, Optional
 
 import pytest
 
@@ -17,9 +18,7 @@ from nielsenkit.graphs import (
     interior_fixed_points,
     map_path,
     marking,
-    subdivide_at,
     subdivided_fixed_map,
-    tighten,
     trivial_path,
 )
 from nielsenkit.io import corpus_files, endo_from_json, graph_map_from_json, rose_map
@@ -37,6 +36,25 @@ def darts(*tokens):
     from nielsenkit.graphs import parse_dart
 
     return tuple(parse_dart(t) for t in tokens)
+
+
+def tighten(graph: Graph, darts: Iterable[Dart], at: Optional[str] = None) -> EdgePath:
+    """Remove all backtracks e.e^-1; the result is tight or trivial."""
+    darts = list(darts)
+    graph.check_path(darts)
+    out: list[Dart] = []
+    for d in darts:
+        if out and out[-1] == d.rev:
+            out.pop()
+        else:
+            out.append(d)
+    if not out:
+        if at is None:
+            at = graph.origin(darts[0]) if darts else None
+        if at is None:
+            raise ValueError("cannot tighten an empty sequence without a vertex")
+        return trivial_path(at)
+    return EdgePath(tuple(out))
 
 
 class TestTighten:
@@ -200,18 +218,54 @@ class TestSubdivision:
             g, _ = subdivided_fixed_map(f)
             assert interior_fixed_points(g) == []
 
-    def test_junction_point_is_closed(self):
-        # 3 * (1/3) hits the junction between image segments: lands on a vertex
-        g = subdivide_at(ex4, [("b", Fraction(1, 3))])
-        assert g.vertex_map["b@1/3"] == "*"
-
-    def test_not_closed_rejected(self):
-        with pytest.raises(ValueError):
-            subdivide_at(ex4, [("b", Fraction(1, 5))])
-
     def test_validates(self):
         g, _ = subdivided_fixed_map(rose({"a": ["b", "a", "a"], "b": ["b"]}))
         g.validate()
+
+    def test_slices_spell_the_image(self):
+        # Each sub-edge's image is a slice of f(e) spelled in sub-darts; the
+        # slices of e:1, ..., e:m+1 concatenate to the whole of it.
+        checked = 0
+        for f in subdivision_maps():
+            g, pts = subdivided_fixed_map(f)
+            g.validate()
+            cut = {e for e, _ in pts}
+            for e, t in pts:
+                assert g.vertex_map[f"{e}@{t}"] == f"{e}@{t}"
+            parts = {e: [e] if e not in cut else
+                     [x for x in g.graph.edges if x.rsplit(":", 1)[0] == e]
+                     for e in f.graph.edges}
+
+            def spell(d):
+                sub = [Dart(x, True) for x in parts[d.name]]
+                return sub if d.fwd else [x.rev for x in reversed(sub)]
+
+            for e in f.graph.edges:
+                whole = [x for d in f.edge_map[e].darts for x in spell(d)]
+                pieces = [x for p in parts[e] for x in g.edge_map[p].darts]
+                assert pieces == whole
+            checked += bool(pts)
+        assert checked > 500
+
+
+def subdivision_maps():
+    """Seeded rank-2 (images of length <= 4, seeds 1 and 2) and rank-3
+    (length <= 3) roses, the multi-vertex maps of test_multivertex, and a
+    theta map that flips every edge, with two cuts on one of them."""
+    from test_multivertex import theta_collapse, theta_swap
+
+    maps = []
+    for rank, max_len, seed, count in ((2, 4, 1, 300), (2, 4, 2, 300), (3, 3, 1, 150)):
+        gen = random_injective_endos(rank, max_len, seed)
+        maps.extend(rose_map(next(gen)) for _ in range(count))
+    flip = GraphMap(
+        Graph(("u", "v"), {"p": ("u", "v"), "q": ("u", "v"), "r": ("u", "v")}),
+        {"u": "v", "v": "u"},
+        {"p": EdgePath(darts("p-")), "q": EdgePath(darts("q-", "p", "q-")),
+         "r": EdgePath(darts("r-"))})
+    flip.validate()
+    maps += [theta_swap(), theta_collapse(), flip]
+    return [f for f in maps if not f.is_identity()]
 
 
 def tree_path(m, src: str, dst: str) -> list:
