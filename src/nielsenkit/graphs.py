@@ -4,6 +4,10 @@ Oriented edges are (name, sign) pairs ("darts"); the involution flips the
 sign.  Edge images are tight edge paths; interior fixed points are located by
 the affine model in which each edge is parametrized uniformly over [0,1] and
 its image path is traversed at uniform speed.
+
+The map is cut at its interior fixed points only, and each sub-edge image is
+a slice, at integer positions, of the parent edge's image spelled in
+sub-darts; a slice of a tight path is tight (see subdivided_fixed_map).
 """
 
 from __future__ import annotations
@@ -110,18 +114,12 @@ class Graph:
 
     @cached_property
     def _darts_at(self) -> dict[str, tuple[Dart, ...]]:
-        out: dict[str, list[Dart]] = {v: [] for v in self.vertices}
-        for d in self.darts():
-            out[self.origin(d)].append(d)
-        return {v: tuple(ds) for v, ds in out.items()}
+        return {v: tuple(d for d in self.darts() if self.origin(d) == v) for v in self.vertices}
 
     def darts_at(self, v: str, names: Optional[Iterable[str]] = None) -> tuple[Dart, ...]:
         """Darts with origin v, in the order of `darts(names)`."""
-        if names is None:
-            return self._darts_at[v]
-        rank = {e: i for i, e in enumerate(names)}
-        return tuple(sorted((d for d in self._darts_at[v] if d.name in rank),
-                            key=lambda d: rank[d.name]))
+        at = self._darts_at[v]
+        return at if names is None else tuple(d for d in self.darts(names) if d in at)
 
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edge_ends)
@@ -140,15 +138,9 @@ class Graph:
                 raise ValueError(f"edges not adjacent: {prev} then {d}")
             prev = d
 
-    def component_of(self, v: str) -> set[str]:
-        adj: dict[str, list[str]] = {u: [] for u in self.vertices}
-        for a, b in self.edge_ends.values():
-            adj[a].append(b)
-            adj[b].append(a)
-        return reachable(adj, v)
-
     def is_connected(self) -> bool:
-        return not self.vertices or self.component_of(self.vertices[0]) == set(self.vertices)
+        succ = {v: [self.terminus(d) for d in ds] for v, ds in self._darts_at.items()}
+        return not self.vertices or reachable(succ, self.vertices[0]) == set(self.vertices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,14 +281,8 @@ def fixed_directions(f: GraphMap, v: str, among: Optional[Iterable[str]] = None)
     """Darts at v fixed by the derivative map, the identity-edge convention
     applied: a pointwise-fixed edge counts at its origin tip only."""
     ident = f.identity_edges
-    out = []
-    for d in f.graph.darts_at(v, among):
-        if derivative(f, d) != d:
-            continue
-        if d.name in ident and not d.fwd:
-            continue
-        out.append(d)
-    return out
+    return [d for d in f.graph.darts_at(v, among)
+            if derivative(f, d) == d and (d.fwd or d.name not in ident)]
 
 
 class NonIsolatedFixedSet(ValueError):
@@ -350,7 +336,8 @@ def subdivided_fixed_map(f: GraphMap) -> tuple[GraphMap, list[tuple[str, Fractio
     S(e) when the dart is e forward and after start[j] + m - i when it is e
     reversed, where start[j] counts the sub-darts of the darts before j.  The
     image of e:i is the slice of S(e) between consecutive cuts.  S(e) is
-    tight because f(e) is, and a slice of a tight path is tight, so the
+    tight: the sub-darts of one dart run along it, and a backtrack between
+    two darts would be one in f(e).  A slice of a tight path is tight, so the
     integer cut positions are all the arithmetic the images need.
     """
     pts = interior_fixed_points(f)
@@ -372,8 +359,7 @@ def subdivided_fixed_map(f: GraphMap) -> tuple[GraphMap, list[tuple[str, Fractio
             ends[nm] = (a, b)
         sub[Dart(e, True)] = tuple(Dart(nm, True) for nm in names)
         sub[Dart(e, False)] = tuple(Dart(nm, False) for nm in reversed(names))
-    vmap = {v: f.vertex_map[v] for v in g.vertices}
-    vmap.update((v, v) for v in vertices[len(g.vertices):])
+    vmap = {v: f.vertex_map.get(v, v) for v in vertices}  # cut vertices are fixed
     emap: dict[str, EdgePath] = {}
     for e in g.edges:
         img = f.edge_map[e]

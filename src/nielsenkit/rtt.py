@@ -11,10 +11,13 @@ construction and re-verified.  Stratum types:
 * type3: irreducible transition matrix with expansion > 1 whose derivative
   keeps stratum darts in the stratum.
 
-For a homotopy equivalence an expanding train-track stratum carries at most
-one indivisible Nielsen path crossing it (Bestvina-Handel).  An injective
-endomorphism that is not onto may carry several there, as may a permutation
-stratum outside normal form; then only their merges are trusted.
+An expanding stratum of a *stable* relative train track of a homotopy
+equivalence carries at most one indivisible Nielsen path crossing it
+(Bestvina-Handel, Ann. Math. 135, 1992).  The train tracks here are not
+stabilized, so an expanding stratum may carry several (a->baa, b->ba carries
+two), as may one of an injective endomorphism that is not onto, or a
+permutation stratum outside normal form; then only their merges are trusted
+and the classes they touch stay unverified.
 
 Nielsen paths are searched as indivisible ones, by one bounded depth-first
 search that stops at the first Nielsen prefix.  Cancellation lemma: if
@@ -542,6 +545,8 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
     lower classes and collapse to the shortest representative.  type3 strata
     enumerate prefix pairs of the expanding rays grown from fixed stratum
     directions; when the metric bound is exhausted, `none` is certified.
+    Their candidates collapse only up to reversal: two paths joining the same
+    lower classes may still differ in rank (one merges, one closes a loop).
     """
     level = filt.level_edges(info.index + 1)
     stratum = set(info.edges)
@@ -552,22 +557,25 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
         uniq: dict[tuple, EdgePath] = {}
         for p in cands:
             uniq.setdefault(_canonical(p), p)
-        # Candidates joining the same pair of lower classes induce the same
-        # merge; keep the shortest representative per pair.
-        by_pair: dict[frozenset, EdgePath] = {}
-        for p in sorted(uniq.values(), key=lambda p: (len(p.darts), _canonical(p))):
-            a, b = f.graph.path_endpoints(p)
-            by_pair.setdefault(frozenset((class_of[a], class_of[b])), p)
-        if len(by_pair) > 1:
+        kept = sorted(uniq.values(), key=lambda p: (len(p.darts), _canonical(p)))
+        if info.stype == "type2":
+            # Candidates joining the same pair of lower classes differ by
+            # lower-level Nielsen loops and induce the same merge; keep the
+            # shortest representative per pair.
+            by_pair: dict[frozenset, EdgePath] = {}
+            for p in kept:
+                a, b = f.graph.path_endpoints(p)
+                by_pair.setdefault(frozenset((class_of[a], class_of[b])), p)
+            kept = list(by_pair.values())
+        if len(kept) > 1:
             # A permutation stratum outside normal form (e.g. a merging path
-            # plus an independent loop), or an expanding one of a map that is
-            # not onto, can carry several; the merges are all real, the rank
+            # plus an independent loop), or an expanding stratum that is not
+            # stable, can carry several; the merges are all real, the rank
             # bookkeeping is not pinned down.
-            info.inp_multi = [_leg_decomposition(f, p) for p in by_pair.values()]
+            info.inp_multi = [_leg_decomposition(f, p) for p in kept]
             info.inp_status = "multiple"
-        elif by_pair:
-            p = next(iter(by_pair.values()))
-            info.inp = _leg_decomposition(f, p)
+        elif kept:
+            info.inp = _leg_decomposition(f, kept[0])
             info.inp_status = "found"
         else:
             info.inp_status = status_if_empty

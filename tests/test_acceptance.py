@@ -134,7 +134,7 @@ class TestAcceptance:
         stats = run_survey(500, rank=2, max_image_len=4, seed=SEED)
         assert stats.violations == [], stats.violations[:5]
         assert (stats.analyzed, stats.skipped_unclassified, stats.conjecture_equal,
-                stats.conjecture_checked) == (471, 29, 543, 543)
+                stats.conjecture_checked) == (471, 29, 542, 542)
         assert stats.skip_rate < 0.5, stats.skip_rate
         ok(7, f"{stats.analyzed}/500 instances analyzed "
               f"(skip rate {stats.skip_rate:.1%}), zero violations; "

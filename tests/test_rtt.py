@@ -496,7 +496,7 @@ class TestSearchWork:
         info = classify_stratum(f, filt, 0)
         assert info.stype == "type3" and info.illegal_turns
         rtt.find_inp(f, filt, info, 8, [frozenset({v}) for v in fixed_vertices(f)])
-        assert info.inp_status == "found"
+        assert info.inp_status == "multiple"  # two crossing paths, see TestSecondCrossingPath
         lam, lengths = info.expansion.lam, info.expansion.lengths
         metric_cap = (lam * sum(float(x) for x in lengths)) * lam / (lam - 1.0)
 
@@ -511,3 +511,44 @@ class TestSearchWork:
             assert all(metric(c) <= metric_cap for c in ray[:-1])
             assert metric(ray[-1]) > metric_cap
         assert sum(len(c) for ray in images.values() for c in ray) == 120
+
+
+class TestSecondCrossingPath:
+    """An expanding stratum of an unstabilized train track may carry two
+    indivisible Nielsen paths joining the same lower classes, one merging and
+    one closing a loop.  Both are kept, so the stratum is `multiple` and its
+    classes are left unverified instead of taking a wrong (rk, a)."""
+
+    @pytest.mark.parametrize("images", [
+        {"a": ["b", "a", "a"], "b": ["b", "a"]},
+        {"a": ["a", "a", "b", "a"], "b": ["a", "b", "a"]},
+        {"a": ["b", "a"], "b": ["b", "b", "a"]},
+        {"a": ["a", "a", "b-"], "b": ["b", "a-"]},
+        {"a": ["a", "b-"], "b": ["b", "b", "a-"]},
+    ])
+    def test_two_paths_leave_classes_unverified(self, images):
+        rep = analyze(rose(images))
+        assert [(i.stype, i.inp_status) for i in rep.strata] == [("type3", "multiple")]
+        assert len(rep.strata[0].inp_multi) == 2
+        assert all(c.rank is None and c.attract is None for c in rep.classes)
+
+    @pytest.mark.parametrize("seed, strata", [(1, 35), (2, 39)])
+    def test_found_means_exactly_one_crossing_path(self, seed, strata):
+        # Every type-3 stratum reported `found` has exactly one crossing
+        # indivisible Nielsen path up to length 10 (2400 rank-2 maps with
+        # images of length <= 4).
+        gen = random_injective_endos(2, 4, seed)
+        checked = 0
+        for _ in range(2400):
+            f = rose_map(next(gen))
+            if f.is_identity():
+                continue
+            rep = analyze(f)
+            for info in rep.strata:
+                if info.stype != "type3" or info.inp_status != "found":
+                    continue
+                level = rep.filtration.level_edges(info.index + 1)
+                brute = nielsen_paths_brute(rep.map, 10, within=level, crossing=info.edges)
+                assert len(brute) == 1, (f.edge_map, [str(p) for p in brute])
+                checked += 1
+        assert checked == strata
