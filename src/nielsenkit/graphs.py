@@ -221,17 +221,23 @@ class GraphMap:
                          if self.edge_map[e].darts == (Dart(e, True),))
 
 
-def map_path(f: GraphMap, p: EdgePath) -> EdgePath:
-    if p.is_trivial:
-        return trivial_path(f.vertex_map[p.at])
+def _map_onto(f: GraphMap, out: list[Dart], darts: Iterable[Dart]) -> None:
+    """Append the image of `darts` to the tight path `out`, cancelling at
+    every junction, so `out` becomes [out . f(darts)]."""
     imgs = f.image_table
-    out: list[Dart] = []
-    for d in p.darts:
+    for d in darts:
         for x in imgs[d]:
             if out and out[-1] == x.rev:
                 out.pop()
             else:
                 out.append(x)
+
+
+def map_path(f: GraphMap, p: EdgePath) -> EdgePath:
+    if p.is_trivial:
+        return trivial_path(f.vertex_map[p.at])
+    out: list[Dart] = []
+    _map_onto(f, out, p.darts)
     if not out:
         return trivial_path(f.vertex_map[f.graph.origin(p.darts[0])])
     return EdgePath(tuple(out))
@@ -455,11 +461,17 @@ def any_route_endo(f: GraphMap, base: Optional[str] = None) -> Endomorphism:
 def ray_images(f: GraphMap, d: Dart) -> Iterator[tuple[Dart, ...]]:
     """The ray grown from a fixed direction d with Df(d) = d: the darts of
     d, [f(d)], [f^2(d)], ..., each extending the one before.  It stops at the
-    first image that does not extend its predecessor."""
+    first image that does not extend its predecessor.
+
+    Only the new darts are mapped: each image is current = [f(prev)] and
+    extends prev by some darts S, so [f(current)] = [current . f(S)],
+    tightened at the junction."""
     current: tuple[Dart, ...] = (d,)
+    img: list[Dart] = []  # [f(current[:done])]
+    done = 0
     while True:
         yield current
-        img = map_path(f, EdgePath(current)).darts
-        if len(img) <= len(current) or img[:len(current)] != current:
+        _map_onto(f, img, current[done:])
+        if len(img) <= len(current) or tuple(img[:len(current)]) != current:
             return
-        current = img
+        done, current = len(current), tuple(img)

@@ -160,12 +160,17 @@ def local_index(f: GraphMap, members: Sequence[str]) -> int:
     return sum(1 - len(fixed_directions(f, v)) for v in members)
 
 
-def lefschetz_number(f: GraphMap) -> tuple[int, int]:
-    """(lefschetz, trace) from the induced endomorphism on first homology."""
-    # Local: perfbench/spans.py hooks any_route_endo on graphs only.
-    from .graphs import any_route_endo
+def lefschetz_number(f: GraphMap, phi: Optional[Endomorphism] = None) -> tuple[int, int]:
+    """(lefschetz, trace) from the induced endomorphism on first homology.
 
-    phi = any_route_endo(f)
+    phi is an endomorphism f induces on pi_1 along any route, built here when
+    not given; the trace does not depend on the route, and it is a homotopy
+    invariant, so a subdivision of f has the same one."""
+    if phi is None:
+        # Local: perfbench/spans.py hooks any_route_endo on graphs only.
+        from .graphs import any_route_endo
+
+        phi = any_route_endo(f)
     tr = matrix_trace(phi.abelianization())
     return 1 - tr, tr
 
@@ -418,7 +423,8 @@ def analyze(f: GraphMap, config: Optional[AnalysisConfig] = None,
         raise AnalysisError("graph must be connected")
     if not f.graph.edges:
         raise AnalysisError("graph must have at least one edge")
-    if not any_route_endo(f).is_injective():
+    phi = any_route_endo(f)
+    if not phi.is_injective():
         raise AnalysisError("selfmap is not injective on the fundamental group")
     if f.is_identity():
         return _identity_report(f)
@@ -504,8 +510,9 @@ def analyze(f: GraphMap, config: Optional[AnalysisConfig] = None,
             raise AnalysisError(
                 f"class partition {ours} disagrees with the Nielsen-path oracle {oracle}")
 
-    # Cross-check 3: indices must sum to the Lefschetz number.
-    lef, tr = lefschetz_number(g)
+    # Cross-check 3: indices must sum to the Lefschetz number, taken from the
+    # unsubdivided map, so the check also covers the subdivision.
+    lef, tr = lefschetz_number(f, phi)
     total = sum(c.index for c in out_classes)
     if total != lef:
         raise AnalysisError(

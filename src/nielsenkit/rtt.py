@@ -30,11 +30,20 @@ the last and still finds the partition that all Nielsen paths of length
 pieces no longer than itself that join the same vertices, and a piece
 starting at the last vertex is a loop, joining nothing, or is found reversed
 from its other end.
+
+A path crossing an expanding stratum is searched as A.B^-1, with A and B
+prefixes of expanding rays from fixed vertices that end at one vertex v.
+Tail lemma: A.B^-1 is a Nielsen path iff [A^-1 . f(A)] = [B^-1 . f(B)],
+because [f(A) . f(B)^-1] = A.B^-1 says that the two paths from v to f(v) are
+homotopic rel endpoints, and a tight path is the only one in its class.  So
+the prefixes are matched by their tails, and no candidate is mapped.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -366,6 +375,14 @@ def _canonical(p: EdgePath) -> tuple:
     return min(a, b)
 
 
+def _dart_codes(f: GraphMap) -> tuple[list[Dart], dict[Dart, int], list[list[int]]]:
+    """The darts of f's graph as integer codes, edge k being 2k forward and
+    2k+1 reversed, so reversal is `x ^ 1`, and the image of each code."""
+    darts = f.graph.darts()
+    code = {d: i for i, d in enumerate(darts)}
+    return darts, code, [[code[x] for x in f.image_table[d]] for d in darts]
+
+
 def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
                                names: Iterable[str],
                                must: Optional[set[str]]) -> list[tuple[Dart, ...]]:
@@ -375,11 +392,11 @@ def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
 
     The search descends tight paths P and stops at the first Nielsen node,
     since every extension of a Nielsen path is divisible (the cancellation
-    lemma in the module docstring).  Darts are integer codes,
-    edge k being 2k forward and 2k+1 reversed, so reversal is `x ^ 1`.  The
-    image [f(P)] is kept tight incrementally: pushing a dart cancels the prefix
-    of its image that meets its reversal at the tail of [f(P)] and extends by
-    the rest, and popping deletes that rest and restores the cancelled tail.
+    lemma in the module docstring).  Darts are integer codes (_dart_codes).
+    The image [f(P)] is kept tight incrementally: pushing a dart cancels the
+    prefix of its image that meets its reversal at the tail of [f(P)] and
+    extends by the rest, and popping deletes that rest and restores the
+    cancelled tail.
 
     Branches are cut by bounded cancellation, exactly for pi1-injective f
     (analyze rejects other maps).  With C = f.cancellation_bound() and
@@ -388,11 +405,10 @@ def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
     branch is cut when k > max_len, or when the first min(k, |P|) darts of
     [f(P)] and of P differ."""
     g = f.graph
-    darts = g.darts()
-    code = {d: i for i, d in enumerate(darts)}
-    imgs = [[code[x] for x in f.image_table[d]] for d in darts]
-    names = list(names)
-    out_at = {v: [code[d] for d in g.darts_at(v, names)] for v in g.vertices}
+    darts, code, imgs = _dart_codes(f)
+    out_at: dict[str, list[int]] = {v: [] for v in g.vertices}
+    for d in g.darts(names):
+        out_at[g.origin(d)].append(code[d])
     # after[c]: the darts that may follow dart c on a tight path.
     after = [[d for d in out_at[g.terminus(dart)] if d != c ^ 1]
              for c, dart in enumerate(darts)]
@@ -535,6 +551,35 @@ def _ray(f: GraphMap, d: Dart, info: StratumInfo, metric_cap: float,
     return current[:dart_cap], lens[:dart_cap]
 
 
+def _nielsen_tails(f: GraphMap, ray: Sequence[Dart]) -> list[tuple[str, tuple[int, ...]]]:
+    """The key (v, tau) of each nonempty prefix A of a ray from a fixed
+    vertex, shortest first: v is the terminus of A and tau its Nielsen tail,
+    the tight path [A^-1 . f(A)] from v to f(v), in dart codes (_dart_codes).
+    Two prefixes have equal keys iff A.B^-1 is a Nielsen path (the tail
+    lemma in the module docstring).
+
+    tau is grown one dart e at a time, tau <- [e^-1 . tau . f(e)], cancelling
+    at both ends of a deque; the empty prefix has the empty tail, its vertex
+    being fixed."""
+    g = f.graph
+    _, code, imgs = _dart_codes(f)
+    tau: deque[int] = deque()
+    keys = []
+    for e in ray:
+        c = code[e]
+        if tau and tau[0] == c:
+            tau.popleft()
+        else:
+            tau.appendleft(c ^ 1)
+        for x in imgs[c]:
+            if tau and tau[-1] == x ^ 1:
+                tau.pop()
+            else:
+                tau.append(x)
+        keys.append((g.terminus(e), tuple(tau)))
+    return keys
+
+
 def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
              lower_classes: Sequence[frozenset]) -> StratumInfo:
     """Locate the indivisible Nielsen paths crossing the stratum.
@@ -542,11 +587,17 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
     type1 and multi-edge type2 strata certify `none`.  Single-edge type2
     strata get a bounded combinatorial search within the level; candidates
     differing only by insertion of lower-level Nielsen loops join the same
-    lower classes and collapse to the shortest representative.  type3 strata
-    enumerate prefix pairs of the expanding rays grown from fixed stratum
-    directions; when the metric bound is exhausted, `none` is certified.
-    Their candidates collapse only up to reversal: two paths joining the same
-    lower classes may still differ in rank (one merges, one closes a loop).
+    lower classes and collapse to the shortest representative.
+
+    type3 strata look for crossing paths A.B^-1 with A and B prefixes, up to
+    the metric cap, of two expanding rays grown from fixed stratum directions
+    and meeting at an illegal turn; when the metric bound is exhausted, `none`
+    is certified.  The pairs are matched by a hash join on the prefixes' keys
+    (_nielsen_tails): A.B^-1 is Nielsen exactly when A and B have the same
+    terminus v and the same tail [A^-1 . f(A)], so no candidate is mapped, and
+    only the indivisibility test maps its prefixes.  Candidates collapse only
+    up to reversal: two paths joining the same lower classes may still differ
+    in rank (one merges, one closes a loop).
     """
     level = filt.level_edges(info.index + 1)
     stratum = set(info.edges)
@@ -604,33 +655,33 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
     for v in fixed_vertices(f):
         seeds.extend(fixed_directions(f, v, info.edges))
     dart_cap = max(max_len, 16 * (int(metric_cap) + 2))
-    rays, lens = {}, {}
+    rays, keys, at_key = {}, {}, {}
+    exhausted = True
     for d in seeds:
-        rays[d], lens[d] = _ray(f, d, info, metric_cap, dart_cap)
+        ray, lens = _ray(f, d, info, metric_cap, dart_cap)
+        # A ray that never reached the metric cap within dart_cap darts leaves
+        # part of the search region uncovered.
+        exhausted = exhausted and lens[-1] > metric_cap
+        # Prefix lengths only grow, so the prefixes within the cap come first.
+        rays[d] = ray[:bisect_right(lens, metric_cap)]
+        keys[d] = _nielsen_tails(f, rays[d])
+        at_key[d] = {}
+        for n, key in enumerate(keys[d], start=1):
+            at_key[d].setdefault(key, []).append(n)
 
     cands: list[EdgePath] = []
-    for ia in range(len(seeds)):
-        for ib in range(ia + 1, len(seeds)):
-            d1, d2 = seeds[ia], seeds[ib]
-            # The prefix of n darts ends in dart e; it is sliced for candidates only.
-            for n1, (e1, len1) in enumerate(zip(rays[d1], lens[d1]), start=1):
-                if len1 > metric_cap:
-                    break
-                for n2, (e2, len2) in enumerate(zip(rays[d2], lens[d2]), start=1):
-                    if len2 > metric_cap:
-                        break
-                    if f.graph.terminus(e1) != f.graph.terminus(e2):
+    for ia, d1 in enumerate(seeds):
+        for d2 in seeds[ia + 1:]:
+            r1, r2 = rays[d1], rays[d2]
+            # Prefix pairs in the order n1, then n2, ascending; each pair
+            # found here is a Nielsen path.
+            for n1, key in enumerate(keys[d1], start=1):
+                for n2 in at_key[d2].get(key, ()):
+                    e1, e2 = r1[n1 - 1], r2[n2 - 1]
+                    if e1 == e2 or not turn_degenerates_in_one_step(f, e1.rev, e2.rev):
                         continue
-                    if e1 == e2:
-                        continue
-                    if not turn_degenerates_in_one_step(f, e1.rev, e2.rev):
-                        continue
-                    darts = rays[d1][:n1] + tuple(d.rev for d in reversed(rays[d2][:n2]))
-                    p = EdgePath(darts)
-                    if _path_is_nielsen(f, darts) and is_indivisible(f, p):
+                    p = EdgePath(r1[:n1] + tuple(d.rev for d in reversed(r2[:n2])))
+                    if is_indivisible(f, p):
                         cands.append(p)
-    # A ray that never reached the metric cap within max_len prefixes leaves
-    # part of the search region uncovered.
-    exhausted = all(lens[d][-1] > metric_cap for d in seeds)
     record(cands, "certified-none" if exhausted else "none-within-bound")
     return info

@@ -20,6 +20,7 @@ from nielsenkit.invariants import (
     local_index,
     word_attracting_candidates,
 )
+from nielsenkit.graphs import subdivided_fixed_map
 from nielsenkit.io import rose_map
 from nielsenkit.sampling import random_injective_endos
 from nielsenkit.words import (
@@ -176,6 +177,20 @@ class TestIndices:
         assert lefschetz_number(rose_map(endo(2, "A", "Abb")))[0] == 0
         assert lefschetz_number(rose_map(endo(2, "aa", "bb")))[0] == -3
         assert lefschetz_number(rose({"a": ["a"], "b": ["b"]}))[0] == -1
+
+    @pytest.mark.parametrize("rank, max_len, count", [(2, 4, 300), (2, 8, 100), (3, 3, 100)])
+    def test_subdivision_keeps_the_lefschetz_number(self, rank, max_len, count):
+        # analyze checks the subdivided map's index sum against L(f).
+        gen = random_injective_endos(rank, max_len, seed=1)
+        subdivided = 0
+        for _ in range(count):
+            f = rose_map(next(gen))
+            if f.is_identity():
+                continue
+            g, points = subdivided_fixed_map(f)
+            assert lefschetz_number(g) == lefschetz_number(f), f.edge_map
+            subdivided += bool(points)
+        assert subdivided > count // 4
 
     def test_index_sum_asserted(self):
         for images in [("a", "Bab"), ("A", "Abb"), ("b", "A"), ("a", "ba")]:

@@ -7,8 +7,8 @@ import json
 import pytest
 
 from nielsenkit.cli import main
-from nielsenkit.graphs import EdgePath, Graph, GraphMap, parse_dart, trivial_path
-from nielsenkit.invariants import analyze
+from nielsenkit.graphs import EdgePath, Graph, GraphMap, parse_dart, subdivided_fixed_map, trivial_path
+from nielsenkit.invariants import analyze, lefschetz_number
 
 
 def theta_swap() -> GraphMap:
@@ -33,6 +33,29 @@ def theta_collapse() -> GraphMap:
     })
     f.validate()
     return f
+
+
+def theta_fold() -> GraphMap:
+    """p -> q p- q has the interior fixed point p@1/2; q -> q r- q, r fixed."""
+    g = Graph(("u", "v"), {"p": ("u", "v"), "q": ("u", "v"), "r": ("u", "v")})
+    f = GraphMap(g, {"u": "u", "v": "v"}, {
+        e: EdgePath(tuple(parse_dart(t) for t in img))
+        for e, img in {"p": ["q", "p-", "q"], "q": ["q", "r-", "q"], "r": ["r"]}.items()})
+    f.validate()
+    return f
+
+
+class TestLefschetzOfSubdivision:
+    @pytest.mark.parametrize("make", [theta_swap, theta_collapse, theta_fold])
+    def test_subdivision_keeps_the_lefschetz_number(self, make):
+        # analyze checks the index sum of the subdivided map against L(f).
+        f = make()
+        g, points = subdivided_fixed_map(f)
+        assert bool(points) == (make is theta_fold)
+        assert lefschetz_number(g) == lefschetz_number(f)
+        rep = analyze(f)
+        assert (rep.lefschetz, rep.trace) == lefschetz_number(f)
+        assert sum(c.index for c in rep.classes) == rep.lefschetz
 
 
 class TestThetaSwap:

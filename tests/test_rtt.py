@@ -450,6 +450,138 @@ class TestPartitionOracleExact:
         assert many_fixed > 0 and last_joined > 0, (many_fixed, last_joined)
 
 
+def reference_type3_pairs(f, info, max_len):
+    """find_inp's type-3 candidates as first written, sharing none of its
+    ray or matching code: each ray is grown by mapping it whole, and every
+    prefix pair meeting at a one-step-degenerate turn is mapped in full.
+    Returns the prefix pairs (in find_inp's order) and the Nielsen paths among
+    them, and whether every ray passed the metric cap."""
+    g = f.graph
+    exp = info.expansion
+    lam = exp.lam
+    metric_cap = (lam * sum(float(x) for x in exp.lengths)) * lam / (lam - 1.0)
+    dart_cap = max(max_len, 16 * (int(metric_cap) + 2))
+
+    def running(darts):  # metric length of each prefix, summed left to right
+        out, total = [], 0.0
+        for d in darts:
+            total += float(info.metric(d.name))
+            out.append(total)
+        return out
+
+    seeds = [d for v in fixed_vertices(f) for d in graphs.fixed_directions(f, v, info.edges)]
+    rays = {}
+    for d in seeds:
+        ray = (d,)
+        while len(ray) <= dart_cap and running(ray)[-1] <= metric_cap:
+            img = map_path(f, EdgePath(ray)).darts
+            if len(img) <= len(ray) or img[:len(ray)] != ray:
+                break
+            ray = img
+        rays[d] = ray[:dart_cap]
+    exhausted = all(running(r)[-1] > metric_cap for r in rays.values())
+    pairs, nielsen = [], []
+    for ia, d1 in enumerate(seeds):
+        for d2 in seeds[ia + 1:]:
+            r1, r2 = rays[d1], rays[d2]
+            n1_max = sum(x <= metric_cap for x in running(r1))
+            n2_max = sum(x <= metric_cap for x in running(r2))
+            for n1 in range(1, n1_max + 1):
+                for n2 in range(1, n2_max + 1):
+                    e1, e2 = r1[n1 - 1], r2[n2 - 1]
+                    if (g.terminus(e1) != g.terminus(e2) or e1 == e2
+                            or not graphs.turn_degenerates_in_one_step(f, e1.rev, e2.rev)):
+                        continue
+                    p = EdgePath(r1[:n1] + tuple(d.rev for d in reversed(r2[:n2])))
+                    pairs.append(p)
+                    if map_path(f, p) == p:
+                        nielsen.append(p)
+    return pairs, nielsen, exhausted
+
+
+def reference_type3(f, nielsen, exhausted):
+    """(inp_status, inp, inp_multi) that find_inp should give a type-3
+    stratum with illegal turns, from reference_type3_pairs."""
+    uniq = {}
+    for p in nielsen:
+        if is_indivisible(f, p):
+            uniq.setdefault(rtt._canonical(p), p)
+    kept = sorted(uniq.values(), key=lambda p: (len(p.darts), rtt._canonical(p)))
+    if len(kept) > 1:
+        return "multiple", None, [rtt._leg_decomposition(f, p) for p in kept]
+    if kept:
+        return "found", rtt._leg_decomposition(f, kept[0]), []
+    return ("certified-none" if exhausted else "none-within-bound"), None, []
+
+
+def type3_strata(f):
+    """The subdivided map of f and its type-3 strata that have illegal turns."""
+    g, _ = subdivided_fixed_map(f)
+    filt = derive_filtration(g)
+    infos = [classify_stratum(g, filt, i) for i in range(filt.depth)]
+    return g, filt, [i for i in infos if i.stype == "type3" and i.illegal_turns]
+
+
+def assert_type3_exact(f, max_len=8):
+    """find_inp agrees with reference_type3 on every type-3 stratum of f, and
+    each key _nielsen_tails gives is (terminus, tight [A^-1 . f(A)]).  Returns
+    the number of strata with a crossing path and of prefix pairs matched."""
+    g, filt, infos = type3_strata(f)
+    darts = g.graph.darts()
+    with_path = matched = 0
+    for info in infos:
+        rtt.find_inp(g, filt, info, max_len, [frozenset({v}) for v in fixed_vertices(g)])
+        _, nielsen, exhausted = reference_type3_pairs(g, info, max_len)
+        want = reference_type3(g, nielsen, exhausted)
+        assert (info.inp_status, info.inp, info.inp_multi) == want, f.edge_map
+        with_path += info.inp_status in ("found", "multiple")
+        matched += len(nielsen)
+        for d in (d for v in fixed_vertices(g)
+                  for d in graphs.fixed_directions(g, v, info.edges)):
+            for ray in graphs.ray_images(g, d):
+                if len(ray) > 16:
+                    break
+            for n, (v, tau) in enumerate(rtt._nielsen_tails(g, ray), start=1):
+                fa = map_path(g, EdgePath(ray[:n])).darts  # A^-1 cancels against it
+                k = 0
+                while k < min(n, len(fa)) and fa[k] == ray[k]:
+                    k += 1
+                tight = tuple(d.rev for d in reversed(ray[k:n])) + fa[k:]
+                assert v == g.graph.terminus(ray[n - 1])
+                assert tuple(darts[c] for c in tau) == tight, (n, ray, f.edge_map)
+    return with_path, matched
+
+
+SECOND_PATH_MAPS = [
+    {"a": ["b", "a", "a"], "b": ["b", "a"]},
+    {"a": ["a", "a", "b", "a"], "b": ["a", "b", "a"]},
+    {"a": ["b", "a"], "b": ["b", "b", "a"]},
+    {"a": ["a", "a", "b-"], "b": ["b", "a-"]},
+    {"a": ["a", "b-"], "b": ["b", "b", "a-"]},
+]
+
+
+class TestCrossingPathExact:
+    """Matching prefixes by their Nielsen tails finds exactly the crossing
+    paths that mapping every prefix pair finds."""
+
+    @pytest.mark.parametrize("images", SECOND_PATH_MAPS)
+    def test_second_crossing_path_maps(self, images):
+        assert assert_type3_exact(rose(images))[0] == 1
+
+    @pytest.mark.parametrize("rank, max_len, seed, count", [
+        (2, 4, 1, 1200), (2, 4, 2, 1200), (2, 8, 1, 300), (3, 3, 1, 300)])
+    def test_seeded_maps(self, rank, max_len, seed, count):
+        gen = random_injective_endos(rank, max_len, seed)
+        with_path = matched = 0
+        for _ in range(count):
+            f = rose_map(next(gen))
+            if not f.is_identity():
+                a, b = assert_type3_exact(f)
+                with_path, matched = with_path + a, matched + b
+        assert with_path > 0 and matched > 0, (with_path, matched)
+
+
 class TestSearchWork:
     """The searches do less work, with the same results."""
 
@@ -512,6 +644,36 @@ class TestSearchWork:
             assert metric(ray[-1]) > metric_cap
         assert sum(len(c) for ray in images.values() for c in ray) == 120
 
+    def test_type3_maps_only_indivisibility_prefixes(self, monkeypatch):
+        # Candidates are matched by their tails, not mapped: the only paths
+        # mapped are the prefixes that is_indivisible tests, of the matched
+        # candidates, in order, up to the first Nielsen one.
+        f = rose(SECOND_PATH_MAPS[0])
+        g, filt, infos = type3_strata(f)
+        (info,) = infos
+        pairs, nielsen, _ = reference_type3_pairs(g, info, 8)
+        fixed = set(fixed_vertices(g))
+        want = []
+        for p in nielsen:
+            for j in range(1, len(p.darts)):
+                if g.graph.terminus(p.darts[j - 1]) in fixed:
+                    want.append(EdgePath(p.darts[:j]))
+                    if map_path(g, want[-1]) == want[-1]:
+                        break
+        mapped = []
+        real_map_path = graphs.map_path
+
+        def counted_map_path(f, p):
+            mapped.append(p)
+            return real_map_path(f, p)
+
+        monkeypatch.setattr(rtt, "map_path", counted_map_path)
+        monkeypatch.setattr(graphs, "map_path", counted_map_path)
+        rtt.find_inp(g, filt, info, 8, [frozenset({v}) for v in fixed_vertices(g)])
+        assert info.inp_status == "multiple"
+        assert mapped == want, [str(p) for p in mapped]
+        assert len(nielsen) >= 2 and len(pairs) > 4 * len(mapped), (len(pairs), len(mapped))
+
 
 class TestSecondCrossingPath:
     """An expanding stratum of an unstabilized train track may carry two
@@ -519,13 +681,7 @@ class TestSecondCrossingPath:
     one closing a loop.  Both are kept, so the stratum is `multiple` and its
     classes are left unverified instead of taking a wrong (rk, a)."""
 
-    @pytest.mark.parametrize("images", [
-        {"a": ["b", "a", "a"], "b": ["b", "a"]},
-        {"a": ["a", "a", "b", "a"], "b": ["a", "b", "a"]},
-        {"a": ["b", "a"], "b": ["b", "b", "a"]},
-        {"a": ["a", "a", "b-"], "b": ["b", "a-"]},
-        {"a": ["a", "b-"], "b": ["b", "b", "a-"]},
-    ])
+    @pytest.mark.parametrize("images", SECOND_PATH_MAPS)
     def test_two_paths_leave_classes_unverified(self, images):
         rep = analyze(rose(images))
         assert [(i.stype, i.inp_status) for i in rep.strata] == [("type3", "multiple")]
