@@ -2,19 +2,17 @@
 at infinity of an injective endomorphism phi.
 
 These are the rays phi(x) = x.u grown from fixed directions, and the program
-builds two kinds of them:
+builds one kind of them, `MorphicRay`, seeded by a word e with phi(e) = e.u:
+the limit of the iterates [phi^k(e)] = [e u phi(u) ... phi^(k-1)(u)], grown
+one block at a time and only as far as the letters asked for.  A letter is
+returned only once bounded cancellation proves that no later block can change
+it; a seed whose iterates stop yielding such proofs raises DegenerateRay.
+Route analysis seeds rays at single letters; a graph ray [f^k(d)] is seeded
+at the marking word of one of its images (`invariants.attracting_rays`).
 
-* `MorphicRay`, seeded by a word e with phi(e) = e.u: the limit of the
-  iterates [phi^k(e)] = [e u phi(u) ... phi^(k-1)(u)], grown one block at a
-  time and only as far as the letters asked for.  A letter is returned only
-  once bounded cancellation proves that no later block can change it; a seed
-  whose iterates stop yielding such proofs raises DegenerateRay;
-* `invariants.ProjectedRay`, a graph ray [f^k(d)] read in the marking at its
-  start vertex.
-
-Both expose `prefix(m)`.  `attraction_check` reports a ray as attracting or
-not fixed only on a finite certificate and as `inconclusive` otherwise; the
-tool never upgrades a bounded observation into a claim silently.
+`attraction_check` reports a ray as attracting or not fixed only on a finite
+certificate and as `inconclusive` otherwise; the tool never upgrades a
+bounded observation into a claim silently.
 
 Attracting rays are counted up to the fixed subgroup Fix phi: W ~ V when
 W = U.V for some U in Fix phi.  `equivalent_under` searches U in the ball of

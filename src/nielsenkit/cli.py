@@ -8,11 +8,10 @@ byte-identical across runs for fixed inputs and options.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .boundary import attraction_check
+from .boundary import DegenerateRay, attraction_check
 from .graphs import any_route_endo
 from .invariants import (
     AnalysisConfig,
@@ -50,8 +49,6 @@ def _config(args) -> AnalysisConfig:
         if args.depth < 0:
             raise InputError("depth must be nonnegative")
         cfg.depth = args.depth
-    if getattr(args, "tol", None) is not None:
-        cfg.pf_tol = args.tol
     return cfg
 
 
@@ -99,13 +96,17 @@ def cmd_attracting(args) -> int:
     for c in report.classes:
         rays = []
         if c.attract is not None:
-            for ray in attracting_rays(report.map, c):
-                verdict = attraction_check(ray, ray.endo)
-                rays.append({
-                    "prefix": ray.endo.basis.format(ray.prefix(args.prefix_len)),
-                    "initial_direction": str(ray.start),
-                    "status": verdict.status,
-                })
+            try:
+                for (_, d), ray in zip(c.ray_seeds, attracting_rays(report.map, c)):
+                    verdict = attraction_check(ray, ray.endo)
+                    rays.append({
+                        "prefix": ray.endo.basis.format(ray.prefix(args.prefix_len)),
+                        "initial_direction": str(d),
+                        "status": verdict.status,
+                    })
+            except DegenerateRay as exc:
+                raise AnalysisError(
+                    f"attracting ray of class {list(c.members)}: {exc}") from exc
         classes.append({
             "members": list(c.members),
             "a": c.attract if c.attract is not None else "unverified",
@@ -168,6 +169,16 @@ def cmd_lefschetz(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.suite:
+        paths = sorted(Path(args.suite).glob("*.json"))
+        if not paths:
+            raise InputError(f"{args.suite}: not a directory of instance files")
+    else:
+        paths = [Path(args.input)] if args.input else []
+    if not paths and not args.props:
+        raise InputError("nothing to verify: give an input file, --suite or --props")
+    if args.props and args.count < 0:
+        raise InputError("count must be nonnegative")
     results: dict[str, dict] = {}
     worst = PASS
 
@@ -185,11 +196,8 @@ def cmd_verify(args) -> int:
             results[path.name] = {"error": str(exc)}
             worst = ERROR
 
-    if args.suite:
-        for path in sorted(Path(args.suite).glob("*.json")):
-            one(path)
-    elif args.input:
-        one(Path(args.input))
+    for path in paths:
+        one(path)
 
     data: dict = {"results": results}
     if args.props:
@@ -234,12 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("classify", cmd_classify, help="filtration and stratum classification")
     p.add_argument("input")
     p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
 
     p = add("invariants", cmd_invariants, help="full fixed-point-class report")
     p.add_argument("input")
     p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
 
     p = add("attracting", cmd_attracting, help="attracting boundary words per class")
     p.add_argument("input")

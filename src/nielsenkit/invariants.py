@@ -18,9 +18,10 @@ Disagreement is a structure error, never a warning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional, Sequence
 
-from .boundary import MorphicRay, attraction_check, equivalent_under
+from .boundary import DegenerateRay, MorphicRay, attraction_check, equivalent_under
 from .graphs import (
     Dart,
     GraphMap,
@@ -58,7 +59,6 @@ class AnalysisError(RuntimeError):
 @dataclass
 class AnalysisConfig:
     depth: int = 8              # oracle path length and crossing-path search cap
-    pf_tol: float = 1e-9
 
 
 @dataclass
@@ -79,31 +79,6 @@ class ClassData:
         if self.rank is None or self.attract is None:
             return None
         return 1 - self.rank - self.attract
-
-
-class ProjectedRay:
-    """An expanding fixed direction's ray, read as a boundary word of the
-    route endomorphism at its own start vertex: in the marking there, the ray
-    spells a word that this endomorphism fixes."""
-
-    def __init__(self, f: GraphMap, start: Dart):
-        self.start = start
-        self.marking = marking(f.graph, f.graph.origin(start))
-        self.endo = self.marking.endo(f)
-        self._images = ray_images(f, start)
-        self._letters: list[int] = []
-        self._emitted = 0
-
-    def prefix(self, m: int) -> Word:
-        # A tight path spells a reduced word, so the letters of each new
-        # stretch of darts extend the letters so far without cancelling.
-        while len(self._letters) < m:
-            darts = next(self._images, None)
-            if darts is None:
-                raise AnalysisError(f"direction {self.start} does not expand along itself")
-            self._letters.extend(self.marking.word(darts[self._emitted:]).letters)
-            self._emitted = len(darts)
-        return Word(tuple(self._letters[:m]))
 
 
 @dataclass
@@ -330,8 +305,27 @@ def _merge_leg_seeds(c: _ClassState, info: StratumInfo) -> None:
 # Attracting representatives.
 
 
-def attracting_rays(f: GraphMap, cls: ClassData) -> list[ProjectedRay]:
-    return [ProjectedRay(f, d) for _, d in cls.ray_seeds]
+# Images [f^k(d)] of a ray seed that attracting_rays tries as morphic seeds.
+SEED_IMAGES = 8
+
+
+def attracting_rays(f: GraphMap, cls: ClassData) -> list[MorphicRay]:
+    """One MorphicRay per ray seed (i, d): that of phi_v =
+    marking(f.graph, v).endo(f) at d's origin v, seeded at the marking word of
+    the first image d, [f(d)], ... (of SEED_IMAGES) that MorphicRay accepts."""
+    rays = []
+    for _, d in cls.ray_seeds:
+        mark = marking(f.graph, f.graph.origin(d))
+        phi = mark.endo(f)
+        for darts in islice(ray_images(f, d), SEED_IMAGES):
+            try:
+                rays.append(MorphicRay(mark.word(darts), phi))
+                break
+            except DegenerateRay:
+                continue
+        else:
+            raise DegenerateRay(f"no image of direction {d} seeds a ray")
+    return rays
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +450,11 @@ def analyze(f: GraphMap, config: Optional[AnalysisConfig] = None,
     infos: list[StratumInfo] = []
     complete = True
     for i in range(filt.depth):
-        info = classify_stratum(g, filt, i, config.pf_tol)
+        info = classify_stratum(g, filt, i)
         if info.stype == "unclassifiable":
             complete = False
             infos.append(info)
-            infos.extend(classify_stratum(g, filt, j, config.pf_tol)
+            infos.extend(classify_stratum(g, filt, j)
                          for j in range(i + 1, filt.depth))
             break
         find_inp(g, filt, info, config.depth,

@@ -36,7 +36,12 @@ prefixes of expanding rays from fixed vertices that end at one vertex v.
 Tail lemma: A.B^-1 is a Nielsen path iff [A^-1 . f(A)] = [B^-1 . f(B)],
 because [f(A) . f(B)^-1] = A.B^-1 says that the two paths from v to f(v) are
 homotopic rel endpoints, and a tight path is the only one in its class.  So
-the prefixes are matched by their tails, and no candidate is mapped.
+the prefixes are matched by their tails, and no candidate is mapped.  An
+empty tail marks a Nielsen prefix, and each ray is cut just before its first
+one (on a train track there is none: ray prefixes are r-legal and grow).  Then
+every joined pair is indivisible: a split inside A or at its end is a Nielsen
+prefix of A, and one inside B^-1, at A.B2^-1 with B = B1.B2, is Nielsen
+exactly when B1 is, by the cancellation lemma.
 """
 
 from __future__ import annotations
@@ -163,12 +168,17 @@ class ExpansionData:
     exact: bool
 
 
-def pf_metric(m: list[list[int]], tol: float = 1e-9) -> ExpansionData:
+# The residual |Av - lam v|_inf that power iteration must reach.  find_inp's
+# metric cap rests on the lengths being an eigenvector, which this checks.
+PF_TOL = 1e-9
+
+
+def pf_metric(m: list[list[int]]) -> ExpansionData:
     """Perron-Frobenius eigenvalue and positive eigenvector, min entry 1.
 
     1x1 and rational 2x2 cases are exact; otherwise deterministic power
     iteration with a Rayleigh quotient, whose residual |Av - lam v|_inf must
-    reach tol.  Raises for reducible matrices, for spectral radius <= 1 (not
+    reach PF_TOL.  Raises for reducible matrices, for spectral radius <= 1 (not
     an expanding stratum) and for an iteration that does not converge.
     """
     n = len(m)
@@ -222,14 +232,15 @@ def pf_metric(m: list[list[int]], tol: float = 1e-9) -> ExpansionData:
         v = w
         if v.min() > 0:
             scaled = v / v.min()
-            if float(np.max(np.abs(a @ scaled - lam * scaled))) <= tol / 4:
+            if float(np.max(np.abs(a @ scaled - lam * scaled))) <= PF_TOL / 4:
                 break
     v = v / v.min()
     residual = float(np.max(np.abs(a @ v - lam * v)))
-    if lam <= 1 + tol:
+    if lam <= 1 + PF_TOL:
         raise ValueError(f"spectral radius {lam} is not > 1")
-    if not residual <= tol:
-        raise ValueError(f"power iteration did not converge: residual {residual:.3g} > {tol:g}")
+    if not residual <= PF_TOL:
+        raise ValueError(
+            f"power iteration did not converge: residual {residual:.3g} > {PF_TOL:g}")
     return ExpansionData(lam, [float(x) for x in v], residual, False)
 
 
@@ -265,7 +276,7 @@ class StratumInfo:
             return Fraction(0) if self.expansion.exact else 0.0
 
 
-def classify_stratum(f: GraphMap, filt: Filtration, i: int, tol: float = 1e-9) -> StratumInfo:
+def classify_stratum(f: GraphMap, filt: Filtration, i: int) -> StratumInfo:
     stratum = filt.strata[i]
     m = transition_matrix(f, stratum)
     info = StratumInfo(index=i, edges=stratum, stype="unclassifiable")
@@ -281,7 +292,7 @@ def classify_stratum(f: GraphMap, filt: Filtration, i: int, tol: float = 1e-9) -
         info.note = "images cross the stratum in a single cyclic permutation"
         return info
     try:
-        info.expansion = pf_metric(m, tol)
+        info.expansion = pf_metric(m)
     except ValueError as exc:
         info.note = f"transition matrix not expanding/irreducible: {exc}"
         return info
@@ -349,23 +360,6 @@ def illegal_turns_in(f: GraphMap, edges: Iterable[str]) -> list[tuple[Dart, Dart
 
 # ---------------------------------------------------------------------------
 # Nielsen paths.
-
-
-def _path_is_nielsen(f: GraphMap, darts: tuple[Dart, ...]) -> bool:
-    return map_path(f, EdgePath(darts)) == EdgePath(darts)
-
-
-def is_indivisible(f: GraphMap, p: EdgePath) -> bool:
-    """Whether the Nielsen path p (it must be one) has no split at an
-    intermediate fixed vertex into two Nielsen subpaths.
-
-    By the cancellation lemma (see the module docstring) the part after a
-    Nielsen prefix of a Nielsen path is Nielsen too, so only the prefixes are
-    mapped."""
-    fixed = set(fixed_vertices(f))
-    return not any(f.graph.terminus(p.darts[j - 1]) in fixed
-                   and _path_is_nielsen(f, p.darts[:j])
-                   for j in range(1, len(p.darts)))
 
 
 def _canonical(p: EdgePath) -> tuple:
@@ -553,10 +547,12 @@ def _ray(f: GraphMap, d: Dart, info: StratumInfo, metric_cap: float,
 
 def _nielsen_tails(f: GraphMap, ray: Sequence[Dart]) -> list[tuple[str, tuple[int, ...]]]:
     """The key (v, tau) of each nonempty prefix A of a ray from a fixed
-    vertex, shortest first: v is the terminus of A and tau its Nielsen tail,
-    the tight path [A^-1 . f(A)] from v to f(v), in dart codes (_dart_codes).
-    Two prefixes have equal keys iff A.B^-1 is a Nielsen path (the tail
-    lemma in the module docstring).
+    vertex, shortest first, up to just before the first Nielsen prefix: v is
+    the terminus of A and tau its Nielsen tail, the tight path [A^-1 . f(A)]
+    from v to f(v), in dart codes (_dart_codes).  Two prefixes have equal
+    keys iff A.B^-1 is a Nielsen path (the tail lemma in the module
+    docstring).  An empty tail marks a Nielsen prefix and ends the ray: every
+    longer prefix is divisible at it.
 
     tau is grown one dart e at a time, tau <- [e^-1 . tau . f(e)], cancelling
     at both ends of a deque; the empty prefix has the empty tail, its vertex
@@ -576,6 +572,8 @@ def _nielsen_tails(f: GraphMap, ray: Sequence[Dart]) -> list[tuple[str, tuple[in
                 tau.pop()
             else:
                 tau.append(x)
+        if not tau:
+            break
         keys.append((g.terminus(e), tuple(tau)))
     return keys
 
@@ -594,8 +592,9 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
     and meeting at an illegal turn; when the metric bound is exhausted, `none`
     is certified.  The pairs are matched by a hash join on the prefixes' keys
     (_nielsen_tails): A.B^-1 is Nielsen exactly when A and B have the same
-    terminus v and the same tail [A^-1 . f(A)], so no candidate is mapped, and
-    only the indivisibility test maps its prefixes.  Candidates collapse only
+    terminus v and the same tail [A^-1 . f(A)], so no candidate is mapped.  An
+    empty tail marks a Nielsen prefix and ends the ray, and then every pair
+    joined is indivisible (module docstring).  Candidates collapse only
     up to reversal: two paths joining the same lower classes may still differ
     in rank (one merges, one closes a loop).
     """
@@ -663,8 +662,8 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
         # part of the search region uncovered.
         exhausted = exhausted and lens[-1] > metric_cap
         # Prefix lengths only grow, so the prefixes within the cap come first.
-        rays[d] = ray[:bisect_right(lens, metric_cap)]
-        keys[d] = _nielsen_tails(f, rays[d])
+        keys[d] = _nielsen_tails(f, ray[:bisect_right(lens, metric_cap)])
+        rays[d] = ray[:len(keys[d])]
         at_key[d] = {}
         for n, key in enumerate(keys[d], start=1):
             at_key[d].setdefault(key, []).append(n)
@@ -674,14 +673,12 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
         for d2 in seeds[ia + 1:]:
             r1, r2 = rays[d1], rays[d2]
             # Prefix pairs in the order n1, then n2, ascending; each pair
-            # found here is a Nielsen path.
+            # found here is an indivisible Nielsen path.
             for n1, key in enumerate(keys[d1], start=1):
                 for n2 in at_key[d2].get(key, ()):
                     e1, e2 = r1[n1 - 1], r2[n2 - 1]
                     if e1 == e2 or not turn_degenerates_in_one_step(f, e1.rev, e2.rev):
                         continue
-                    p = EdgePath(r1[:n1] + tuple(d.rev for d in reversed(r2[:n2])))
-                    if is_indivisible(f, p):
-                        cands.append(p)
+                    cands.append(EdgePath(r1[:n1] + tuple(d.rev for d in reversed(r2[:n2]))))
     record(cands, "certified-none" if exhausted else "none-within-bound")
     return info

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import endo_to_json, graph_map_to_json
+from nielsenkit import boundary, invariants
 from nielsenkit.cli import main
 from nielsenkit.io import (
     corpus_files,
@@ -220,6 +221,33 @@ class TestCommands:
                      str(corpus_dir / "ex6_1_n2.json")])
         out = capsys.readouterr().out
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("module, name", [(boundary, "STALL_BLOCKS"),
+                                              (invariants, "SEED_IMAGES")],
+                             ids=["STALL_BLOCKS", "SEED_IMAGES"])
+    def test_attracting_degenerate_ray_exits_2(self, corpus_dir, capsys, monkeypatch,
+                                               module, name):
+        # With no block allowed to stall, prefix certifies no letter; with no
+        # image to try, the seed search finds no seed.  Either is a structure
+        # error, not a traceback.
+        monkeypatch.setattr(module, name, 0)
+        code = main(["attracting", str(corpus_dir / "ex6_2.json")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("structure error: attracting ray of class")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "/nonexistent"],
+        ["verify", "--suite", "{file}"],
+        ["verify"],
+        ["verify", "--props", "--count", "-1"],
+    ], ids=["missing-suite", "file-as-suite", "nothing", "negative-count"])
+    def test_verify_bad_arguments_exit_2(self, corpus_dir, capsys, argv):
+        argv = [a.format(file=corpus_dir / "ex6_2.json") for a in argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("input error:")
 
     def test_verify_suite_passes(self, corpus_dir, capsys):
         code, data = run(capsys, "verify", "--suite", str(corpus_dir))

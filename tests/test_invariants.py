@@ -20,12 +20,13 @@ from nielsenkit.invariants import (
     local_index,
     word_attracting_candidates,
 )
-from nielsenkit.graphs import subdivided_fixed_map
+from nielsenkit.graphs import marking, ray_images, subdivided_fixed_map
 from nielsenkit.io import rose_map
 from nielsenkit.sampling import random_injective_endos
 from nielsenkit.words import (
     Endomorphism,
     IDENTITY,
+    Word,
     default_basis,
     fold_words,
     word,
@@ -198,6 +199,26 @@ class TestIndices:
             assert sum(c.index for c in rep.classes) == rep.lefschetz
 
 
+class ProjectedRay:
+    """Reference: the graph ray [f^k(d)] of a fixed direction d, read in the
+    marking at d's origin one new stretch of darts at a time.  A tight path
+    spells a reduced word, so each stretch extends the letters so far."""
+
+    def __init__(self, f, start):
+        self.marking = marking(f.graph, f.graph.origin(start))
+        self.endo = self.marking.endo(f)
+        self._images = ray_images(f, start)
+        self._letters = []
+        self._emitted = 0
+
+    def prefix(self, m):
+        while len(self._letters) < m:
+            darts = next(self._images)
+            self._letters.extend(self.marking.word(darts[self._emitted:]).letters)
+            self._emitted = len(darts)
+        return Word(tuple(self._letters[:m]))
+
+
 class TestAttractingReps:
     def test_doubling_rays(self):
         rep = analyze_endomorphism(endo(2, "aa", "bb"))
@@ -222,6 +243,31 @@ class TestAttractingReps:
             graph = fold_words(phi.rank, fixed_subgroup_basis(phi, 6))
             assert attraction_check(ray, phi).status == "attracting"
             assert graph.read(ray.prefix(24)) is None
+
+    @pytest.mark.parametrize("rank, max_len, seed, count", [
+        (2, 4, 1, 400), (2, 4, 2, 400), (2, 8, 1, 100), (3, 3, 1, 100), (3, 4, 1, 50)])
+    def test_rays_match_the_projected_graph_rays(self, rank, max_len, seed, count):
+        # Each ray attracting_rays returns spells the graph ray [f^k(d)] of
+        # its seed in the marking at d's origin, and gets the attraction
+        # verdict that graph ray gets.
+        gen = random_injective_endos(rank, max_len, seed)
+        compared = multi_vertex = 0
+        for _ in range(count):
+            rep = analyze(rose_map(next(gen)))
+            for c in rep.classes:
+                if c.attract is None:
+                    continue
+                rays = attracting_rays(rep.map, c)
+                assert len(rays) == len(c.ray_seeds)
+                for (_, d), ray in zip(c.ray_seeds, rays):
+                    ref = ProjectedRay(rep.map, d)
+                    assert ray.endo == ref.endo
+                    assert ray.prefix(64) == ref.prefix(64), (rep.map.edge_map, d)
+                    assert (attraction_check(ray, ray.endo).status
+                            == attraction_check(ref, ref.endo).status), (rep.map.edge_map, d)
+                    compared += 1
+                    multi_vertex += len(rep.map.graph.vertices) > 1
+        assert multi_vertex > 0 and compared > multi_vertex, (compared, multi_vertex)
 
     def test_merged_pair_counts_once(self):
         rep = analyze_endomorphism(endo(2, "A", "Abb"))

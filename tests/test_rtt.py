@@ -15,7 +15,6 @@ from nielsenkit.rtt import (
     classify_stratum,
     derive_filtration,
     filtration_from_lists,
-    is_indivisible,
     nielsen_partition_oracle,
     nielsen_paths_brute,
     pf_metric,
@@ -499,6 +498,21 @@ def reference_type3_pairs(f, info, max_len):
     return pairs, nielsen, exhausted
 
 
+def path_is_nielsen(f, darts):
+    return map_path(f, EdgePath(darts)) == EdgePath(darts)
+
+
+def is_indivisible(f, p):
+    """Whether the Nielsen path p (it must be one) has no split at an
+    intermediate fixed vertex into two Nielsen subpaths.  By the cancellation
+    lemma the part after a Nielsen prefix of a Nielsen path is Nielsen too,
+    so only the prefixes are mapped."""
+    fixed = set(fixed_vertices(f))
+    return not any(f.graph.terminus(p.darts[j - 1]) in fixed
+                   and path_is_nielsen(f, p.darts[:j])
+                   for j in range(1, len(p.darts)))
+
+
 def reference_type3(f, nielsen, exhausted):
     """(inp_status, inp, inp_multi) that find_inp should give a type-3
     stratum with illegal turns, from reference_type3_pairs."""
@@ -523,9 +537,10 @@ def type3_strata(f):
 
 
 def assert_type3_exact(f, max_len=8):
-    """find_inp agrees with reference_type3 on every type-3 stratum of f, and
-    each key _nielsen_tails gives is (terminus, tight [A^-1 . f(A)]).  Returns
-    the number of strata with a crossing path and of prefix pairs matched."""
+    """find_inp agrees with reference_type3 on every type-3 stratum of f,
+    each key _nielsen_tails gives is (terminus, tight [A^-1 . f(A)]), and the
+    keys stop just before the first Nielsen prefix.  Returns the number of
+    strata with a crossing path and of prefix pairs matched."""
     g, filt, infos = type3_strata(f)
     darts = g.graph.darts()
     with_path = matched = 0
@@ -541,7 +556,8 @@ def assert_type3_exact(f, max_len=8):
             for ray in graphs.ray_images(g, d):
                 if len(ray) > 16:
                     break
-            for n, (v, tau) in enumerate(rtt._nielsen_tails(g, ray), start=1):
+            keys = rtt._nielsen_tails(g, ray)
+            for n, (v, tau) in enumerate(keys, start=1):
                 fa = map_path(g, EdgePath(ray[:n])).darts  # A^-1 cancels against it
                 k = 0
                 while k < min(n, len(fa)) and fa[k] == ray[k]:
@@ -549,6 +565,8 @@ def assert_type3_exact(f, max_len=8):
                 tight = tuple(d.rev for d in reversed(ray[k:n])) + fa[k:]
                 assert v == g.graph.terminus(ray[n - 1])
                 assert tuple(darts[c] for c in tau) == tight, (n, ray, f.edge_map)
+                assert tau, (n, ray, f.edge_map)
+            assert len(keys) == len(ray) or path_is_nielsen(g, ray[:len(keys) + 1])
     return with_path, matched
 
 
@@ -564,6 +582,15 @@ SECOND_PATH_MAPS = [
 class TestCrossingPathExact:
     """Matching prefixes by their Nielsen tails finds exactly the crossing
     paths that mapping every prefix pair finds."""
+
+    def test_tails_stop_before_the_first_nielsen_prefix(self):
+        # b a b- is a Nielsen path of a -> a, b -> b a: its tail is empty, so
+        # the keys end with those of b and b a, whose tails are both a.
+        _, code, _ = rtt._dart_codes(derived)
+        ray = path("b", "a", "b-", "b").darts
+        a = code[parse_dart("a")]
+        assert rtt._nielsen_tails(derived, ray) == [("*", (a,)), ("*", (a,))]
+        assert verify_nielsen_path(derived, EdgePath(ray[:3]))
 
     @pytest.mark.parametrize("images", SECOND_PATH_MAPS)
     def test_second_crossing_path_maps(self, images):
@@ -644,22 +671,13 @@ class TestSearchWork:
             assert metric(ray[-1]) > metric_cap
         assert sum(len(c) for ray in images.values() for c in ray) == 120
 
-    def test_type3_maps_only_indivisibility_prefixes(self, monkeypatch):
-        # Candidates are matched by their tails, not mapped: the only paths
-        # mapped are the prefixes that is_indivisible tests, of the matched
-        # candidates, in order, up to the first Nielsen one.
+    def test_type3_maps_no_path(self, monkeypatch):
+        # Candidates are matched by their tails and are indivisible by the
+        # cut at the first Nielsen prefix, so the type-3 branch maps no path.
         f = rose(SECOND_PATH_MAPS[0])
         g, filt, infos = type3_strata(f)
         (info,) = infos
         pairs, nielsen, _ = reference_type3_pairs(g, info, 8)
-        fixed = set(fixed_vertices(g))
-        want = []
-        for p in nielsen:
-            for j in range(1, len(p.darts)):
-                if g.graph.terminus(p.darts[j - 1]) in fixed:
-                    want.append(EdgePath(p.darts[:j]))
-                    if map_path(g, want[-1]) == want[-1]:
-                        break
         mapped = []
         real_map_path = graphs.map_path
 
@@ -671,8 +689,8 @@ class TestSearchWork:
         monkeypatch.setattr(graphs, "map_path", counted_map_path)
         rtt.find_inp(g, filt, info, 8, [frozenset({v}) for v in fixed_vertices(g)])
         assert info.inp_status == "multiple"
-        assert mapped == want, [str(p) for p in mapped]
-        assert len(nielsen) >= 2 and len(pairs) > 4 * len(mapped), (len(pairs), len(mapped))
+        assert mapped == [], [str(p) for p in mapped]
+        assert len(nielsen) >= 2 and len(pairs) > 4, (len(pairs), len(nielsen))
 
 
 class TestSecondCrossingPath:
