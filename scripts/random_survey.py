@@ -3,7 +3,7 @@
 
 Samples seeded random injective rose endomorphisms, runs the full pipeline on
 each, and tallies the theorem checks plus the conjectured equality on every
-verified class.  The seed defaults to NIELSENKIT_SEED.
+verified class.  The seed defaults to sampling.DEFAULT_SEED.
 
 Usage:
     python scripts/random_survey.py [--count N] [--rank R] [--max-image-len M]
@@ -17,7 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from nielsenkit.sampling import run_survey, seed_from_env
+from nielsenkit.sampling import DEFAULT_SEED, run_survey
 
 
 def main() -> int:
@@ -25,16 +25,15 @@ def main() -> int:
     ap.add_argument("--count", type=int, default=500)
     ap.add_argument("--rank", type=int, default=2)
     ap.add_argument("--max-image-len", type=int, default=4)
-    ap.add_argument("--seed", type=int, default=None)
+    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = ap.parse_args()
 
-    seed = seed_from_env(args.seed)
     t0 = time.time()
     stats = run_survey(args.count, rank=args.rank,
-                       max_image_len=args.max_image_len, seed=seed)
+                       max_image_len=args.max_image_len, seed=args.seed)
     dt = time.time() - t0
 
-    print(f"seed {seed}: {stats.requested} injective endomorphisms of rank "
+    print(f"seed {args.seed}: {stats.requested} injective endomorphisms of rank "
           f"{args.rank}, image length <= {args.max_image_len}  ({dt:.1f}s)")
     print(f"  analyzed:            {stats.analyzed}")
     print(f"  failed classification: {stats.skipped_unclassified} "

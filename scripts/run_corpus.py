@@ -26,8 +26,8 @@ def main() -> int:
     print(f"{'file':22} {'L':>3} {'chi':>4}  classes (members: ind, rk, a, ichr)")
     failures = 0
     for path in sorted(target.glob("*.json")):
-        f, filtration, _ = load_instance(path)
-        rep = analyze(f, filtration=filtration)
+        f, _ = load_instance(path)
+        rep = analyze(f)
         cells = []
         for c in rep.classes:
             rk = c.rank if c.rank is not None else "?"

@@ -2,11 +2,10 @@
 graph selfmaps and injective free-group endomorphisms."""
 
 from .boundary import MorphicRay, attraction_check
-from .invariants import AnalysisConfig, Report, analyze, analyze_endomorphism
+from .invariants import Report, analyze, analyze_endomorphism
 from .words import Basis, Endomorphism, Word, default_basis, word
 
 __all__ = [
-    "AnalysisConfig",
     "Basis",
     "Endomorphism",
     "MorphicRay",

@@ -14,7 +14,7 @@ from pathlib import Path
 from .boundary import DegenerateRay, attraction_check
 from .graphs import any_route_endo
 from .invariants import (
-    AnalysisConfig,
+    DEPTH,
     AnalysisError,
     analyze,
     analyze_route,
@@ -29,7 +29,7 @@ from .io import (
     report_to_json,
 )
 from .rtt import StructureViolation
-from .sampling import run_survey, seed_from_env
+from .sampling import DEFAULT_SEED, run_survey
 from .words import UnknownGenerator
 
 PASS, FAIL, ERROR = 0, 1, 2
@@ -43,13 +43,10 @@ def _emit(data: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _config(args) -> AnalysisConfig:
-    cfg = AnalysisConfig()
-    if getattr(args, "depth", None) is not None:
-        if args.depth < 0:
-            raise InputError("depth must be nonnegative")
-        cfg.depth = args.depth
-    return cfg
+def _depth(args) -> int:
+    if args.depth < 0:
+        raise InputError("depth must be nonnegative")
+    return args.depth
 
 
 def _verdict_exit(verdicts: dict[str, str]) -> int:
@@ -57,22 +54,21 @@ def _verdict_exit(verdicts: dict[str, str]) -> int:
 
 
 def cmd_validate(args) -> int:
-    f, filtration, _ = load_instance(args.input)
+    f, _ = load_instance(args.input)
     phi = any_route_endo(f)
     data = {
         "valid": True,
         "connected": f.graph.is_connected(),
         "euler_characteristic": f.graph.euler_characteristic(),
         "pi1_injective": phi.is_injective(),
-        "filtration_supplied": filtration is not None,
     }
     _emit(data, args.out)
     return PASS if data["pi1_injective"] else ERROR
 
 
 def cmd_classify(args) -> int:
-    f, filtration, _ = load_instance(args.input)
-    report = analyze(f, _config(args), filtration)
+    f, _ = load_instance(args.input)
+    report = analyze(f, _depth(args))
     data = report_to_json(report)
     data = {k: data[k] for k in
             ("strata", "filtration", "subdivided_at", "classification_complete")}
@@ -81,17 +77,17 @@ def cmd_classify(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    f, filtration, _ = load_instance(args.input)
-    report = analyze(f, _config(args), filtration)
+    f, _ = load_instance(args.input)
+    report = analyze(f, _depth(args))
     _emit(report_to_json(report), args.out)
     return _verdict_exit(report.verdicts)
 
 
 def cmd_attracting(args) -> int:
-    f, filtration, _ = load_instance(args.input)
+    f, _ = load_instance(args.input)
     if args.prefix_len < 0:
         raise InputError("prefix length must be nonnegative")
-    report = analyze(f, _config(args), filtration)
+    report = analyze(f, _depth(args))
     classes = []
     for c in report.classes:
         rays = []
@@ -117,7 +113,7 @@ def cmd_attracting(args) -> int:
 
 
 def cmd_route(args) -> int:
-    f, _, base = load_instance(args.input)
+    f, base = load_instance(args.input)
     base = base or f.graph.vertices[0]
     if f.vertex_map[base] != base:
         raise InputError("route analysis needs a fixed base vertex")
@@ -128,9 +124,7 @@ def cmd_route(args) -> int:
         w = phi.basis.parse(args.word)
     except UnknownGenerator as exc:
         raise InputError(str(exc)) from exc
-    if args.depth < 0:
-        raise InputError("depth must be nonnegative")
-    rep = analyze_route(phi, w, args.depth)
+    rep = analyze_route(phi, w, _depth(args))
     ichr = rep.improved_char
     # An empty class has 0 <= 1 - rk - a <= 1.  No constant-route witness to
     # depth does not make the class empty (a -> Ab, b -> bbA, route A is the
@@ -161,7 +155,7 @@ def cmd_route(args) -> int:
 
 
 def cmd_lefschetz(args) -> int:
-    f, _, _ = load_instance(args.input)
+    f, _ = load_instance(args.input)
     lef, tr = lefschetz_number(f)
     _emit({"lefschetz": lef, "trace": tr,
            "chi": f.graph.euler_characteristic()}, args.out)
@@ -169,12 +163,13 @@ def cmd_lefschetz(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    depth = _depth(args)
+    paths = [Path(args.input)] if args.input else []
     if args.suite:
-        paths = sorted(Path(args.suite).glob("*.json"))
-        if not paths:
+        suite = sorted(Path(args.suite).glob("*.json"))
+        if not suite:
             raise InputError(f"{args.suite}: not a directory of instance files")
-    else:
-        paths = [Path(args.input)] if args.input else []
+        paths.extend(suite)
     if not paths and not args.props:
         raise InputError("nothing to verify: give an input file, --suite or --props")
     if args.props and args.count < 0:
@@ -184,16 +179,18 @@ def cmd_verify(args) -> int:
 
     def one(path: Path) -> None:
         nonlocal worst
+        # The input may share its name with a suite file; keep both results.
+        key = str(path) if path.name in results else path.name
         try:
-            f, filtration, _ = load_instance(path)
-            report = analyze(f, _config(args), filtration)
-            results[path.name] = {
+            f, _ = load_instance(path)
+            report = analyze(f, depth)
+            results[key] = {
                 "verdicts": dict(sorted(report.verdicts.items())),
                 "classes": len(report.classes),
             }
             worst = max(worst, _verdict_exit(report.verdicts))
         except (InputError, AnalysisError, StructureViolation) as exc:
-            results[path.name] = {"error": str(exc)}
+            results[key] = {"error": str(exc)}
             worst = ERROR
 
     for path in paths:
@@ -201,7 +198,7 @@ def cmd_verify(args) -> int:
 
     data: dict = {"results": results}
     if args.props:
-        stats = run_survey(args.count, seed=seed_from_env(args.seed))
+        stats = run_survey(args.count, seed=args.seed, depth=depth)
         data["properties"] = {
             "requested": stats.requested,
             "analyzed": stats.analyzed,
@@ -241,21 +238,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("classify", cmd_classify, help="filtration and stratum classification")
     p.add_argument("input")
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=int, default=DEPTH)
 
     p = add("invariants", cmd_invariants, help="full fixed-point-class report")
     p.add_argument("input")
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=int, default=DEPTH)
 
     p = add("attracting", cmd_attracting, help="attracting boundary words per class")
     p.add_argument("input")
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=int, default=DEPTH)
     p.add_argument("--prefix-len", type=int, default=24)
 
     p = add("route", cmd_route, help="bounded analysis of one route word")
     p.add_argument("input")
     p.add_argument("--word", required=True)
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=int, default=DEPTH)
 
     p = add("lefschetz", cmd_lefschetz, help="Lefschetz number and homology trace")
     p.add_argument("input")
@@ -266,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--props", action="store_true",
                    help="also run the randomized property survey")
     p.add_argument("--count", type=int, default=500)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--depth", type=int, default=DEPTH)
 
     p = add("emit-corpus", cmd_emit_corpus, help="write the instance corpus")
     p.add_argument("target")

@@ -37,7 +37,6 @@ from .rtt import (
     StructureViolation,
     classify_stratum,
     derive_filtration,
-    filtration_from_lists,
     find_inp,
     nielsen_partition_oracle,
 )
@@ -56,9 +55,8 @@ class AnalysisError(RuntimeError):
     """Input rejected or an internal cross-check failed."""
 
 
-@dataclass
-class AnalysisConfig:
-    depth: int = 8              # oracle path length and crossing-path search cap
+# Default path-length cap of the partition oracle and the crossing-path search.
+DEPTH = 8
 
 
 @dataclass
@@ -117,12 +115,6 @@ class Report:
     verdict_details: dict[str, str] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
     map: Optional[GraphMap] = None
-
-    def class_of(self, vertex: str) -> Optional[ClassData]:
-        for c in self.classes:
-            if vertex in c.members:
-                return c
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +397,12 @@ def _identity_report(f: GraphMap) -> Report:
     return report
 
 
-def analyze(f: GraphMap, config: Optional[AnalysisConfig] = None,
-            filtration: Optional[Sequence[Sequence[str]]] = None) -> Report:
-    """Full invariant computation for a pi1-injective graph selfmap."""
+def analyze(f: GraphMap, depth: int = DEPTH) -> Report:
+    """Full invariant computation for a pi1-injective graph selfmap; depth caps
+    the crossing-path search and the partition oracle."""
     # Local: perfbench/spans.py hooks any_route_endo on graphs only.
     from .graphs import any_route_endo
 
-    config = config or AnalysisConfig()
     f.validate()
     if not f.graph.is_connected():
         raise AnalysisError("graph must be connected")
@@ -424,26 +415,7 @@ def analyze(f: GraphMap, config: Optional[AnalysisConfig] = None,
         return _identity_report(f)
 
     g, points = subdivided_fixed_map(f)
-    if filtration is not None:
-        # A user filtration names the original edges; translate each through
-        # the subdivision into its chain of sub-edges.
-        cuts: dict[str, int] = {}
-        for e, _ in points:
-            cuts[e] = cuts.get(e, 0) + 1
-        def subnames(e: str) -> list[str]:
-            if e not in f.graph.edge_ends:
-                raise AnalysisError(f"filtration names unknown edge {e!r}")
-            if e not in cuts:
-                return [e]
-            return [f"{e}:{i}" for i in range(1, cuts[e] + 2)]
-        translated = [[s for e in stratum for s in subnames(e)]
-                      for stratum in filtration]
-        try:
-            filt = filtration_from_lists(g, translated)
-        except ValueError as exc:
-            raise AnalysisError(f"supplied filtration is invalid: {exc}") from exc
-    else:
-        filt = derive_filtration(g)
+    filt = derive_filtration(g)
 
     fixed = sorted(fixed_vertices(g))
     classes = [_ClassState(members={v}, trace=["base-point"]) for v in fixed]
@@ -457,7 +429,7 @@ def analyze(f: GraphMap, config: Optional[AnalysisConfig] = None,
             infos.extend(classify_stratum(g, filt, j)
                          for j in range(i + 1, filt.depth))
             break
-        find_inp(g, filt, info, config.depth,
+        find_inp(g, filt, info, depth,
                  lower_classes=[frozenset(c.members) for c in classes])
         _fold_stratum(g, classes, info)
         infos.append(info)
@@ -465,7 +437,7 @@ def analyze(f: GraphMap, config: Optional[AnalysisConfig] = None,
     if not complete:
         # The recursion broke down; fall back to the brute-force partition and
         # local indices, with ranks and attracting counts left unverified.
-        parts = nielsen_partition_oracle(g, config.depth)
+        parts = nielsen_partition_oracle(g, depth)
         classes = [_ClassState(members=set(p), verified=False,
                                trace=["oracle-partition"]) for p in parts]
         for c in classes:
@@ -498,7 +470,7 @@ def analyze(f: GraphMap, config: Optional[AnalysisConfig] = None,
     # Cross-check 2: the partition must agree with bounded brute force (an
     # incomplete classification took its partition from the oracle above).
     if complete and len(fixed) > 1:
-        oracle = nielsen_partition_oracle(g, config.depth)
+        oracle = nielsen_partition_oracle(g, depth)
         ours = sorted((frozenset(c.members) for c in out_classes), key=sorted)
         if ours != oracle:
             raise AnalysisError(
@@ -541,12 +513,11 @@ def analyze(f: GraphMap, config: Optional[AnalysisConfig] = None,
     return report
 
 
-def analyze_endomorphism(phi: Endomorphism, config: Optional[AnalysisConfig] = None,
-                         ) -> Report:
+def analyze_endomorphism(phi: Endomorphism, depth: int = DEPTH) -> Report:
     """Realize the endomorphism on a rose and analyze the resulting selfmap."""
     from .io import rose_map  # io imports this module
 
-    return analyze(rose_map(phi), config)
+    return analyze(rose_map(phi), depth)
 
 
 # ---------------------------------------------------------------------------

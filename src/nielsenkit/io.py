@@ -6,7 +6,8 @@ Graph-map files:
      "edges": [{"name": "a", "from": "v", "to": "v"}, ...],
      "vertex_map": {"v": "v"},
      "edge_map": {"a": ["a", "a"], "b": ["a-", "b", "b"], "c": {"at": "v"}}}
-with an optional "filtration": [["a"], ["b"]] override and optional "base".
+with an optional "base" vertex.  The filtration is always derived from the
+map, so a file in either schema that carries a "filtration" key is rejected.
 
 Endomorphism files:
     {"rank": 2, "letters": ["a", "b"], "images": {"a": "B", "b": "aB"}}
@@ -77,7 +78,7 @@ def rose_map(phi: Endomorphism, vertex: str = "*") -> GraphMap:
 # Graph maps.
 
 
-def graph_map_from_json(data: dict) -> tuple[GraphMap, Optional[list[list[str]]], Optional[str]]:
+def graph_map_from_json(data: dict) -> tuple[GraphMap, Optional[str]]:
     try:
         vertices = tuple(data["vertices"])
         ends = {}
@@ -113,24 +114,22 @@ def graph_map_from_json(data: dict) -> tuple[GraphMap, Optional[list[list[str]]]
         raise InputError("graph is not connected")
     if graph.euler_characteristic() == 1:
         raise InputError("graph is a tree; its fundamental group is trivial")
-    filtration, base = data.get("filtration"), data.get("base")
-    if filtration is not None and not (
-            isinstance(filtration, list)
-            and all(isinstance(s, list) and all(isinstance(e, str) for e in s)
-                    for s in filtration)):
-        raise InputError("filtration must be a list of lists of edge names")
+    base = data.get("base")
     if base is not None and base not in vertices:
         raise InputError(f"base {base!r} is not a vertex")
-    return f, filtration, base
+    return f, base
 
 
-def load_instance(path: str | Path) -> tuple[GraphMap, Optional[list[list[str]]], Optional[str]]:
+def load_instance(path: str | Path) -> tuple[GraphMap, Optional[str]]:
     """Load either schema; endomorphisms are realized on a rose."""
     data = load_json(path)
     if not isinstance(data, dict):
         raise InputError(f"{path}: top level must be a JSON object")
+    if "filtration" in data:
+        raise InputError(f"{path}: the 'filtration' key is not read; the "
+                         "filtration is derived from the map")
     if "images" in data:
-        return rose_map(endo_from_json(data)), None, None
+        return rose_map(endo_from_json(data)), None
     if "edge_map" in data:
         return graph_map_from_json(data)
     raise InputError(f"{path}: neither an endomorphism nor a graph-map file")

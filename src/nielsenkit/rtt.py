@@ -139,12 +139,6 @@ def verify_filtration(f: GraphMap, filt: Filtration) -> None:
         raise ValueError("filtration does not partition the edge set")
 
 
-def filtration_from_lists(f: GraphMap, strata: Sequence[Sequence[str]]) -> Filtration:
-    filt = Filtration([tuple(s) for s in strata])
-    verify_filtration(f, filt)
-    return filt
-
-
 # ---------------------------------------------------------------------------
 # Perron-Frobenius data.
 

@@ -1,27 +1,19 @@
 """Seeded random endomorphisms for the property surveys.
 
-The seed comes from the NIELSENKIT_SEED environment variable when not given
-explicitly, so survey runs are reproducible by default.
+The seed defaults to DEFAULT_SEED, so survey runs are reproducible by default.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .invariants import AnalysisConfig, analyze_endomorphism
+from .invariants import DEPTH, analyze_endomorphism
 from .rtt import StructureViolation
 from .words import Endomorphism, Word, default_basis
 
 DEFAULT_SEED = 20240917
-
-
-def seed_from_env(explicit: Optional[int] = None) -> int:
-    if explicit is not None:
-        return explicit
-    return int(os.environ.get("NIELSENKIT_SEED", DEFAULT_SEED))
 
 
 def random_reduced_word(rng: random.Random, rank: int, max_len: int) -> Word:
@@ -38,7 +30,7 @@ def random_reduced_word(rng: random.Random, rank: int, max_len: int) -> Word:
 def random_injective_endos(rank: int, max_image_len: int,
                            seed: Optional[int] = None) -> Iterator[Endomorphism]:
     """Endless stream of injective endomorphisms with reduced random images."""
-    rng = random.Random(seed_from_env(seed))
+    rng = random.Random(DEFAULT_SEED if seed is None else seed)
     basis = default_basis(rank)
     while True:
         phi = Endomorphism(
@@ -70,8 +62,7 @@ class SurveyStats:
 
 
 def run_survey(count: int, rank: int = 2, max_image_len: int = 4,
-               seed: Optional[int] = None,
-               config: Optional[AnalysisConfig] = None) -> SurveyStats:
+               seed: Optional[int] = None, depth: int = DEPTH) -> SurveyStats:
     """Analyze `count` random injective endomorphisms; on every instance
     whose classification completes, each failed verdict is a violation."""
     stats = SurveyStats(requested=count)
@@ -79,7 +70,7 @@ def run_survey(count: int, rank: int = 2, max_image_len: int = 4,
     for _ in range(count):
         phi = next(gen)
         try:
-            rep = analyze_endomorphism(phi, config)
+            rep = analyze_endomorphism(phi, depth)
         except StructureViolation:
             stats.skipped_unclassified += 1
             continue

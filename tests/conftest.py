@@ -1,6 +1,9 @@
+from typing import Optional
+
 import pytest
 
 from nielsenkit.graphs import EdgePath, Graph, GraphMap, parse_dart, trivial_path
+from nielsenkit.invariants import ClassData, Report
 from nielsenkit.words import Basis, BasisMismatch, Endomorphism, Word, default_basis
 
 
@@ -16,6 +19,11 @@ def rose(images: dict[str, list[str]]) -> GraphMap:
     f = GraphMap(g, {"*": "*"}, emap)
     f.validate()
     return f
+
+
+def class_of(report: Report, vertex: str) -> Optional[ClassData]:
+    """The class of `report` that has `vertex` as a member, if any."""
+    return next((c for c in report.classes if vertex in c.members), None)
 
 
 def endo(rank: int, *images: str) -> Endomorphism:

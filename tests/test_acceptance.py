@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from conftest import class_of
 from nielsenkit.invariants import (
     AnalysisError,
     analyze,
@@ -32,8 +33,8 @@ SEED = 20240917
 
 
 def report_of(corpus_dir, name):
-    f, filtration, _ = load_instance(corpus_dir / name)
-    return analyze(f, filtration=filtration)
+    f, _ = load_instance(corpus_dir / name)
+    return analyze(f)
 
 
 def ok(n, msg):
@@ -82,7 +83,7 @@ class TestAcceptance:
 
     def test_criterion_04_conjugating_rose(self, corpus_dir):
         rep = report_of(corpus_dir, "ex6_2.json")
-        star = rep.class_of("*")
+        star = class_of(rep, "*")
         assert (star.index, star.rank, star.attract, star.improved_char) == (-1, 1, 1, -1)
         rays = attracting_rays(rep.map, star)
         assert len(rays) == 1
@@ -97,7 +98,7 @@ class TestAcceptance:
         assert [c.members for c in rep.classes] == [("*",)]
         assert rep.classes[0].index == 1
         assert rep.lefschetz == 1 == sum(c.index for c in rep.classes)
-        f, _, _ = load_instance(corpus_dir / "ex6_3.json")
+        f, _ = load_instance(corpus_dir / "ex6_3.json")
         from nielsenkit.graphs import any_route_endo
 
         phi = any_route_endo(f, "*")
@@ -118,7 +119,7 @@ class TestAcceptance:
         assert sorted(c.index for c in rep.classes) == [0, 0]
         assert len(rep.classes) == 2
         assert rep.lefschetz == 0
-        star = rep.class_of("*")
+        star = class_of(rep, "*")
         assert (star.rank, star.attract) == (0, 1)
         rays = attracting_rays(rep.map, star)
         assert len(rays) == 1

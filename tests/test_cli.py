@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import endo_to_json, graph_map_to_json
-from nielsenkit import boundary, invariants
+from nielsenkit import boundary, cli, invariants
 from nielsenkit.cli import main
 from nielsenkit.io import (
     corpus_files,
@@ -103,8 +103,8 @@ class TestSchemas:
 
     def test_graph_map_round_trip(self):
         data = corpus_files()["ex6_4.json"]
-        f, _, _ = graph_map_from_json(data)
-        again, _, _ = graph_map_from_json(graph_map_to_json(f))
+        f, _ = graph_map_from_json(data)
+        again, _ = graph_map_from_json(graph_map_to_json(f))
         assert again.edge_map == f.edge_map and again.vertex_map == f.vertex_map
 
     def test_trivial_image_forms(self):
@@ -115,10 +115,10 @@ class TestSchemas:
             "vertex_map": {"v": "v"},
             "edge_map": {"a": ["a"], "b": {"at": "v"}},
         }
-        f, _, _ = graph_map_from_json(data)
+        f, _ = graph_map_from_json(data)
         assert f.edge_map["b"].is_trivial
         data["edge_map"]["b"] = []
-        f2, _, _ = graph_map_from_json(data)
+        f2, _ = graph_map_from_json(data)
         assert f2.edge_map["b"].is_trivial
 
     def test_bad_json_rejected(self, tmp_path):
@@ -241,13 +241,41 @@ class TestCommands:
         ["verify", "--suite", "{file}"],
         ["verify"],
         ["verify", "--props", "--count", "-1"],
-    ], ids=["missing-suite", "file-as-suite", "nothing", "negative-count"])
+        ["verify", "--props", "--count", "3", "--depth", "-1"],
+        ["verify", "--suite", "{dir}", "--depth", "-1"],
+    ], ids=["missing-suite", "file-as-suite", "nothing", "negative-count",
+            "props-negative-depth", "suite-negative-depth"])
     def test_verify_bad_arguments_exit_2(self, corpus_dir, capsys, argv):
-        argv = [a.format(file=corpus_dir / "ex6_2.json") for a in argv]
+        argv = [a.format(file=corpus_dir / "ex6_2.json", dir=corpus_dir) for a in argv]
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("input error:")
+
+    @pytest.mark.parametrize("name", ["missing", "same-name"])
+    def test_verify_reads_input_with_suite(self, corpus_dir, tmp_path, capsys, name):
+        # The input is verified before the suite, and a suite file of the
+        # same name does not hide its result.
+        path = "/nonexistent.json"
+        if name == "same-name":
+            path = tmp_path / "ex6_2.json"
+            path.write_text("{")
+        code, data = run(capsys, "verify", str(path), "--suite", str(corpus_dir))
+        assert code == 2
+        assert len(data["results"]) == 24
+        assert sum("error" in r for r in data["results"].values()) == 1
+
+    def test_verify_props_at_depth(self, capsys, monkeypatch):
+        depths = []
+        survey = cli.run_survey
+
+        def recorded(*args, **kwargs):
+            depths.append(kwargs["depth"])
+            return survey(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_survey", recorded)
+        code, _ = run(capsys, "verify", "--props", "--count", "2", "--depth", "3")
+        assert code == 0 and depths == [3]
 
     def test_verify_suite_passes(self, corpus_dir, capsys):
         code, data = run(capsys, "verify", "--suite", str(corpus_dir))
@@ -376,41 +404,26 @@ class TestCommands:
         assert props["violations"] == []
         assert props["analyzed"] + props["skipped"] == 20
 
-    def test_filtration_override(self, tmp_path, capsys):
-        data = corpus_files()["ex6_2.json"]
+    @pytest.mark.parametrize("schema", ["graph-map", "endomorphism"])
+    @pytest.mark.parametrize("command", COMMANDS + ("verify",))
+    def test_filtration_key_rejected(self, tmp_path, capsys, command, schema):
+        # The filtration is always derived from the map, so a file that still
+        # supplies one is an input error in either schema, never ignored.
+        data = (corpus_files()["ex6_2.json"] if schema == "graph-map"
+                else {"rank": 2, "letters": ["a", "b"], "images": {"a": "a", "b": "Aba"}})
         data["filtration"] = [["a1"], ["a2"]]
         p = tmp_path / "with_filtration.json"
         p.write_text(json.dumps(data))
-        code, out = run(capsys, "classify", str(p))
-        assert code == 0
-        assert out["filtration"] == [["a1"], ["a2:1", "a2:2"]] or \
-            out["filtration"] == [["a1"], ["a2"]]
-        bad = dict(corpus_files()["ex6_2.json"])
-        bad["filtration"] = [["a2"], ["a1"]]
-        q = tmp_path / "bad_filtration.json"
-        q.write_text(json.dumps(bad))
-        code = main(["classify", str(q)])
-        capsys.readouterr()
+        code = main(argv_for(command, p))  # no exception may escape
+        captured = capsys.readouterr()
         assert code == 2
+        assert "'filtration'" in captured.err + captured.out
 
     def test_metric_emitted_as_rationals_when_exact(self, corpus_dir, capsys):
         code, data = run(capsys, "classify", str(corpus_dir / "ex6_1_n2.json"))
         assert code == 0
         metrics = [s["metric"] for s in data["strata"] if "metric" in s]
         assert metrics and all(v == "1" for m in metrics for v in m.values())
-
-    def test_coarse_filtration_degrades_honestly(self, tmp_path, capsys):
-        # merging two expanding strata gives a reducible matrix: the analysis
-        # completes with unverified ranks instead of failing
-        data = corpus_files()["ex6_1_n2.json"]
-        data["filtration"] = [["a1", "a2"]]
-        p = tmp_path / "coarse.json"
-        p.write_text(json.dumps(data))
-        code, out = run(capsys, "invariants", str(p))
-        assert code == 0
-        assert out["classification_complete"] is False
-        assert out["classes"][0]["rk"] == "unverified"
-        assert out["classes"][0]["ind"] == -3
 
     def test_route_with_multichar_letters(self, corpus_dir, capsys):
         code, data = run(capsys, "route", "--word", "a1",

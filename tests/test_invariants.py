@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import endo, rose
+from conftest import class_of, endo, rose
 from nielsenkit import invariants
 from nielsenkit.boundary import MorphicRay, attraction_check
 from nielsenkit.invariants import (
-    AnalysisConfig,
     AnalysisError,
     analyze,
     analyze_endomorphism,
@@ -97,7 +96,7 @@ class TestExamples:
 
     def test_conjugating(self):
         rep = analyze_endomorphism(endo(2, "a", "Bab"))
-        star = rep.class_of("*")
+        star = class_of(rep, "*")
         assert (star.index, star.rank, star.attract, star.improved_char) == (-1, 1, 1, -1)
         # the transversal fold-back point is its own class of index +1
         others = [c for c in rep.classes if c is not star]
@@ -113,7 +112,7 @@ class TestExamples:
         rep = analyze_endomorphism(endo(2, "A", "Abb"))
         assert sorted(c.index for c in rep.classes) == [0, 0]
         assert len(rep.classes) == 2
-        star = rep.class_of("*")
+        star = class_of(rep, "*")
         assert (star.rank, star.attract) == (0, 1)
         assert rep.lefschetz == 0
 
@@ -222,7 +221,7 @@ class ProjectedRay:
 class TestAttractingReps:
     def test_doubling_rays(self):
         rep = analyze_endomorphism(endo(2, "aa", "bb"))
-        star = rep.class_of("*")
+        star = class_of(rep, "*")
         rays = attracting_rays(rep.map, star)
         assert len(rays) == 4
         prefixes = sorted(tuple(r.prefix(5).letters) for r in rays)
@@ -230,14 +229,14 @@ class TestAttractingReps:
 
     def test_conjugating_ray_prefix(self):
         rep = analyze_endomorphism(endo(2, "a", "Bab"))
-        star = rep.class_of("*")
+        star = class_of(rep, "*")
         rays = attracting_rays(rep.map, star)
         assert len(rays) == 1
         assert rays[0].prefix(7).letters == (-2, -1, 2, -1, -2, 1, 2)
 
     def test_reps_attract_and_escape(self):
         rep = analyze_endomorphism(endo(2, "a", "Bab"))
-        star = rep.class_of("*")
+        star = class_of(rep, "*")
         for ray in attracting_rays(rep.map, star):
             phi = ray.endo
             graph = fold_words(phi.rank, fixed_subgroup_basis(phi, 6))
@@ -377,7 +376,7 @@ class TestTheoremSuite:
     def test_doubled_halves_arithmetic(self):
         # rk + a/2 - 1 = 1/2 for the conjugating example's base class
         rep = analyze_endomorphism(endo(2, "a", "Bab"))
-        star = rep.class_of("*")
+        star = class_of(rep, "*")
         assert 2 * star.rank + star.attract - 2 == 1  # doubled: exactly one half
 
 
@@ -431,7 +430,7 @@ class TestWordLevelCrossValidation:
                 continue
             if not rep.classification_complete or rep.subdivided_at:
                 continue
-            star = rep.class_of("*")
+            star = class_of(rep, "*")
             if star is None or star.rank is None or star.members != ("*",):
                 continue
             checked += 1
@@ -484,8 +483,7 @@ class TestRecursionInternals:
                 assert c.index == c.improved_char
 
     def test_oracle_cross_check_active(self):
-        cfg = AnalysisConfig()
-        rep = analyze_endomorphism(endo(2, "A", "Abb"), cfg)
+        rep = analyze_endomorphism(endo(2, "A", "Abb"))
         assert len(rep.classes) == 2
 
     def test_incomplete_runs_oracle_once(self, monkeypatch):

@@ -12,13 +12,14 @@ from nielsenkit.graphs import EdgePath, GraphMap, fixed_vertices, map_path, pars
 from nielsenkit.invariants import analyze
 from nielsenkit.io import load_instance, rose_map
 from nielsenkit.rtt import (
+    Filtration,
     classify_stratum,
     derive_filtration,
-    filtration_from_lists,
     nielsen_partition_oracle,
     nielsen_paths_brute,
     pf_metric,
     transition_matrix,
+    verify_filtration,
 )
 from nielsenkit.sampling import random_injective_endos
 
@@ -68,12 +69,12 @@ class TestFiltration:
                 for e in level:
                     assert {d.name for d in f.edge_map[e].darts} <= level
 
-    def test_user_override_validated(self):
-        filtration_from_lists(ex2, [["a1"], ["a2"]])
+    def test_verify_filtration(self):
+        verify_filtration(ex2, Filtration([("a1",), ("a2",)]))
         with pytest.raises(ValueError):
-            filtration_from_lists(ex2, [["a2"], ["a1"]])  # level {a2} not invariant
+            verify_filtration(ex2, Filtration([("a2",), ("a1",)]))  # level {a2} not invariant
         with pytest.raises(ValueError):
-            filtration_from_lists(ex2, [["a1"]])  # does not cover the edges
+            verify_filtration(ex2, Filtration([("a1",)]))  # does not cover the edges
 
 
 class TestClassification:
@@ -399,8 +400,8 @@ class TestPrunedSearchExact:
 
     def test_corpus_maps(self, corpus_dir):
         for p in sorted(corpus_dir.glob("*.json")):
-            f, filtration, _ = load_instance(p)
-            rep = analyze(f, filtration=filtration)
+            f, _ = load_instance(p)
+            rep = analyze(f)
             if rep.filtration is None:
                 continue
             g = rep.map.graph
@@ -426,8 +427,8 @@ class TestPartitionOracleExact:
 
     def test_corpus_maps(self, corpus_dir):
         for p in sorted(corpus_dir.glob("*.json")):
-            f, filtration, _ = load_instance(p)
-            assert_oracle_exact(analyze(f, filtration=filtration).map, (6, 8, 10))
+            f, _ = load_instance(p)
+            assert_oracle_exact(analyze(f).map, (6, 8, 10))
 
     @pytest.mark.parametrize("rank, max_len, count, min_fixed", [
         (2, 4, 100, 2), (2, 6, 50, 2), (3, 3, 15, 3)])

@@ -387,7 +387,7 @@ def corpus_endos():
         if "images" in data:
             out.append(endo_from_json(data))
         else:
-            f, _, _ = graph_map_from_json(data)
+            f, _ = graph_map_from_json(data)
             out.append(any_route_endo(f, "*"))
     return out
 
