@@ -17,7 +17,6 @@ Endomorphism files:
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional
 
@@ -139,12 +138,6 @@ def load_instance(path: str | Path) -> tuple[GraphMap, Optional[str]]:
 # Reports.
 
 
-def _fraction_str(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    return format(float(x), ".12g")
-
-
 def class_to_json(c: ClassData) -> dict:
     return {
         "members": list(c.members),
@@ -170,7 +163,7 @@ def report_to_json(report: Report) -> dict:
         if info.expansion is not None:
             rec["lambda"] = format(info.expansion.lam, ".12f")
             rec["residual"] = info.expansion.residual
-            rec["metric"] = {e: _fraction_str(x)
+            rec["metric"] = {e: format(float(x), ".12g")
                              for e, x in zip(info.edges, info.expansion.lengths)}
         if info.inp is not None:
             rec["inp"] = str(info.inp.path)

@@ -1,5 +1,5 @@
 """Invariant filtrations of graph selfmaps, stratum classification, the
-Perron-Frobenius expansion data, and indivisible Nielsen paths.
+Perron-Frobenius bracket of expanding strata, and indivisible Nielsen paths.
 
 A filtration level is the vertex set plus a prefix union of strongly connected
 components of the edge-crossing digraph; every level is invariant by
@@ -10,6 +10,9 @@ construction and re-verified.  Stratum types:
   wander through lower strata between the single top crossing);
 * type3: irreducible transition matrix with expansion > 1 whose derivative
   keeps stratum darts in the stratum.
+
+An expanding stratum is measured by the left Perron-Frobenius eigenvector L
+of its transition matrix M (M^T L = lam L), which pf_metric brackets.
 
 An expanding stratum of a *stable* relative train track of a homotopy
 equivalence carries at most one indivisible Nielsen path crossing it
@@ -46,14 +49,11 @@ exactly when B1 is, by the cancellation lemma.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .graphs import (
     Dart,
@@ -154,26 +154,48 @@ def _support_irreducible(m: list[list[int]]) -> bool:
     return all(len(reachable(succ, i)) == n for i in range(n))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExpansionData:
-    lam: float
-    lengths: list  # Fractions when exact, floats otherwise
-    residual: float
-    exact: bool
+    """A bracket lo <= lam <= hi of a stratum's Perron-Frobenius eigenvalue
+    and the positive integer vector v = weights with lo * v <= M^T v <= hi * v;
+    the stratum metric is L = v / min(v)."""
+
+    lo: Fraction
+    hi: Fraction
+    weights: tuple[int, ...]
+
+    @property
+    def lam(self) -> float:
+        return float((self.lo + self.hi) / 2)
+
+    @property
+    def residual(self) -> float:
+        return float(self.hi - self.lo)
+
+    @property
+    def exact(self) -> bool:
+        return self.lo == self.hi
+
+    @property
+    def lengths(self) -> list[Fraction]:
+        least = min(self.weights)
+        return [Fraction(w, least) for w in self.weights]
 
 
-# The residual |Av - lam v|_inf that power iteration must reach.  find_inp's
-# metric cap rests on the lengths being an eigenvector, which this checks.
-PF_TOL = 1e-9
+# pf_metric accepts a bracket once hi - lo <= hi * PF_WIDTH, within
+# PF_SQUARINGS squarings (the survey strata need at most 7).
+PF_SQUARINGS = 12
+PF_WIDTH = Fraction(1, 10**15)
 
 
 def pf_metric(m: list[list[int]]) -> ExpansionData:
-    """Perron-Frobenius eigenvalue and positive eigenvector, min entry 1.
+    """Perron-Frobenius bracket of an irreducible transition matrix M.
 
-    1x1 and rational 2x2 cases are exact; otherwise deterministic power
-    iteration with a Rayleigh quotient, whose residual |Av - lam v|_inf must
-    reach PF_TOL.  Raises for reducible matrices, for spectral radius <= 1 (not
-    an expanding stratum) and for an iteration that does not converge.
+    B = M^T + I is primitive and has M^T's Perron vector also when M is
+    periodic.  Each v = B^(2^k) . 1 is a positive integer vector, so by
+    Collatz-Wielandt lo = min (M^T v)_i / v_i <= lam <= max (M^T v)_i / v_i
+    = hi.  Raises for reducible matrices, for a bracket that does not narrow
+    and for lo <= 1 (not an expanding stratum).
     """
     n = len(m)
     if any(len(row) != n for row in m):
@@ -182,60 +204,22 @@ def pf_metric(m: list[list[int]]) -> ExpansionData:
         raise ValueError("matrix must be nonnegative")
     if not _support_irreducible(m):
         raise ValueError("matrix is reducible")
-    if n == 1:
-        lam = m[0][0]
-        if lam <= 1:
-            raise ValueError(f"spectral radius {lam} is not > 1")
-        return ExpansionData(float(lam), [Fraction(1)], 0.0, True)
-    if n == 2:
-        tr = m[0][0] + m[1][1]
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        disc = tr * tr - 4 * det
-        root = math.isqrt(disc)
-        if root * root == disc and (tr + root) % 2 == 0:
-            lam_q = Fraction(tr + root, 2)
-            if lam_q <= 1:
-                raise ValueError(f"spectral radius {lam_q} is not > 1")
-            # Solve (M - lam I) v = 0 exactly.
-            if m[0][1] != 0:
-                v = [Fraction(m[0][1]), lam_q - m[0][0]]
-            else:
-                v = [lam_q - m[1][1], Fraction(m[1][0])]
-            lo = min(v)
-            if lo <= 0:
-                raise ValueError("eigenvector is not positive; matrix not irreducible")
-            v = [x / lo for x in v]
-            return ExpansionData(float(lam_q), v, 0.0, True)
-    a = np.array(m, dtype=float)
-    # The power steps run on A + I: it is primitive (irreducible with a
-    # positive diagonal) and has A's Perron vector, so they converge also when
-    # A is periodic, where powers of A itself cycle.  Warm start: repeated
-    # squaring of the normalized operator collapses slow spectral gaps; the
-    # Rayleigh quotient and the residual are then taken on A.
-    s = a + np.eye(n)
-    b = s / s.max()
-    for _ in range(24):
-        b = b @ b
-        b /= b.max()
-    v = b @ np.ones(n)
-    lam = 0.0
-    for _ in range(10_000):
-        w = s @ v
-        w /= np.linalg.norm(w)
-        lam = float(w @ a @ w) / float(w @ w)
-        v = w
-        if v.min() > 0:
-            scaled = v / v.min()
-            if float(np.max(np.abs(a @ scaled - lam * scaled))) <= PF_TOL / 4:
-                break
-    v = v / v.min()
-    residual = float(np.max(np.abs(a @ v - lam * v)))
-    if lam <= 1 + PF_TOL:
-        raise ValueError(f"spectral radius {lam} is not > 1")
-    if not residual <= PF_TOL:
-        raise ValueError(
-            f"power iteration did not converge: residual {residual:.3g} > {PF_TOL:g}")
-    return ExpansionData(lam, [float(x) for x in v], residual, False)
+    mt = [list(col) for col in zip(*m)]
+    b = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(mt)]
+    for k in range(PF_SQUARINGS + 1):
+        if k:
+            cols = list(zip(*b))
+            b = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in b]
+        v = [sum(row) for row in b]
+        ratios = [Fraction(sum(x * y for x, y in zip(row, v)), vi)
+                  for row, vi in zip(mt, v)]
+        lo, hi = min(ratios), max(ratios)
+        if hi - lo <= hi * PF_WIDTH:
+            if lo <= 1:
+                raise ValueError(f"spectral radius {float(hi):.12g} is not > 1")
+            return ExpansionData(lo, hi, tuple(v))
+    raise ValueError(f"Perron-Frobenius bracket [{float(lo):.12g}, {float(hi):.12g}] "
+                     f"did not narrow in {PF_SQUARINGS} squarings")
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +243,6 @@ class StratumInfo:
     # takes an illegal turn or loses a connecting piece): the classification
     # "counts", the invariant bookkeeping above it does not.
     expanding_not_train_track: bool = False
-
-    def metric(self, e: str):
-        """L-value of an edge: the eigenvector entry on the stratum, 0 below."""
-        if self.expansion is None:
-            return Fraction(0)
-        try:
-            return self.expansion.lengths[self.edges.index(e)]
-        except ValueError:
-            return Fraction(0) if self.expansion.exact else 0.0
 
 
 def classify_stratum(f: GraphMap, filt: Filtration, i: int) -> StratumInfo:
@@ -294,8 +269,7 @@ def classify_stratum(f: GraphMap, filt: Filtration, i: int) -> StratumInfo:
         for d in (Dart(e, True), Dart(e, False)):
             dd = derivative(f, d)
             if dd is None or dd.name not in stratum:
-                info.note = (f"derivative of {d} leaves the stratum; "
-                             "refine the filtration")
+                info.note = f"derivative of {d} leaves the stratum"
                 return info
     # Expanding strata must also be train tracks: adjacent stratum darts in an
     # image may not form an illegal turn (iterated images would cancel and
@@ -521,20 +495,19 @@ def _leg_decomposition(f: GraphMap, p: EdgePath) -> NielsenPathData:
     return data
 
 
-def _ray(f: GraphMap, d: Dart, info: StratumInfo, metric_cap: float,
-         dart_cap: int) -> tuple[tuple[Dart, ...], list[float]]:
+def _ray(f: GraphMap, d: Dart, weight: dict[str, int], cap: int,
+         dart_cap: int) -> tuple[tuple[Dart, ...], list[int]]:
     """The expanding ray grown from a fixed direction d with Df(d) = d, and the
-    metric length of each of its prefixes as one running sum.  Growth stops at
-    the first image whose metric length exceeds metric_cap or whose length
-    exceeds dart_cap (or where the ray stops growing); both are cut to
-    dart_cap darts.  Images extend each other, so their sums are shared."""
-    lens: list[float] = []
+    weight of each of its prefixes (edges not in `weight` weigh 0).  Growth
+    stops at the first image heavier than cap or longer than dart_cap (or
+    where the ray stops growing); both are cut to dart_cap darts."""
+    lens: list[int] = []
     for current in ray_images(f, d):
-        total = lens[-1] if lens else 0.0
+        total = lens[-1] if lens else 0
         for x in current[len(lens):]:
-            total += float(info.metric(x.name))
+            total += weight.get(x.name, 0)
             lens.append(total)
-        if len(current) > dart_cap or total > metric_cap:
+        if len(current) > dart_cap or total > cap:
             break
     return current[:dart_cap], lens[:dart_cap]
 
@@ -591,6 +564,35 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
     joined is indivisible (module docstring).  Candidates collapse only
     up to reversal: two paths joining the same lower classes may still differ
     in rank (one merges, one closes a loop).
+
+    Metric-cap lemma.  Let H be the type-3 stratum, G_r its level and L
+    the metric of pf_metric (0 below H), lo * L <= M^T L <= hi * L, lo > 1.
+    Every indivisible Nielsen path crossing H is A.B^-1 with A and B ray
+    prefixes, L(A) and L(B) at most (hi - 1) * sum(L) / (lo - 1).
+    1. Legs (Bestvina-Handel, Lemma 5.11): it is A.B^-1 with A and B
+       r-legal, starting and ending with H darts, [f(A)] = A.tau and
+       [f(B)] = B.tau for one nonempty tau.  [f(A)] starts with Df(d), d the
+       first dart of A, so Df(d) = d, and A is a prefix of every [f^k(A)],
+       hence of the ray from d once [f^k(d)] outgrows it.  [f(A)] and [f(B)]
+       end with the images of the last darts of A and B, so the turn there
+       degenerates in one step.
+    2. Stretch (lo): the H darts of f(A) survive tightening and lower edges
+       weigh 0, so L(A) + L(tau) = L([f(A)]) = sum over the H edges e of A
+       of (M^T L)_e >= lo * L(A), and L(tau) >= (lo - 1) * L(A).
+    3. Bounded cancellation (hi): tightening [f(A)].[f(B)]^-1 to A.B^-1
+       cancels tau.  Run the proof of GraphMap.cancellation_bound on the
+       component K of G_r that holds the path (f(K) lies in K, and K holds
+       all of H), each edge of the subdivided K' weighing the L-length of
+       its image: a fold removes one edge and cancels at most one of that
+       weight, so L(tau) <= w(K') - w(Gamma), Gamma the folded graph.
+       w(K') = sum_e (M^T L)_e <= hi * sum(L), and Gamma covers H (no row
+       of M is 0), so w(Gamma) >= sum(L) and L(tau) <= (hi - 1) * sum(L).
+    The bound is reached on rank-2 survey maps; the cap,
+    hi^2 * sum(L) / (lo - 1), is at least 4 times it.  Two steps are not
+    proved here: Bestvina-Handel prove step 1 for homotopy equivalences, not
+    for injective maps that are not onto; and step 2 needs that no lower
+    path between H darts of an iterated edge image collapses, which
+    classify_stratum checks for at most 20 iterates of each connecting piece.
     """
     level = filt.level_edges(info.index + 1)
     stratum = set(info.edges)
@@ -641,22 +643,24 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
         info.inp_status = "certified-none"
         return info
 
+    # The cap hi^2 * sum(L) / (lo - 1) in units of v (L = v / min v), rounded
+    # down: an integer weight exceeds it iff it exceeds the cap itself.
     exp = info.expansion
-    lam = exp.lam
-    metric_cap = (lam * sum(float(x) for x in exp.lengths)) * lam / (lam - 1.0)
+    weight = dict(zip(info.edges, exp.weights))
+    cap = exp.hi ** 2 * sum(exp.weights) // (exp.lo - 1)
     seeds = []
     for v in fixed_vertices(f):
         seeds.extend(fixed_directions(f, v, info.edges))
-    dart_cap = max(max_len, 16 * (int(metric_cap) + 2))
+    dart_cap = max(max_len, 16 * (cap // min(exp.weights) + 2))
     rays, keys, at_key = {}, {}, {}
     exhausted = True
     for d in seeds:
-        ray, lens = _ray(f, d, info, metric_cap, dart_cap)
+        ray, lens = _ray(f, d, weight, cap, dart_cap)
         # A ray that never reached the metric cap within dart_cap darts leaves
         # part of the search region uncovered.
-        exhausted = exhausted and lens[-1] > metric_cap
+        exhausted = exhausted and lens[-1] > cap
         # Prefix lengths only grow, so the prefixes within the cap come first.
-        keys[d] = _nielsen_tails(f, ray[:bisect_right(lens, metric_cap)])
+        keys[d] = _nielsen_tails(f, ray[:bisect_right(lens, cap)])
         rays[d] = ray[:len(keys[d])]
         at_key[d] = {}
         for n, key in enumerate(keys[d], start=1):

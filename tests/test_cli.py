@@ -162,7 +162,7 @@ class TestCorpus:
             assert main(["invariants", str(p)]) == 0
             out.append(capsys.readouterr().out)
         digest = hashlib.sha256("".join(out).encode()).hexdigest()
-        assert digest == "880fb3e450c7101e3d99d3a80dbaf883ac3e06f2aee5cc8cf3987b07d7e3655a"
+        assert digest == "3529523413d61fc7a37b3d1b36482e83db39cc0ca1a879bb92937bb354f4004a"
 
     def test_attracting_output_pinned(self, corpus_dir, capsys):
         # attracting on every corpus file, in sorted order, concatenated.
@@ -204,6 +204,10 @@ class TestCommands:
         assert types == ["type2", "type3"]
         lam = [s.get("lambda") for s in data["strata"] if "lambda" in s]
         assert lam == ["2.000000000000"]
+        # f(a2:1) = a2:2- and f(a2:2) = a2:1- a1 a2:1 a2:2: the left eigenvector
+        # of the transition matrix, so L(f(e)) = 2 L(e) for both edges.
+        top = data["strata"][-1]
+        assert top["metric"] == {"a2:1": "1", "a2:2": "2"} and top["residual"] == 0.0
 
     def test_validate(self, corpus_dir, capsys):
         code, data = run(capsys, "validate", str(corpus_dir / "derived_ba.json"))
