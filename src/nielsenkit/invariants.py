@@ -9,10 +9,11 @@ invariant filtration, and folds the class data up the strata:
   identified);
 * a crossing path looping one class bumps its rank and identifies a ray pair.
 
-Indices are computed twice, by the local direction count at the fixed
-vertices and by the stratum recursion, and the two must agree; the class
-partition is cross-checked against a brute-force Nielsen-path search.
-Disagreement is a structure error, never a warning.
+Each class's index is counted once, at its fixed vertices, and on every
+verified class of a complete classification it must equal 1 - rk - a, the
+characteristic the recursion folds; the class partition is cross-checked
+against a brute-force Nielsen-path search.  Disagreement is a structure
+error, never a warning.
 """
 
 from __future__ import annotations
@@ -65,12 +66,15 @@ class ClassData:
 
     members: tuple[str, ...]
     index: int
-    delta: int
+    delta: int                    # len(members) - index when complete, else 0
     rank: Optional[int]           # None = unverified
     attract: Optional[int]        # None = unverified
     provenance: str
-    essential: bool = False
     ray_seeds: list[tuple[int, Dart]] = field(default_factory=list)
+
+    @property
+    def essential(self) -> bool:
+        return self.index != 0
 
     @property
     def improved_char(self) -> Optional[int]:
@@ -86,11 +90,17 @@ class RouteReport:
     route: Word
     rank_found: int
     generators: list[Word]
-    attract_found: int
     attracting: list[MorphicRay]
-    improved_char: int
     constant_witness: Optional[Word]   # route move to a constant route, if found
     search_depth: int
+
+    @property
+    def attract_found(self) -> int:
+        return len(self.attracting)
+
+    @property
+    def improved_char(self) -> int:
+        return 1 - self.rank_found - self.attract_found
 
     @property
     def probably_empty(self) -> bool:
@@ -107,14 +117,18 @@ class Report:
     filtration: Optional[Filtration]
     subdivided_at: list
     classification_complete: bool
-    # True when every stratum at least meets the literal type conditions
-    # (transition matrix plus the derivative condition), even where the finer
-    # train-track checks failed and the bookkeeping was left unverified.
-    literal_classification_complete: bool = True
     verdicts: dict[str, str] = field(default_factory=dict)
     verdict_details: dict[str, str] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
     map: Optional[GraphMap] = None
+
+    @property
+    def literal_classification_complete(self) -> bool:
+        """Every stratum at least meets the literal type conditions (transition
+        matrix plus the derivative condition), even where the finer
+        train-track checks failed and the bookkeeping was left unverified."""
+        return all(i.stype != "unclassifiable" or i.expanding_not_train_track
+                   for i in self.strata)
 
 
 # ---------------------------------------------------------------------------
@@ -151,28 +165,15 @@ class _ClassState:
     members: set[str]
     rank: int = 0
     attract: int = 0
-    index: int = 1
-    delta: int = 0
     verified: bool = True
     trace: list[str] = field(default_factory=list)
     ray_seeds: list[tuple[int, Dart]] = field(default_factory=list)
 
 
-def _stratum_delta(f: GraphMap, info: StratumInfo) -> dict[str, list[Dart]]:
-    out: dict[str, list[Dart]] = {}
-    for v in fixed_vertices(f):
-        ds = fixed_directions(f, v, info.edges)
-        if ds:
-            out[v] = ds
-    return out
-
-
 def _fold_stratum(f: GraphMap, classes: list[_ClassState], info: StratumInfo) -> None:
-    delta_dirs = _stratum_delta(f, info)
-    # The improved characteristic of every class must drop by exactly its
-    # delta across this stratum (classes that merge drop from their sum).
-    chars_before = {id(c): 1 - c.rank - c.attract for c in classes}
-    parts_before = {id(c): [id(c)] for c in classes}
+    # The fixed directions of this stratum at each fixed vertex.
+    delta_dirs = {v: fixed_directions(f, v, info.edges)
+                  for c in classes for v in c.members}
 
     def class_of(v: str) -> _ClassState:
         for c in classes:
@@ -181,25 +182,22 @@ def _fold_stratum(f: GraphMap, classes: list[_ClassState], info: StratumInfo) ->
         raise AnalysisError(f"fixed vertex {v} missing from the class partition")
 
     def delta_of(c: _ClassState) -> int:
-        return sum(len(delta_dirs.get(v, ())) for v in c.members)
+        return sum(len(delta_dirs[v]) for v in c.members)
 
     def add_seeds(c: _ClassState) -> None:
         if info.stype != "type3":
             return
         for v in sorted(c.members):
-            for d in delta_dirs.get(v, ()):
+            for d in delta_dirs[v]:
                 c.ray_seeds.append((info.index, d))
 
     def merge_pair(ca: _ClassState, cb: _ClassState) -> _ClassState:
         ca.members |= cb.members
         ca.rank += cb.rank
         ca.attract += cb.attract
-        ca.index += cb.index
-        ca.delta += cb.delta
         ca.verified = ca.verified and cb.verified
         ca.ray_seeds.extend(cb.ray_seeds)
         ca.trace.extend(cb.trace)
-        parts_before[id(ca)] = parts_before[id(ca)] + parts_before[id(cb)]
         classes.remove(cb)
         return ca
 
@@ -214,11 +212,9 @@ def _fold_stratum(f: GraphMap, classes: list[_ClassState], info: StratumInfo) ->
             if ca is not cb:
                 merge_pair(ca, cb)
         for c in classes:
-            d = delta_of(c)
-            c.index -= d
-            c.delta += d
             c.verified = False
-            c.trace.append(f"stratum{info.index}:{info.stype}:ambiguous(d={d})")
+            c.trace.append(
+                f"stratum{info.index}:{info.stype}:ambiguous(d={delta_of(c)})")
         return
     if inp is not None:
         a, b = inp.endpoints
@@ -231,8 +227,6 @@ def _fold_stratum(f: GraphMap, classes: list[_ClassState], info: StratumInfo) ->
         d = delta_of(merged)
         add_seeds(merged)
         merged.attract += d - 1
-        merged.index -= d
-        merged.delta += d
         merged.trace.append(f"stratum{info.index}:{info.stype}:{kind}(d={d})")
         if merged.attract < 0:
             raise StructureViolation("negative attracting count during recursion")
@@ -253,24 +247,12 @@ def _fold_stratum(f: GraphMap, classes: list[_ClassState], info: StratumInfo) ->
             c.trace.append(f"stratum{info.index}:type2:unresolved(d={d})")
         add_seeds(c)
         c.attract += d
-        c.index -= d
-        c.delta += d
         c.trace.append(f"stratum{info.index}:{info.stype}:carry(d={d})")
 
     if info.inp_status == "none-within-bound":
         for c in classes:
             c.verified = False
             c.trace.append(f"stratum{info.index}:inp-search-capped")
-
-    for c in classes:
-        if not c.verified:
-            continue
-        before = sum(chars_before[p] for p in parts_before[id(c)])
-        d = delta_of(c)
-        if 1 - c.rank - c.attract != before - d:
-            raise AnalysisError(
-                f"improved characteristic did not drop by delta={d} across "
-                f"stratum {info.index} on class {sorted(c.members)}")
 
 
 def _merge_leg_seeds(c: _ClassState, info: StratumInfo) -> None:
@@ -367,9 +349,7 @@ def analyze_route(phi: Endomorphism, route: Word, depth: int) -> RouteReport:
         route=route,
         rank_found=rank,
         generators=gens,
-        attract_found=len(kept),
         attracting=kept,
-        improved_char=1 - rank - len(kept),
         constant_witness=witness.witness if witness.found else None,
         search_depth=depth,
     )
@@ -384,13 +364,12 @@ def _identity_report(f: GraphMap) -> Report:
     n = 1 - chi
     members = tuple(sorted(f.graph.vertices))
     cls = ClassData(members=members, index=chi, delta=0, rank=n, attract=0,
-                    provenance="identity-map", essential=chi != 0)
+                    provenance="identity-map")
     lef, tr = chi, 1 - chi
     report = Report(
         chi=chi, trace=tr, lefschetz=lef,
         classes=[cls], strata=[], filtration=None, subdivided_at=[],
-        classification_complete=True, literal_classification_complete=True,
-        map=f,
+        classification_complete=True, map=f,
         notes=["identity map handled directly; every point is fixed"],
     )
     _check_theorems(report)
@@ -440,18 +419,18 @@ def analyze(f: GraphMap, depth: int = DEPTH) -> Report:
         parts = nielsen_partition_oracle(g, depth)
         classes = [_ClassState(members=set(p), verified=False,
                                trace=["oracle-partition"]) for p in parts]
-        for c in classes:
-            c.index = local_index(g, sorted(c.members))
 
-    # Cross-check 1: the two index computations must agree.
+    # Cross-check 1: on a verified class the index counted at its fixed
+    # vertices must equal the characteristic 1 - rk - a the recursion folded.
     out_classes: list[ClassData] = []
     for c in sorted(classes, key=lambda c: sorted(c.members)):
         members = tuple(sorted(c.members))
         loc = local_index(g, members)
-        if complete and loc != c.index:
-            raise AnalysisError(
-                f"index mismatch on class {members}: local {loc}, recursive {c.index}")
         verified = complete and c.verified
+        if verified and loc != 1 - c.rank - c.attract:
+            raise AnalysisError(
+                f"index mismatch on class {members}: local {loc}, "
+                f"1 - rk - a = {1 - c.rank - c.attract}")
         if verified and c.attract != len(c.ray_seeds):
             raise AnalysisError(
                 f"attracting count {c.attract} does not match the {len(c.ray_seeds)} "
@@ -459,11 +438,10 @@ def analyze(f: GraphMap, depth: int = DEPTH) -> Report:
         out_classes.append(ClassData(
             members=members,
             index=loc,
-            delta=c.delta,
+            delta=len(members) - loc if complete else 0,
             rank=c.rank if verified else None,
             attract=c.attract if verified else None,
             provenance=";".join(c.trace),
-            essential=loc != 0,
             ray_seeds=list(c.ray_seeds),
         ))
 
@@ -484,8 +462,6 @@ def analyze(f: GraphMap, depth: int = DEPTH) -> Report:
         raise AnalysisError(
             f"index sum {total} differs from the Lefschetz number {lef}")
 
-    literal = all(i.stype != "unclassifiable" or i.expanding_not_train_track
-                  for i in infos)
     report = Report(
         chi=g.graph.euler_characteristic(),
         trace=tr,
@@ -495,7 +471,6 @@ def analyze(f: GraphMap, depth: int = DEPTH) -> Report:
         filtration=filt,
         subdivided_at=points,
         classification_complete=complete,
-        literal_classification_complete=literal,
         map=g,
     )
     if points:

@@ -163,8 +163,9 @@ def report_to_json(report: Report) -> dict:
         if info.expansion is not None:
             rec["lambda"] = format(info.expansion.lam, ".12f")
             rec["residual"] = info.expansion.residual
-            rec["metric"] = {e: format(float(x), ".12g")
-                             for e, x in zip(info.edges, info.expansion.lengths)}
+            least = min(info.expansion.weights)
+            rec["metric"] = {e: format(w / least, ".12g")
+                             for e, w in zip(info.edges, info.expansion.weights)}
         if info.inp is not None:
             rec["inp"] = str(info.inp.path)
         strata.append(rec)

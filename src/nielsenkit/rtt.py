@@ -158,7 +158,8 @@ def _support_irreducible(m: list[list[int]]) -> bool:
 class ExpansionData:
     """A bracket lo <= lam <= hi of a stratum's Perron-Frobenius eigenvalue
     and the positive integer vector v = weights with lo * v <= M^T v <= hi * v;
-    the stratum metric is L = v / min(v)."""
+    the stratum metric is L = v / min(v).  lam and residual divide integers,
+    which rounds as float(Fraction) does without reducing a Fraction first."""
 
     lo: Fraction
     hi: Fraction
@@ -166,20 +167,19 @@ class ExpansionData:
 
     @property
     def lam(self) -> float:
-        return float((self.lo + self.hi) / 2)
+        lo, hi = self.lo, self.hi
+        return ((lo.numerator * hi.denominator + hi.numerator * lo.denominator)
+                / (2 * lo.denominator * hi.denominator))
 
     @property
     def residual(self) -> float:
-        return float(self.hi - self.lo)
+        lo, hi = self.lo, self.hi
+        return ((hi.numerator * lo.denominator - lo.numerator * hi.denominator)
+                / (lo.denominator * hi.denominator))
 
     @property
     def exact(self) -> bool:
         return self.lo == self.hi
-
-    @property
-    def lengths(self) -> list[Fraction]:
-        least = min(self.weights)
-        return [Fraction(w, least) for w in self.weights]
 
 
 # pf_metric accepts a bracket once hi - lo <= hi * PF_WIDTH, within

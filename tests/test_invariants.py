@@ -130,6 +130,7 @@ class TestExamples:
         rep = analyze(rose({"a": ["a"], "b": ["b"]}))
         assert table(rep) == [(("*",), -1, 2, 0, -1)]
         assert rep.lefschetz == -1 == rep.chi
+        assert rep.classes[0].delta == 0
 
     def test_doubling_n1_and_n3(self):
         rep1 = analyze_endomorphism(endo(1, "aa"))
@@ -475,8 +476,8 @@ class TestReportFields:
 
 class TestRecursionInternals:
     def test_improved_char_recursion_step(self):
-        # ichr drops by delta at each stratum: verified via the final equality
-        # ichr = 1 - rk - a together with ind == ichr on these instances
+        # Every class here is verified, so cross-check 1 has compared its
+        # index, counted at its fixed vertices, with the folded 1 - rk - a.
         for images in [("aa", "bb"), ("a", "Bab"), ("a", "ba")]:
             rep = analyze_endomorphism(endo(2, *images))
             for c in rep.classes:
@@ -503,3 +504,17 @@ class TestRecursionInternals:
         assert not rep.classification_complete
         assert len(rep.classes) == 2
         assert len(calls) == 1
+        assert [c.delta for c in rep.classes] == [0, 0]
+
+    def test_corrupted_rank_is_a_structure_error(self, monkeypatch):
+        # A recursion that miscounts a verified class's rank must fail
+        # cross-check 1, not surface as a failed theorem verdict.
+        fold = invariants._fold_stratum
+
+        def corrupted(f, classes, info):
+            fold(f, classes, info)
+            next(c for c in classes if c.verified).rank += 1
+
+        monkeypatch.setattr(invariants, "_fold_stratum", corrupted)
+        with pytest.raises(AnalysisError, match="index mismatch"):
+            analyze_endomorphism(endo(2, "aa", "bb"))

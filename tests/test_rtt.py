@@ -120,11 +120,17 @@ class TestClassification:
 skew = rose({"a": ["a", "b"], "b": ["a", "a", "b"]})
 
 
+def metric_lengths(data):
+    """The stratum metric L = weights / min(weights), exactly."""
+    least = min(data.weights)
+    return [Fraction(w, least) for w in data.weights]
+
+
 def assert_bracket(m, data):
     """lo * L <= M^T L <= hi * L componentwise, exactly, with 1 < lo <= hi
     and the bracket as narrow as pf_metric promises."""
     n = len(m)
-    lengths = data.lengths
+    lengths = metric_lengths(data)
     assert min(lengths) == 1
     for j in range(n):
         image = sum(m[i][j] * lengths[i] for i in range(n))  # L(f(e_j))
@@ -147,7 +153,7 @@ def assert_brackets_root(m, data):
 class TestPFMetric:
     def test_one_by_one(self):
         data = pf_metric([[2]])
-        assert data.lam == 2.0 and data.lengths == [Fraction(1)] and data.exact
+        assert data.lam == 2.0 and metric_lengths(data) == [Fraction(1)] and data.exact
 
     def test_golden_ratio(self):
         data = pf_metric([[1, 1], [1, 0]])
@@ -207,12 +213,13 @@ class TestPFMetric:
                   [[0, 1, 2], [1, 0, 0], [0, 1, 1]]):
             data = pf_metric(m)
             n = len(m)
+            lengths = metric_lengths(data)
             for j in range(n):
-                lhs = sum(m[i][j] * data.lengths[i] for i in range(n))
-                assert abs(lhs - data.lam * data.lengths[j]) <= 1e-9
+                lhs = sum(m[i][j] * lengths[i] for i in range(n))
+                assert abs(lhs - data.lam * lengths[j]) <= 1e-9
             assert_bracket(m, data)
         skew_data = pf_metric([[1, 2], [1, 1]])
-        assert abs(float(skew_data.lengths[1]) - math.sqrt(2)) <= 1e-12
+        assert abs(float(metric_lengths(skew_data)[1]) - math.sqrt(2)) <= 1e-12
         assert_brackets_root([[1, 2], [1, 1]], skew_data)
 
     def test_expansion_of_legal_paths(self):
@@ -221,10 +228,10 @@ class TestPFMetric:
             filt = derive_filtration(f)
             info = classify_stratum(f, filt, filt.depth - 1)
             m = transition_matrix(f, info.edges)
+            lengths = metric_lengths(info.expansion)
             for j, e in enumerate(info.edges):
-                image_len = sum(m[i][j] * info.expansion.lengths[i]
-                                for i in range(len(info.edges)))
-                assert abs(image_len - info.expansion.lam * info.expansion.lengths[j]) <= 1e-9
+                image_len = sum(m[i][j] * lengths[i] for i in range(len(info.edges)))
+                assert abs(image_len - info.expansion.lam * lengths[j]) <= 1e-9
             assert_bracket(m, info.expansion)
 
     def test_expansion_of_random_legal_paths(self):
@@ -240,7 +247,7 @@ class TestPFMetric:
             info = classify_stratum(f, filt, filt.depth - 1)
             assert info.stype == "type3"
             exp = info.expansion
-            lengths = dict(zip(info.edges, exp.lengths))
+            lengths = dict(zip(info.edges, metric_lengths(exp)))
 
             def metric(p):
                 return sum(lengths.get(d.name, 0) for d in p.darts)
@@ -507,7 +514,7 @@ def metric_cap(info):
     """find_inp's metric cap hi^2 * sum(L) / (lo - 1), and the metric L of
     each stratum edge, as Fractions."""
     exp = info.expansion
-    lengths = dict(zip(info.edges, exp.lengths))
+    lengths = dict(zip(info.edges, metric_lengths(exp)))
     return exp.hi ** 2 * sum(lengths.values()) / (exp.lo - 1), lengths
 
 
