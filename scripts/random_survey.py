@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Random survey: how often does ind(F) equal 1 - rk(F) - a(F)?
+"""Random survey: the theorem verdicts over seeded random injective maps.
 
 Samples seeded random injective rose endomorphisms, runs the full pipeline on
-each, and tallies the theorem checks plus the conjectured equality on every
-verified class.  The seed defaults to sampling.DEFAULT_SEED.
+each, and tallies the theorem checks plus ind(F) = 1 - rk(F) - a(F) on every
+verified class.  Cross-check 1 enforces that equality (a mismatch is a
+structure error), so its tally always reads full and is no evidence for the
+theorem.  The seed defaults to sampling.DEFAULT_SEED.
 
 Usage:
     python scripts/random_survey.py [--count N] [--rank R] [--max-image-len M]

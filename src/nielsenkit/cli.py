@@ -93,7 +93,7 @@ def cmd_attracting(args) -> int:
         rays = []
         if c.attract is not None:
             try:
-                for (_, d), ray in zip(c.ray_seeds, attracting_rays(report.map, c)):
+                for d, ray in zip(c.ray_seeds, attracting_rays(report.map, c)):
                     verdict = attraction_check(ray, ray.endo)
                     rays.append({
                         "prefix": ray.endo.basis.format(ray.prefix(args.prefix_len)),

@@ -9,6 +9,11 @@ invariant filtration, and folds the class data up the strata:
   identified);
 * a crossing path looping one class bumps its rank and identifies a ray pair.
 
+A class's a is the number of ray seeds the fold keeps: an expanding stratum
+seeds one ray at each fixed stratum direction, and a `found` crossing path
+drops the seed at its last dart (reversed), whose ray is equivalent to that of
+its first dart.
+
 Each class's index is counted once, at its fixed vertices, and on every
 verified class of a complete classification it must equal 1 - rk - a, the
 characteristic the recursion folds; the class partition is cross-checked
@@ -68,9 +73,9 @@ class ClassData:
     index: int
     delta: int                    # len(members) - index when complete, else 0
     rank: Optional[int]           # None = unverified
-    attract: Optional[int]        # None = unverified
+    attract: Optional[int]        # len(ray_seeds); None = unverified
     provenance: str
-    ray_seeds: list[tuple[int, Dart]] = field(default_factory=list)
+    ray_seeds: list[Dart] = field(default_factory=list)
 
     @property
     def essential(self) -> bool:
@@ -164,10 +169,9 @@ def lefschetz_number(f: GraphMap, phi: Optional[Endomorphism] = None) -> tuple[i
 class _ClassState:
     members: set[str]
     rank: int = 0
-    attract: int = 0
     verified: bool = True
     trace: list[str] = field(default_factory=list)
-    ray_seeds: list[tuple[int, Dart]] = field(default_factory=list)
+    ray_seeds: list[Dart] = field(default_factory=list)
 
 
 def _fold_stratum(f: GraphMap, classes: list[_ClassState], info: StratumInfo) -> None:
@@ -188,27 +192,23 @@ def _fold_stratum(f: GraphMap, classes: list[_ClassState], info: StratumInfo) ->
         if info.stype != "type3":
             return
         for v in sorted(c.members):
-            for d in delta_dirs[v]:
-                c.ray_seeds.append((info.index, d))
+            c.ray_seeds.extend(delta_dirs[v])
 
     def merge_pair(ca: _ClassState, cb: _ClassState) -> _ClassState:
         ca.members |= cb.members
         ca.rank += cb.rank
-        ca.attract += cb.attract
         ca.verified = ca.verified and cb.verified
         ca.ray_seeds.extend(cb.ray_seeds)
         ca.trace.extend(cb.trace)
         classes.remove(cb)
         return ca
 
-    inp = info.inp if info.inp_status == "found" else None
     merged: Optional[_ClassState] = None
     if info.inp_status == "multiple":
         # Every crossing path merges what it joins, but with several distinct
         # ones the rank/attract bookkeeping is not pinned down.
-        for cand in info.inp_multi:
-            a, b = cand.endpoints
-            ca, cb = class_of(a), class_of(b)
+        for p in info.paths:
+            ca, cb = (class_of(v) for v in f.graph.path_endpoints(p))
             if ca is not cb:
                 merge_pair(ca, cb)
         for c in classes:
@@ -216,22 +216,29 @@ def _fold_stratum(f: GraphMap, classes: list[_ClassState], info: StratumInfo) ->
             c.trace.append(
                 f"stratum{info.index}:{info.stype}:ambiguous(d={delta_of(c)})")
         return
-    if inp is not None:
-        a, b = inp.endpoints
-        ca, cb = class_of(a), class_of(b)
+    if info.inp_status == "found":
+        (p,) = info.paths
+        ca, cb = (class_of(v) for v in f.graph.path_endpoints(p))
         if ca is not cb:
             merged, kind = merge_pair(ca, cb), "merge"
         else:
             merged, kind = ca, "loop"
             merged.rank += 1
         d = delta_of(merged)
+        if info.stype == "type2" and d != 1:
+            # f(E) crosses the single edge E once, so E has at most one fixed
+            # direction (a pointwise-fixed E counts at its origin only).  A
+            # permutation stratum adds no ray seeds, so a = len(ray_seeds)
+            # holds only if the path meets exactly one.
+            raise StructureViolation(
+                f"crossing path of permutation stratum {info.index} "
+                f"({', '.join(info.edges)}) meets {d} fixed stratum directions, not 1")
         add_seeds(merged)
-        merged.attract += d - 1
-        merged.trace.append(f"stratum{info.index}:{info.stype}:{kind}(d={d})")
-        if merged.attract < 0:
-            raise StructureViolation("negative attracting count during recursion")
         if info.stype == "type3":
-            _merge_leg_seeds(merged, info)
+            # p is A.B^-1 for prefixes A and B of the rays of its two end
+            # darts, so those seeds are one ray class.
+            merged.ray_seeds.remove(p.darts[-1].rev)
+        merged.trace.append(f"stratum{info.index}:{info.stype}:{kind}(d={d})")
 
     for c in classes:
         if c is merged:
@@ -246,33 +253,12 @@ def _fold_stratum(f: GraphMap, classes: list[_ClassState], info: StratumInfo) ->
             c.verified = False
             c.trace.append(f"stratum{info.index}:type2:unresolved(d={d})")
         add_seeds(c)
-        c.attract += d
         c.trace.append(f"stratum{info.index}:{info.stype}:carry(d={d})")
 
     if info.inp_status == "none-within-bound":
         for c in classes:
             c.verified = False
             c.trace.append(f"stratum{info.index}:inp-search-capped")
-
-
-def _merge_leg_seeds(c: _ClassState, info: StratumInfo) -> None:
-    """The two leg tips of the crossing path span the same ray class."""
-    inp = info.inp
-    if inp.leg1 is None or inp.leg2 is None:
-        c.verified = False
-        c.trace.append(f"stratum{info.index}:legs-undetermined")
-        return
-    tips = (inp.leg1.darts[0], inp.leg2.darts[0])
-    keep, drop = (info.index, tips[0]), (info.index, tips[1])
-    if drop == keep:
-        c.verified = False
-        return
-    if drop in c.ray_seeds:
-        c.ray_seeds.remove(drop)
-    elif keep in c.ray_seeds:
-        # identical tips recorded once; nothing to drop
-        c.verified = False
-        c.trace.append(f"stratum{info.index}:leg-seed-missing")
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +270,11 @@ SEED_IMAGES = 8
 
 
 def attracting_rays(f: GraphMap, cls: ClassData) -> list[MorphicRay]:
-    """One MorphicRay per ray seed (i, d): that of phi_v =
+    """One MorphicRay per ray seed d: that of phi_v =
     marking(f.graph, v).endo(f) at d's origin v, seeded at the marking word of
     the first image d, [f(d)], ... (of SEED_IMAGES) that MorphicRay accepts."""
     rays = []
-    for _, d in cls.ray_seeds:
+    for d in cls.ray_seeds:
         mark = marking(f.graph, f.graph.origin(d))
         phi = mark.endo(f)
         for darts in islice(ray_images(f, d), SEED_IMAGES):
@@ -427,20 +413,17 @@ def analyze(f: GraphMap, depth: int = DEPTH) -> Report:
         members = tuple(sorted(c.members))
         loc = local_index(g, members)
         verified = complete and c.verified
-        if verified and loc != 1 - c.rank - c.attract:
+        a = len(c.ray_seeds)
+        if verified and loc != 1 - c.rank - a:
             raise AnalysisError(
                 f"index mismatch on class {members}: local {loc}, "
-                f"1 - rk - a = {1 - c.rank - c.attract}")
-        if verified and c.attract != len(c.ray_seeds):
-            raise AnalysisError(
-                f"attracting count {c.attract} does not match the {len(c.ray_seeds)} "
-                f"ray seeds on class {members}")
+                f"1 - rk - a = {1 - c.rank - a}")
         out_classes.append(ClassData(
             members=members,
             index=loc,
             delta=len(members) - loc if complete else 0,
             rank=c.rank if verified else None,
-            attract=c.attract if verified else None,
+            attract=a if verified else None,
             provenance=";".join(c.trace),
             ray_seeds=list(c.ray_seeds),
         ))

@@ -12,6 +12,10 @@ map, so a file in either schema that carries a "filtration" key is rejected.
 Endomorphism files:
     {"rank": 2, "letters": ["a", "b"], "images": {"a": "B", "b": "aB"}}
 (lowercase letter = generator, uppercase = inverse).
+
+Subdivision names the pieces of an edge e as e:1, e:2, ... and the new
+vertices as e@t, so an edge or vertex name or a letter containing ':' or '@'
+is rejected.
 """
 
 from __future__ import annotations
@@ -27,6 +31,13 @@ from .words import Basis, Endomorphism
 
 class InputError(ValueError):
     """Malformed input file; the message carries the offending location."""
+
+
+def _check_names(kind: str, names) -> None:
+    for name in names:
+        if isinstance(name, str) and (":" in name or "@" in name):
+            raise InputError(f"{kind} name {name!r} contains ':' or '@', "
+                             "which subdivision reserves")
 
 
 def load_json(path: str | Path) -> Any:
@@ -48,6 +59,7 @@ def endo_from_json(data: dict) -> Endomorphism:
         letters = tuple(data["letters"])
         if not all(isinstance(x, str) for x in letters):
             raise ValueError("letters must be strings")
+        _check_names("letter", letters)
         basis = Basis(letters)
         if data.get("rank") not in (None, basis.rank):
             raise InputError(f"rank {data['rank']} does not match {basis.rank} letters")
@@ -85,6 +97,8 @@ def graph_map_from_json(data: dict) -> tuple[GraphMap, Optional[str]]:
             if rec["name"] in ends:
                 raise InputError(f"duplicate edge name {rec['name']!r}")
             ends[rec["name"]] = (rec["from"], rec["to"])
+        _check_names("vertex", vertices)
+        _check_names("edge", ends)
         graph = Graph(vertices, ends)
         vmap = dict(data["vertex_map"])
         emap = {}
@@ -166,8 +180,8 @@ def report_to_json(report: Report) -> dict:
             least = min(info.expansion.weights)
             rec["metric"] = {e: format(w / least, ".12g")
                              for e, w in zip(info.edges, info.expansion.weights)}
-        if info.inp is not None:
-            rec["inp"] = str(info.inp.path)
+        if info.inp_status == "found":
+            rec["inp"] = str(info.paths[0])
         strata.append(rec)
     return {
         "classes": [class_to_json(c) for c in report.classes],

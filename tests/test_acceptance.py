@@ -159,7 +159,7 @@ class TestAcceptance:
                 level = rep.filtration.level_edges(info.index + 1)
                 brute = nielsen_paths_brute(g, 6, within=level, crossing=info.edges)
                 if info.inp_status == "found":
-                    assert any(p == info.inp.path or p == info.inp.path.reverse()
+                    assert any(p == info.paths[0] or p == info.paths[0].reverse()
                                for p in brute), (path.name, info.edges)
                 else:
                     assert brute == [], (path.name, info.edges,

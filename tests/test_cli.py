@@ -50,6 +50,17 @@ MALFORMED = {
     "tree": _two_vertices([("a", "u", "v")], {"a": ["a"]}),
     "empty-graph": {"vertices": [], "edges": [], "vertex_map": {}, "edge_map": {}},
     "non-string-letters": {"letters": [2, 0, "a"], "images": []},
+    # Subdivision names new edges e:1, e:2, ... and new vertices e@t.
+    "reserved-edge-name": {"vertices": ["*"],
+                           "edges": [{"name": n, "from": "*", "to": "*"} for n in ("a", "a:1")],
+                           "vertex_map": {"*": "*"},
+                           "edge_map": {"a": ["a-"], "a:1": ["a:1", "a:1"]}},
+    "reserved-vertex-name": {"vertices": ["*", "a@1/2"],
+                             "edges": [{"name": "a", "from": "*", "to": "*"},
+                                       {"name": "b", "from": "*", "to": "a@1/2"}],
+                             "vertex_map": {"*": "*", "a@1/2": "a@1/2"},
+                             "edge_map": {"a": ["a-"], "b": ["b"]}},
+    "reserved-letter": {"letters": ["a", "a:1"], "images": {"a": "a-", "a:1": "a:1 a:1"}},
 }
 
 COMMANDS = ("invariants", "validate", "lefschetz", "attracting", "classify", "route")
@@ -295,7 +306,7 @@ class TestCommands:
         capsys.readouterr()
         assert code == 2
 
-    @pytest.mark.parametrize("command", ["invariants", "validate", "lefschetz", "route"])
+    @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_exit_code_2_on_malformed(self, tmp_path, capsys, command, name):
         p = tmp_path / "broken.json"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import class_of, endo, rose
+from test_multivertex import theta_collapse, theta_fold, theta_swap
 from nielsenkit import invariants
 from nielsenkit.boundary import MorphicRay, attraction_check
 from nielsenkit.invariants import (
@@ -19,8 +20,9 @@ from nielsenkit.invariants import (
     local_index,
     word_attracting_candidates,
 )
-from nielsenkit.graphs import marking, ray_images, subdivided_fixed_map
+from nielsenkit.graphs import fixed_directions, marking, ray_images, subdivided_fixed_map
 from nielsenkit.io import rose_map
+from nielsenkit.rtt import StructureViolation
 from nielsenkit.sampling import random_injective_endos
 from nielsenkit.words import (
     Endomorphism,
@@ -259,7 +261,7 @@ class TestAttractingReps:
                     continue
                 rays = attracting_rays(rep.map, c)
                 assert len(rays) == len(c.ray_seeds)
-                for (_, d), ray in zip(c.ray_seeds, rays):
+                for d, ray in zip(c.ray_seeds, rays):
                     ref = ProjectedRay(rep.map, d)
                     assert ray.endo == ref.endo
                     assert ray.prefix(64) == ref.prefix(64), (rep.map.edge_map, d)
@@ -518,3 +520,54 @@ class TestRecursionInternals:
         monkeypatch.setattr(invariants, "_fold_stratum", corrupted)
         with pytest.raises(AnalysisError, match="index mismatch"):
             analyze_endomorphism(endo(2, "aa", "bb"))
+
+    def test_type2_path_needs_one_fixed_direction(self, monkeypatch):
+        # Stratum 0 of a -> a, b -> Bab is the fixed edge a, whose crossing
+        # path a meets its one fixed direction.  Hiding that direction from
+        # the fold must raise, not shift a.
+        real = invariants.fixed_directions
+
+        def hidden(f, v, edges=None):
+            return [] if edges == ("a",) else real(f, v, edges)
+
+        rep = analyze_endomorphism(endo(2, "a", "Bab"))
+        assert [(i.edges, i.stype, i.inp_status) for i in rep.strata][0] == (
+            ("a",), "type2", "found")
+        monkeypatch.setattr(invariants, "fixed_directions", hidden)
+        with pytest.raises(StructureViolation, match=r"permutation stratum 0 \(a\) "
+                                                     r"meets 0 fixed stratum directions"):
+            analyze_endomorphism(endo(2, "a", "Bab"))
+
+    def test_found_type3_path_drops_its_last_seed(self):
+        # A found expanding-stratum path runs between two distinct fixed
+        # directions of its stratum; its class keeps the seed of the first
+        # dart and drops that of the last one (reversed), and a is the number
+        # of seeds kept.  Over the 2400 rank-2 maps with images of length
+        # <= 4 (seed 1) and the multi-vertex theta maps.
+        gen = random_injective_endos(2, 4, 1)
+        maps = [rose_map(next(gen)) for _ in range(2400)]
+        maps += [theta_swap(), theta_collapse(), theta_fold()]
+        found = verified = 0
+        for f in maps:
+            rep = analyze(f)
+            for c in rep.classes:
+                if c.attract is not None:
+                    assert c.attract == len(c.ray_seeds)
+                    verified += 1
+            if not rep.classification_complete:
+                continue
+            g = rep.map.graph
+            for info in rep.strata:
+                if (info.stype, info.inp_status) != ("type3", "found"):
+                    continue
+                (p,) = info.paths
+                first, last = p.darts[0], p.darts[-1].rev
+                assert first != last
+                assert first in fixed_directions(rep.map, g.origin(first), info.edges)
+                assert last in fixed_directions(rep.map, g.origin(last), info.edges)
+                owner = class_of(rep, g.origin(first))
+                assert owner is class_of(rep, g.origin(last))
+                assert first in owner.ray_seeds and last not in owner.ray_seeds
+                found += 1
+        # 2745 verified classes of the rank-2 maps and 4 of the theta maps.
+        assert (found, verified) == (35, 2749)

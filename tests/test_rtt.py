@@ -301,16 +301,27 @@ class TestNielsenPaths:
                    for p in found)
 
 
+def leg_split(f, p):
+    """(leg1, leg2) with p = leg1 . leg2^-1 at the first split whose turn
+    degenerates in one step, or None."""
+    for j in range(1, len(p.darts)):
+        leg1 = EdgePath(p.darts[:j])
+        leg2 = EdgePath(tuple(d.rev for d in reversed(p.darts[j:])))
+        if graphs.turn_degenerates_in_one_step(f, leg1.darts[-1].rev, leg2.darts[-1].rev):
+            return leg1, leg2
+    return None
+
+
 class TestFindInp:
     def test_derived_map(self):
-        infos = analyze(derived).strata
-        top = infos[1]
+        rep = analyze(derived)
+        top = rep.strata[1]
         assert top.inp_status == "found"
-        inp = top.inp
-        assert {tuple(str(d) for d in inp.leg1.darts),
-                tuple(str(d) for d in inp.leg2.darts)} == {("b",), ("b", "a")}
-        img1 = map_path(derived, inp.leg1)
-        assert tuple(str(d) for d in img1.darts) == tuple(str(d) for d in inp.leg1.darts) + ("a",)
+        leg1, leg2 = leg_split(rep.map, top.paths[0])
+        assert {tuple(str(d) for d in leg1.darts),
+                tuple(str(d) for d in leg2.darts)} == {("b",), ("b", "a")}
+        img1 = map_path(derived, leg1)
+        assert tuple(str(d) for d in img1.darts) == tuple(str(d) for d in leg1.darts) + ("a",)
 
     def test_doubling_certified_none(self):
         for info in analyze(ex1).strata:
@@ -332,14 +343,14 @@ class TestFindInp:
                 if info.inp_status.startswith("certified") or info.inp_status == "none-within-bound":
                     assert brute == [], (info.edges, [str(p) for p in brute])
                 elif info.inp_status == "found":
-                    assert any(p == info.inp.path or p == info.inp.path.reverse()
+                    assert any(p == info.paths[0] or p == info.paths[0].reverse()
                                for p in brute)
 
     def test_jiang_subdivided_merge_path(self):
         infos = analyze(rose({"a": ["a-"], "b": ["a-", "b", "b"]})).strata
         by_edges = {i.edges: i for i in infos}
         assert by_edges[("b:1",)].inp_status == "found"
-        p = by_edges[("b:1",)].inp.path
+        p = by_edges[("b:1",)].paths[0]
         assert tuple(str(d) for d in p.darts) == ("a:1-", "b:1")
         assert by_edges[("b:2",)].inp_status == "certified-none"
 
@@ -581,18 +592,16 @@ def is_indivisible(f, p):
 
 
 def reference_type3(f, nielsen, exhausted):
-    """(inp_status, inp, inp_multi) that find_inp should give a type-3
-    stratum with illegal turns, from reference_type3_pairs."""
+    """(inp_status, paths) that find_inp should give a type-3 stratum with
+    illegal turns, from reference_type3_pairs."""
     uniq = {}
     for p in nielsen:
         if is_indivisible(f, p):
             uniq.setdefault(rtt._canonical(p), p)
     kept = sorted(uniq.values(), key=lambda p: (len(p.darts), rtt._canonical(p)))
-    if len(kept) > 1:
-        return "multiple", None, [rtt._leg_decomposition(f, p) for p in kept]
     if kept:
-        return "found", rtt._leg_decomposition(f, kept[0]), []
-    return ("certified-none" if exhausted else "none-within-bound"), None, []
+        return ("multiple" if len(kept) > 1 else "found"), kept
+    return ("certified-none" if exhausted else "none-within-bound"), []
 
 
 def type3_strata(f):
@@ -600,7 +609,7 @@ def type3_strata(f):
     g, _ = subdivided_fixed_map(f)
     filt = derive_filtration(g)
     infos = [classify_stratum(g, filt, i) for i in range(filt.depth)]
-    return g, filt, [i for i in infos if i.stype == "type3" and i.illegal_turns]
+    return g, filt, [i for i in infos if i.stype == "type3" and i.has_illegal_turn]
 
 
 def assert_type3_exact(f, max_len=8):
@@ -615,7 +624,7 @@ def assert_type3_exact(f, max_len=8):
         rtt.find_inp(g, filt, info, max_len, [frozenset({v}) for v in fixed_vertices(g)])
         _, nielsen, exhausted = reference_type3_pairs(g, info, max_len)
         want = reference_type3(g, nielsen, exhausted)
-        assert (info.inp_status, info.inp, info.inp_multi) == want, f.edge_map
+        assert (info.inp_status, info.paths) == want, f.edge_map
         with_path += info.inp_status in ("found", "multiple")
         matched += len(nielsen)
         for d in (d for v in fixed_vertices(g)
@@ -720,7 +729,7 @@ class TestSearchWork:
         f, _ = subdivided_fixed_map(rose({"a": ["b", "a", "a"], "b": ["b", "a"]}))
         filt = derive_filtration(f)
         info = classify_stratum(f, filt, 0)
-        assert info.stype == "type3" and info.illegal_turns
+        assert info.stype == "type3" and info.has_illegal_turn
         rtt.find_inp(f, filt, info, 8, [frozenset({v}) for v in fixed_vertices(f)])
         assert info.inp_status == "multiple"  # two crossing paths, see TestSecondCrossingPath
         cap, lengths = metric_cap(info)
@@ -778,7 +787,7 @@ class TestMetricCap:
             for info in rep.strata:
                 if (info.stype, info.inp_status) != ("type3", "certified-none"):
                     continue
-                if not info.illegal_turns:
+                if not info.has_illegal_turn:
                     continue
                 level = rep.filtration.level_edges(info.index + 1)
                 brute = nielsen_paths_brute(rep.map, 12, within=level, crossing=info.edges)
@@ -805,7 +814,7 @@ class TestSecondCrossingPath:
     def test_two_paths_leave_classes_unverified(self, images):
         rep = analyze(rose(images))
         assert [(i.stype, i.inp_status) for i in rep.strata] == [("type3", "multiple")]
-        assert len(rep.strata[0].inp_multi) == 2
+        assert len(rep.strata[0].paths) == 2
         assert all(c.rank is None and c.attract is None for c in rep.classes)
 
     @pytest.mark.parametrize("seed, strata", [(1, 35), (2, 39)])
