@@ -233,16 +233,6 @@ def _map_onto(f: GraphMap, out: list[Dart], darts: Iterable[Dart]) -> None:
                 out.append(x)
 
 
-def map_path(f: GraphMap, p: EdgePath) -> EdgePath:
-    if p.is_trivial:
-        return trivial_path(f.vertex_map[p.at])
-    out: list[Dart] = []
-    _map_onto(f, out, p.darts)
-    if not out:
-        return trivial_path(f.vertex_map[f.graph.origin(p.darts[0])])
-    return EdgePath(tuple(out))
-
-
 def derivative(f: GraphMap, d: Dart) -> Optional[Dart]:
     """First dart of the tight image; None for a collapsed edge."""
     img = f.image_table[d]

@@ -8,8 +8,8 @@ construction and re-verified.  Stratum types:
 * type1: every stratum edge maps into the lower level;
 * type2: the stratum transition matrix is a cyclic permutation (images may
   wander through lower strata between the single top crossing);
-* type3: irreducible transition matrix with expansion > 1 whose derivative
-  keeps stratum darts in the stratum.
+* type3: irreducible transition matrix with expansion > 1 that meets the
+  relative train-track conditions (classify_stratum).
 
 An expanding stratum is measured by the left Perron-Frobenius eigenvector L
 of its transition matrix M (M^T L = lam L), which pf_metric brackets.
@@ -63,7 +63,6 @@ from .graphs import (
     derivative,
     fixed_directions,
     fixed_vertices,
-    map_path,
     ray_images,
     reachable,
     turn_degenerates_in_one_step,
@@ -239,13 +238,29 @@ class StratumInfo:
     # The crossing paths: one when found, several when multiple.
     paths: list[EdgePath] = field(default_factory=list)
     # Set when the stratum meets the transition-matrix and derivative
-    # conditions for an expanding stratum but is not a train track (some image
-    # takes an illegal turn or loses a connecting piece): the classification
-    # "counts", the invariant bookkeeping above it does not.
+    # conditions for an expanding stratum but fails RTT-iii or the vertex
+    # condition for RTT-ii (classify_stratum): the classification "counts",
+    # the invariant bookkeeping above it does not.
     expanding_not_train_track: bool = False
 
 
 def classify_stratum(f: GraphMap, filt: Filtration, i: int) -> StratumInfo:
+    """Classify stratum i (types in the module docstring).
+
+    An expanding stratum H is type3 when it meets the relative train-track
+    conditions of Bestvina-Handel (Ann. Math. 135, 1992), G_{r-1} being the
+    lower level (every vertex, the edges of lower strata).  RTT-i: the
+    derivative keeps H darts in H.  RTT-iii: no image of an H edge takes an
+    illegal turn between H darts (turns against lower darts cannot
+    degenerate).  RTT-ii, that no nontrivial path in G_{r-1} between H
+    vertices ever becomes trivial, is decided on vertices: f is injective on
+    the H vertices of each component of G_{r-1}.  Proof: a tight loop never
+    collapses, f being pi1-injective, and a path between distinct vertices
+    is nontrivial while its ends differ.  By RTT-i and the invariance of
+    G_{r-1}, its ends map to two H vertices in one component of G_{r-1}
+    again, which the condition keeps distinct.  So RTT-ii holds for every
+    iterate.  The condition is sufficient, not necessary.
+    """
     stratum = filt.strata[i]
     m = transition_matrix(f, stratum)
     info = StratumInfo(index=i, edges=stratum, stype="unclassifiable")
@@ -271,13 +286,8 @@ def classify_stratum(f: GraphMap, filt: Filtration, i: int) -> StratumInfo:
             if dd is None or dd.name not in stratum:
                 info.note = f"derivative of {d} leaves the stratum"
                 return info
-    # Expanding strata must also be train tracks: adjacent stratum darts in an
-    # image may not form an illegal turn (iterated images would cancel and
-    # crossing Nielsen paths would lose their leg structure), and the lower
-    # connecting pieces must never collapse entirely.  Turns against lower
-    # darts cannot degenerate, so they need no check.
     in_stratum = set(stratum)
-    for e in stratum:
+    for e in stratum:  # RTT-iii
         img = f.edge_map[e].darts
         for d1, d2 in zip(img, img[1:]):
             if d1.name in in_stratum and d2.name in in_stratum:
@@ -286,26 +296,21 @@ def classify_stratum(f: GraphMap, filt: Filtration, i: int) -> StratumInfo:
                                  f"({d1.rev}, {d2}); not a train track map")
                     info.expanding_not_train_track = True
                     return info
-        run: list[Dart] = []
-        runs: list[tuple[Dart, ...]] = []
-        for d in img:
-            if d.name in in_stratum:
-                if run:
-                    runs.append(tuple(run))
-                    run = []
-            else:
-                run.append(d)
-        for tau in runs:
-            p = EdgePath(tau)
-            for _ in range(20):
-                p = map_path(f, p)
-                if p.is_trivial:
-                    info.note = (f"a lower connecting piece of the image of {e} "
-                                 "collapses under iteration")
-                    info.expanding_not_train_track = True
-                    return info
-                if len(p.darts) > 512:
-                    break
+    g = f.graph  # RTT-ii, on vertices
+    lower: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for e in filt.level_edges(i):
+        a, b = g.edge_ends[e]
+        lower[a].append(b)
+        lower[b].append(a)
+    ends = [v for v in g.vertices if any(v in g.edge_ends[e] for e in stratum)]
+    for j, v in enumerate(ends):
+        for u in ends[:j]:
+            if f.vertex_map[u] == f.vertex_map[v] and u in reachable(lower, v):
+                info.note = (f"stratum vertices {u} and {v} lie in one component of "
+                             f"the lower level and both map to {f.vertex_map[v]}; lower "
+                             "paths between them are not certified to stay nontrivial")
+                info.expanding_not_train_track = True
+                return info
     info.stype = "type3"
     info.has_illegal_turn = has_illegal_turn_in(f, filt.level_edges(i + 1))
     return info
@@ -556,11 +561,11 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
        w(K') = sum_e (M^T L)_e <= hi * sum(L), and Gamma covers H (no row
        of M is 0), so w(Gamma) >= sum(L) and L(tau) <= (hi - 1) * sum(L).
     The bound is reached on rank-2 survey maps; the cap,
-    hi^2 * sum(L) / (lo - 1), is at least 4 times it.  Two steps are not
-    proved here: Bestvina-Handel prove step 1 for homotopy equivalences, not
-    for injective maps that are not onto; and step 2 needs that no lower
-    path between H darts of an iterated edge image collapses, which
-    classify_stratum checks for at most 20 iterates of each connecting piece.
+    hi^2 * sum(L) / (lo - 1), is at least 4 times it.  Step 2 needs that no
+    lower path between H vertices collapses (RTT-ii), which classify_stratum
+    proves for every iterate.  One step is not proved here: Bestvina-Handel
+    prove step 1 for homotopy equivalences, not for injective maps that are
+    not onto.
     """
     level = filt.level_edges(info.index + 1)
     stratum = set(info.edges)

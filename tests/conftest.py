@@ -21,6 +21,23 @@ def rose(images: dict[str, list[str]]) -> GraphMap:
     return f
 
 
+def map_path(f: GraphMap, p: EdgePath) -> EdgePath:
+    """[f(p)], the tight image of an edge path, mapped whole and tightened at
+    every junction: the reference for the program's incremental images."""
+    if p.is_trivial:
+        return trivial_path(f.vertex_map[p.at])
+    out = []
+    for d in p.darts:
+        for x in f.image_table[d]:
+            if out and out[-1] == x.rev:
+                out.pop()
+            else:
+                out.append(x)
+    if not out:
+        return trivial_path(f.vertex_map[f.graph.origin(p.darts[0])])
+    return EdgePath(tuple(out))
+
+
 def class_of(report: Report, vertex: str) -> Optional[ClassData]:
     """The class of `report` that has `vertex` as a member, if any."""
     return next((c for c in report.classes if vertex in c.members), None)

@@ -355,6 +355,29 @@ class TestCommands:
         assert data["verdicts"]["lefschetz_sum"] == "pass"
         assert any("type3:ambiguous" in c["provenance"] for c in data["classes"])
 
+    def test_identified_stratum_vertices_leave_classes_unverified(self, tmp_path, capsys):
+        # f sends v0 and v1 to v1, and the collapsed edge e0 joins them below
+        # the expanding stratum, so RTT-ii is not certified: the stratum is
+        # unclassifiable and the partition comes from the oracle, where the
+        # recursion used to miss a crossing path through e0 (exit 2).
+        p = tmp_path / "collapse.json"
+        p.write_text(json.dumps({
+            "vertices": ["v0", "v1"],
+            "edges": [{"name": "e0", "from": "v0", "to": "v1"},
+                      {"name": "e1", "from": "v1", "to": "v0"},
+                      {"name": "e2", "from": "v1", "to": "v0"}],
+            "vertex_map": {"v0": "v1", "v1": "v1"},
+            "edge_map": {"e0": {"at": "v1"}, "e1": ["e1", "e2-", "e1", "e2-"],
+                         "e2": ["e2", "e1-", "e2", "e0"]}}))
+        code, data = run(capsys, "invariants", str(p))
+        assert code == 0
+        assert data["classification_complete"] is False
+        assert [(c["members"], c["ind"], c["rk"], c["a"]) for c in data["classes"]] == [
+            (["e1@2/3", "e2@2/3", "v1"], -3, "unverified", "unverified")]
+        assert data["verdicts"]["lefschetz_sum"] == "pass"
+        (top,) = [s for s in data["strata"] if s["type"] == "unclassifiable"]
+        assert top["note"].startswith("stratum vertices v0 and v1 lie in one component")
+
     def test_route_bounds_inconclusive(self, tmp_path, capsys):
         # No constant-route witness, yet the class is not empty: it is b@1/2
         # (ind -1, rk 0, a 2), so 1 - rk - a = -1 proves nothing wrong.

@@ -3,7 +3,7 @@ from typing import Iterable, Optional
 
 import pytest
 
-from conftest import identity_endo, rose
+from conftest import identity_endo, map_path, rose
 from nielsenkit.graphs import (
     Dart,
     EdgePath,
@@ -16,7 +16,6 @@ from nielsenkit.graphs import (
     fixed_directions,
     fixed_vertices,
     interior_fixed_points,
-    map_path,
     marking,
     subdivided_fixed_map,
     trivial_path,

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import rose
+from conftest import map_path, rose
 from nielsenkit import graphs, rtt
-from nielsenkit.graphs import EdgePath, GraphMap, fixed_vertices, map_path, parse_dart, subdivided_fixed_map
+from nielsenkit.graphs import (EdgePath, Graph, GraphMap, fixed_vertices, parse_dart,
+                                subdivided_fixed_map, trivial_path)
 from nielsenkit.invariants import analyze
 from nielsenkit.io import load_instance, rose_map
 from nielsenkit.rtt import (
@@ -105,6 +106,22 @@ class TestClassification:
         filt = derive_filtration(f)
         assert filt.strata == [("a",), ("b",)]
         assert classify_stratum(f, filt, 1).stype == "type1"
+
+    def test_identified_stratum_vertices_flagged(self):
+        # The collapsed edge c joins the stratum vertices u and v in the lower
+        # level, and f sends both to u, so RTT-ii is not certified.
+        g = Graph(("u", "v"), {"a": ("u", "v"), "b": ("v", "u"), "c": ("u", "v")})
+        f = GraphMap(g, {"u": "u", "v": "u"}, {"a": path("a", "b"),
+                                               "b": path("a", "c-", "a", "b"),
+                                               "c": trivial_path("u")})
+        f.validate()
+        filt = derive_filtration(f)
+        assert filt.strata == [("c",), ("a", "b")]
+        info = classify_stratum(f, filt, 1)
+        assert info.stype == "unclassifiable" and info.expanding_not_train_track
+        assert info.expansion is not None
+        assert info.note.startswith("stratum vertices u and v lie in one component "
+                                    "of the lower level and both map to u")
 
     def test_non_train_track_flagged(self):
         # the image of a crosses the illegal turn taken by its own iterates
@@ -239,7 +256,7 @@ class TestPFMetric:
         # lo * L(p) <= L([f(p)]) <= hi * L(p), exactly.
         import random
 
-        from nielsenkit.graphs import classify_turn, map_path
+        from nielsenkit.graphs import classify_turn
 
         rng = random.Random(11)
         for f in (ex1, ex2, skew):
@@ -685,26 +702,36 @@ class TestCrossingPathExact:
         assert with_path > 0 and matched > 0, (with_path, matched)
 
 
+def count_paths_mapped(monkeypatch, counting=lambda: True):
+    """The dart lists that graphs._map_onto maps outside ray_images (which
+    maps only each ray's new darts) while counting() holds."""
+    mapped = []
+    real = graphs._map_onto
+
+    def counted(f, out, darts):
+        darts = tuple(darts)
+        if counting() and sys._getframe(1).f_code.co_name != "ray_images":
+            mapped.append(darts)
+        return real(f, out, darts)
+
+    monkeypatch.setattr(graphs, "_map_onto", counted)
+    return mapped
+
+
 class TestSearchWork:
     """The searches do less work, with the same results."""
 
     def test_type2_search_maps_no_path(self, monkeypatch):
         # Indivisibility is settled inside the search, with no path mapped.
-        searches, mapped = [], []
-        brute, real_map_path = rtt.nielsen_paths_brute, graphs.map_path
+        searches = []
+        brute = rtt.nielsen_paths_brute
 
         def counted_brute(*args, **kw):
             searches.append(kw)
             return brute(*args, **kw)
 
-        def counted_map_path(f, p):  # counts only once a search has begun
-            if searches:
-                mapped.append(p)
-            return real_map_path(f, p)
-
         monkeypatch.setattr(rtt, "nielsen_paths_brute", counted_brute)
-        monkeypatch.setattr(rtt, "map_path", counted_map_path)
-        monkeypatch.setattr(graphs, "map_path", counted_map_path)
+        mapped = count_paths_mapped(monkeypatch, lambda: bool(searches))
         f, _ = subdivided_fixed_map(rose({"a": ["a"], "b": ["a-", "b", "a"]}))
         filt = derive_filtration(f)
         for i in range(filt.depth):
@@ -713,7 +740,7 @@ class TestSearchWork:
             searches.clear()
             rtt.find_inp(f, filt, info, 8, [frozenset({v}) for v in fixed_vertices(f)])
             assert len(searches) == 1 and info.inp_status == "found", i
-            assert mapped == [], (i, [str(p) for p in mapped])
+            assert mapped == [], (i, mapped)
 
     def test_rays_stop_at_metric_cap(self, monkeypatch):
         # Each ray grows to its first image longer than find_inp's metric cap.
@@ -755,18 +782,10 @@ class TestSearchWork:
         g, filt, infos = type3_strata(f)
         (info,) = infos
         pairs, nielsen, _ = reference_type3_pairs(g, info, 8)
-        mapped = []
-        real_map_path = graphs.map_path
-
-        def counted_map_path(f, p):
-            mapped.append(p)
-            return real_map_path(f, p)
-
-        monkeypatch.setattr(rtt, "map_path", counted_map_path)
-        monkeypatch.setattr(graphs, "map_path", counted_map_path)
+        mapped = count_paths_mapped(monkeypatch)
         rtt.find_inp(g, filt, info, 8, [frozenset({v}) for v in fixed_vertices(g)])
         assert info.inp_status == "multiple"
-        assert mapped == [], [str(p) for p in mapped]
+        assert mapped == [], mapped
         assert len(nielsen) >= 2 and len(pairs) > 4, (len(pairs), len(nielsen))
 
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compose, endo, identity_endo
+from conftest import compose, endo, identity_endo, map_path
 from test_multivertex import theta_collapse, theta_swap
-from nielsenkit.graphs import EdgePath, any_route_endo, map_path, subdivided_fixed_map
+from nielsenkit.graphs import EdgePath, any_route_endo, subdivided_fixed_map
 from nielsenkit.invariants import fixed_subgroup_basis
 from nielsenkit.io import corpus_files, endo_from_json, graph_map_from_json, rose_map
 from nielsenkit.sampling import random_injective_endos
