@@ -560,12 +560,11 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
        weight, so L(tau) <= w(K') - w(Gamma), Gamma the folded graph.
        w(K') = sum_e (M^T L)_e <= hi * sum(L), and Gamma covers H (no row
        of M is 0), so w(Gamma) >= sum(L) and L(tau) <= (hi - 1) * sum(L).
-    The bound is reached on rank-2 survey maps; the cap,
-    hi^2 * sum(L) / (lo - 1), is at least 4 times it.  Step 2 needs that no
-    lower path between H vertices collapses (RTT-ii), which classify_stratum
-    proves for every iterate.  One step is not proved here: Bestvina-Handel
-    prove step 1 for homotopy equivalences, not for injective maps that are
-    not onto.
+    The bound is the search cap, and it is reached on rank-2 survey maps.
+    Step 2 needs that no lower path between H vertices collapses (RTT-ii),
+    which classify_stratum proves for every iterate.  One step is not proved
+    here: Bestvina-Handel prove step 1 for homotopy equivalences, not for
+    injective maps that are not onto.
     """
     level = filt.level_edges(info.index + 1)
     stratum = set(info.edges)
@@ -619,11 +618,11 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
         info.inp_status = "certified-none"
         return info
 
-    # The cap hi^2 * sum(L) / (lo - 1) in units of v (L = v / min v), rounded
-    # down: an integer weight exceeds it iff it exceeds the cap itself.
+    # The cap (hi - 1) * sum(L) / (lo - 1) in units of v (L = v / min v),
+    # rounded down: an integer weight exceeds it iff it exceeds the cap itself.
     exp = info.expansion
     weight = dict(zip(info.edges, exp.weights))
-    cap = exp.hi ** 2 * sum(exp.weights) // (exp.lo - 1)
+    cap = (exp.hi - 1) * sum(exp.weights) // (exp.lo - 1)
     seeds = []
     for v in fixed_vertices(f):
         seeds.extend(fixed_directions(f, v, info.edges))

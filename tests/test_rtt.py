@@ -539,11 +539,11 @@ class TestPartitionOracleExact:
 
 
 def metric_cap(info):
-    """find_inp's metric cap hi^2 * sum(L) / (lo - 1), and the metric L of
-    each stratum edge, as Fractions."""
+    """find_inp's metric cap (hi - 1) * sum(L) / (lo - 1), and the metric L
+    of each stratum edge, as Fractions."""
     exp = info.expansion
     lengths = dict(zip(info.edges, metric_lengths(exp)))
-    return exp.hi ** 2 * sum(lengths.values()) / (exp.lo - 1), lengths
+    return (exp.hi - 1) * sum(lengths.values()) / (exp.lo - 1), lengths
 
 
 def reference_type3_pairs(f, info, max_len):
@@ -768,17 +768,17 @@ class TestSearchWork:
         for ray in images.values():
             assert all(metric(c) <= cap for c in ray[:-1])
             assert metric(ray[-1]) > cap
-        # Three rays grow images of 1, 3, 8 and 21 darts, and the ray from
-        # a:1- images of 1, 2, 5, 13 and 34: 3 * 33 + 55 = 154 darts.  At
-        # lam = phi^2 the 13-dart image measures phi^6, which is the cap
-        # itself, so the 34-dart image is grown or not by the last bits of
-        # the bracket; here it is.
-        assert sum(len(c) for ray in images.values() for c in ray) == 154
+        # Three rays grow images of 1, 3 and 8 darts, and the ray from a:1-
+        # images of 1, 2 and 5: 3 * 12 + 8 = 44 darts.  Each 3-dart image
+        # measures sum(L), which is within the cap (hi - 1) * sum(L) / (lo - 1)
+        # because hi >= lo, so the 8-dart images are grown.
+        assert sum(len(c) for ray in images.values() for c in ray) == 44
 
     def test_type3_maps_no_path(self, monkeypatch):
         # Candidates are matched by their tails and are indivisible by the
         # cut at the first Nielsen prefix, so the type-3 branch maps no path.
-        f = rose(SECOND_PATH_MAPS[0])
+        # This map has 10 candidate pairs within the cap, 2 of them Nielsen.
+        f = rose(SECOND_PATH_MAPS[1])
         g, filt, infos = type3_strata(f)
         (info,) = infos
         pairs, nielsen, _ = reference_type3_pairs(g, info, 8)
