@@ -435,7 +435,8 @@ def analyze(f: GraphMap, depth: int = DEPTH) -> Report:
         ours = sorted((frozenset(c.members) for c in out_classes), key=sorted)
         if ours != oracle:
             raise AnalysisError(
-                f"class partition {ours} disagrees with the Nielsen-path oracle {oracle}")
+                f"class partition {[sorted(c) for c in ours]} disagrees with the "
+                f"Nielsen-path oracle {[sorted(c) for c in oracle]}")
 
     # Cross-check 3: indices must sum to the Lefschetz number, taken from the
     # unsubdivided map, so the check also covers the subdivision.

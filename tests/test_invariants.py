@@ -20,7 +20,8 @@ from nielsenkit.invariants import (
     local_index,
     word_attracting_candidates,
 )
-from nielsenkit.graphs import fixed_directions, marking, ray_images, subdivided_fixed_map
+from nielsenkit.graphs import (fixed_directions, fixed_vertices, marking, ray_images,
+                                subdivided_fixed_map)
 from nielsenkit.io import rose_map
 from nielsenkit.rtt import StructureViolation
 from nielsenkit.sampling import random_injective_endos
@@ -488,6 +489,19 @@ class TestRecursionInternals:
     def test_oracle_cross_check_active(self):
         rep = analyze_endomorphism(endo(2, "A", "Abb"))
         assert len(rep.classes) == 2
+
+    def test_partition_mismatch_message_is_sorted(self, monkeypatch):
+        # The message lists each class's members sorted, not in the hash order
+        # of a frozenset, so one input always gives one message.
+        f = rose({"a": ["b", "a", "a"], "b": ["b", "b", "b"]})
+        assert [c.members for c in analyze(f).classes] == [("*",), ("a@1/2", "b@1/2")]
+        monkeypatch.setattr(invariants, "nielsen_partition_oracle",
+                            lambda g, depth: [frozenset(fixed_vertices(g))])
+        with pytest.raises(AnalysisError) as exc:
+            analyze(f)
+        assert str(exc.value) == (
+            "class partition [['*'], ['a@1/2', 'b@1/2']] disagrees with the "
+            "Nielsen-path oracle [['*', 'a@1/2', 'b@1/2']]")
 
     def test_incomplete_runs_oracle_once(self, monkeypatch):
         # The oracle's partition replaces the recursion's; it is not re-run
