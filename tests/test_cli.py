@@ -358,8 +358,8 @@ class TestCommands:
     def test_identified_stratum_vertices_leave_classes_unverified(self, tmp_path, capsys):
         # f sends v0 and v1 to v1, and the collapsed edge e0 joins them below
         # the expanding stratum, so RTT-ii is not certified: the stratum is
-        # unclassifiable and the partition comes from the oracle, where the
-        # recursion used to miss a crossing path through e0 (exit 2).
+        # unclassifiable and the partition comes from the oracle, which finds
+        # the crossing path through e0 that joins e1@2/3 to v1.
         p = tmp_path / "collapse.json"
         p.write_text(json.dumps({
             "vertices": ["v0", "v1"],
