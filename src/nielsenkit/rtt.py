@@ -22,34 +22,50 @@ two), as may one of an injective endomorphism that is not onto, or a
 permutation stratum outside normal form; then only their merges are trusted
 and the classes they touch stay unverified.
 
-Nielsen paths are searched as indivisible ones, by one bounded depth-first
-search that stops at the first Nielsen prefix.  Cancellation lemma: if
-P = A.B is tight and P and A are Nielsen paths, then
+Four facts carry the Nielsen-path searches; the docstrings below cite them
+by name.
+
+Cancellation lemma: if P = A.B is tight and P and A are Nielsen paths, then
 [f(B)] = [f(A)^-1 f(P)] = [A^-1 P] = B.  So a Nielsen path is indivisible iff
 no proper nonempty prefix of it is Nielsen, and every extension of a Nielsen
-path is divisible.  The partition oracle searches from every fixed vertex but
-the last and still finds the partition that all Nielsen paths of length
-<= max_len give: such a path splits at its fixed vertices into indivisible
-pieces no longer than itself that join the same vertices, and a piece
-starting at the last vertex is a loop, joining nothing, or is found reversed
-from its other end.
+path is divisible.  Hence the partition that all Nielsen paths of length
+<= max_len give is found by searching indivisible ones from every fixed
+vertex but the last: such a path splits at its fixed vertices into
+indivisible pieces no longer than itself that join the same vertices, and a
+piece starting at the last vertex is a loop, joining nothing, or is found
+reversed from its other end.
 
-A path crossing an expanding stratum is searched as A.B^-1, with A and B
-prefixes of expanding rays from fixed vertices that end at one vertex v.
-Tail lemma: A.B^-1 is a Nielsen path iff [A^-1 . f(A)] = [B^-1 . f(B)],
-because [f(A) . f(B)^-1] = A.B^-1 says that the two paths from v to f(v) are
-homotopic rel endpoints, and a tight path is the only one in its class.  So
-the prefixes are matched by their tails, and no candidate is mapped.  An
-empty tail marks a Nielsen prefix, and each ray is cut just before its first
-one (on a train track there is none: ray prefixes are r-legal and grow).  Then
-every joined pair is indivisible: a split inside A or at its end is a Nielsen
-prefix of A, and one inside B^-1, at A.B2^-1 with B = B1.B2, is Nielsen
-exactly when B1 is, by the cancellation lemma.
+Tail lemma: for paths A and B from fixed vertices to one vertex v, A.B^-1 is
+a Nielsen path iff [A^-1 . f(A)] = [B^-1 . f(B)], because
+[f(A) . f(B)^-1] = A.B^-1 says that the two paths from v to f(v) are
+homotopic rel endpoints, and a tight path is the only one in its class.
+
+Stretch fact: let H be a type3 stratum, G_r its level and L its metric
+(0 below H), lo * L <= M^T L with lo > 1.  A path A in G_r that crosses H
+and takes no illegal turn between H darts (A is r-legal) has
+L([f(A)]) >= lo * L(A) > L(A), because the H darts of f(A) survive
+tightening (RTT-i to RTT-iii, classify_stratum) and lower edges weigh 0.  So
+A is not a Nielsen path, and a Nielsen path crossing H takes an illegal turn
+between H darts.
+
+Turn equivalence: an invariant level has an illegal turn iff the derivative
+D sends two distinct darts of the level at one vertex to one dart, collapsed
+darts ignored.  If (d1, d2) is illegal and k is least with D^k d1 = D^k d2,
+then D^(k-1) d1 != D^(k-1) d2 are two such darts, D keeping darts in the
+level and darts at one vertex at one vertex; the converse is k = 1.
+
+A path crossing H is searched as A.B^-1, A and B prefixes of the rays from
+two fixed directions of H (ray_images) that end at one vertex, and matched
+by their tails, so no candidate is mapped.  Ray prefixes are r-legal, so
+none is Nielsen, and every match is indivisible: a split inside A or at its
+end is a Nielsen prefix of A, and one inside B^-1, at A.B2^-1 with
+B = B1.B2, is Nielsen exactly when B1 is, by the cancellation lemma.  A
+match takes an illegal turn between H darts, at its junction since A and B
+take none, and no ray takes one, so a path and its two rays fix the junction.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -232,7 +248,6 @@ class StratumInfo:
     stype: str  # type1 | type2 | type3 | unclassifiable
     note: str = ""
     expansion: Optional[ExpansionData] = None
-    has_illegal_turn: bool = False
     # found | certified-none | none-within-bound | multiple | unsearched
     inp_status: str = "unsearched"
     # The crossing paths: one when found, several when multiple.
@@ -312,16 +327,7 @@ def classify_stratum(f: GraphMap, filt: Filtration, i: int) -> StratumInfo:
                 info.expanding_not_train_track = True
                 return info
     info.stype = "type3"
-    info.has_illegal_turn = has_illegal_turn_in(f, filt.level_edges(i + 1))
     return info
-
-
-def has_illegal_turn_in(f: GraphMap, edges: Iterable[str]) -> bool:
-    """Whether some turn among directions of the given subgraph is illegal."""
-    g = f.graph
-    darts = g.darts(list(edges))
-    return any(g.origin(a) == g.origin(b) and classify_turn(f, a, b) == "illegal"
-               for i, a in enumerate(darts) for b in darts[i + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -417,37 +423,20 @@ def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
     return found
 
 
-def nielsen_paths_brute(f: GraphMap, max_len: int,
-                        within: Optional[Iterable[str]] = None,
-                        crossing: Optional[Iterable[str]] = None) -> list[EdgePath]:
-    """Every indivisible Nielsen path of length <= max_len, deduplicated up to
-    reversal, by a depth-first search from every fixed vertex over the tight
-    paths, pruned by bounded cancellation; optionally restricted to a subgraph
-    and to paths crossing given edges.
-
-    The search stops descending at the first Nielsen node, which loses no
-    indivisible path.  Cancellation lemma: if P = A.B is tight and P and A
-    are Nielsen paths, then [f(B)] = [f(A)^-1 f(P)] = [A^-1 P] = B, so B is
-    Nielsen too.  Hence a Nielsen path is indivisible iff no proper nonempty
-    prefix of it is Nielsen, and every extension of a Nielsen path is
-    divisible.  The reversal of an indivisible path is indivisible, so each is
-    found from both of its ends.
-
-    nielsen_partition_oracle runs the same search from every fixed vertex but
-    the last, and its partition is still the one all Nielsen paths of length
-    <= max_len give: such a path splits at its fixed vertices into indivisible
-    pieces no longer than itself that join the same vertices, and a piece
-    starting at the last vertex is a loop, joining nothing, or is found
-    reversed from its other end.
+def nielsen_paths_brute(f: GraphMap, max_len: int, within: Iterable[str],
+                        crossing: Iterable[str]) -> list[EdgePath]:
+    """Every indivisible Nielsen path of length <= max_len that runs in the
+    edges `within` and crosses an edge of `crossing`, deduplicated up to
+    reversal, by the depth-first search of _indivisible_nielsen_paths from
+    every fixed vertex.  The reversal of an indivisible path is indivisible,
+    so each is found from both of its ends.
 
     The function keeps its historical name because the benchmark's span hooks
     (perfbench/spans.py) time it under that name.
     """
-    names = f.graph.edges if within is None else within
-    must = None if crossing is None else set(crossing)
     found: dict[tuple, EdgePath] = {}
     for darts in _indivisible_nielsen_paths(f, max_len, sorted(fixed_vertices(f)),
-                                            names, must):
+                                            within, set(crossing)):
         p = EdgePath(darts)
         found.setdefault(_canonical(p), p)
     return sorted(found.values(), key=lambda p: (len(p.darts), _canonical(p)))
@@ -457,7 +446,8 @@ def nielsen_partition_oracle(f: GraphMap, max_len: int) -> list[frozenset[str]]:
     """Partition of the fixed vertices by bounded Nielsen-path search: the
     connected components of "joined by a Nielsen path of length <= max_len".
     Only indivisible paths are searched, from every fixed vertex but the last
-    in sorted order; nielsen_paths_brute says why the partition is the same."""
+    in sorted order, which gives the same partition (the cancellation lemma in
+    the module docstring)."""
     g = f.graph
     fixed = sorted(fixed_vertices(f))
     adj: dict[str, set[str]] = {v: set() for v in fixed}
@@ -468,54 +458,60 @@ def nielsen_partition_oracle(f: GraphMap, max_len: int) -> list[frozenset[str]]:
     return sorted({frozenset(reachable(adj, v)) for v in fixed}, key=sorted)
 
 
-def _ray(f: GraphMap, d: Dart, weight: dict[str, int], cap: int,
-         dart_cap: int) -> tuple[tuple[Dart, ...], list[int]]:
-    """The expanding ray grown from a fixed direction d with Df(d) = d, and the
-    weight of each of its prefixes (edges not in `weight` weigh 0).  Growth
-    stops at the first image heavier than cap or longer than dart_cap (or
-    where the ray stops growing); both are cut to dart_cap darts."""
-    lens: list[int] = []
-    for current in ray_images(f, d):
-        total = lens[-1] if lens else 0
-        for x in current[len(lens):]:
-            total += weight.get(x.name, 0)
-            lens.append(total)
-        if len(current) > dart_cap or total > cap:
-            break
-    return current[:dart_cap], lens[:dart_cap]
-
-
-def _nielsen_tails(f: GraphMap, ray: Sequence[Dart]) -> list[tuple[str, tuple[int, ...]]]:
-    """The key (v, tau) of each nonempty prefix A of a ray from a fixed
-    vertex, shortest first, up to just before the first Nielsen prefix: v is
-    the terminus of A and tau its Nielsen tail, the tight path [A^-1 . f(A)]
-    from v to f(v), in dart codes (_dart_codes).  Two prefixes have equal
-    keys iff A.B^-1 is a Nielsen path (the tail lemma in the module
-    docstring).  An empty tail marks a Nielsen prefix and ends the ray: every
-    longer prefix is divisible at it.
+def _walk_ray(f: GraphMap, d: Dart, weight: dict[str, int], cap: int,
+              dart_cap: int) -> tuple[tuple[Dart, ...], list[tuple[str, tuple[int, ...]]], bool]:
+    """One walk along the expanding ray from a fixed direction d with
+    Df(d) = d (ray_images): its prefixes A of weight <= cap and of at most
+    dart_cap darts (edges not in `weight` weigh 0), the key (v, tau) of each,
+    shortest first, and whether the walk stopped at the weight cap.  v is the
+    terminus of A and tau its Nielsen tail [A^-1 . f(A)] in dart codes
+    (_dart_codes), so two prefixes have equal keys iff A.B^-1 is a Nielsen
+    path (the tail lemma in the module docstring).
 
     tau is grown one dart e at a time, tau <- [e^-1 . tau . f(e)], cancelling
     at both ends of a deque; the empty prefix has the empty tail, its vertex
-    being fixed."""
+    being fixed.  A ray of a type3 stratum has no Nielsen prefix (the stretch
+    fact), so an empty tail raises StructureViolation."""
     g = f.graph
     _, code, imgs = _dart_codes(f)
     tau: deque[int] = deque()
+    ray: list[Dart] = []
     keys = []
-    for e in ray:
-        c = code[e]
-        if tau and tau[0] == c:
-            tau.popleft()
-        else:
-            tau.appendleft(c ^ 1)
-        for x in imgs[c]:
-            if tau and tau[-1] == x ^ 1:
-                tau.pop()
+    total = 0
+    for current in ray_images(f, d):
+        for e in current[len(ray):]:
+            if len(ray) == dart_cap:
+                return tuple(ray), keys, False
+            total += weight.get(e.name, 0)
+            if total > cap:
+                return tuple(ray), keys, True
+            c = code[e]
+            if tau and tau[0] == c:
+                tau.popleft()
             else:
-                tau.append(x)
-        if not tau:
-            break
-        keys.append((g.terminus(e), tuple(tau)))
-    return keys
+                tau.appendleft(c ^ 1)
+            for x in imgs[c]:
+                if tau and tau[-1] == x ^ 1:
+                    tau.pop()
+                else:
+                    tau.append(x)
+            ray.append(e)
+            if not tau:
+                raise StructureViolation(f"prefix {EdgePath(tuple(ray))} of the ray from {d} "
+                                         "is a Nielsen path; the stratum is not a train track")
+            keys.append((g.terminus(e), tuple(tau)))
+    return tuple(ray), keys, False
+
+
+def _derivative_identifies_darts(f: GraphMap, edges: Iterable[str]) -> bool:
+    """Whether the derivative sends two distinct darts of `edges` at one
+    vertex to one dart, collapsed darts ignored: on an invariant level,
+    whether the level has an illegal turn (the turn equivalence in the module
+    docstring)."""
+    g = f.graph
+    images = [(g.origin(d), derivative(f, d)) for d in g.darts(edges)]
+    images = [x for x in images if x[1] is not None]
+    return len(set(images)) < len(images)
 
 
 def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
@@ -527,16 +523,17 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
     differing only by insertion of lower-level Nielsen loops join the same
     lower classes and collapse to the shortest representative.
 
-    type3 strata look for crossing paths A.B^-1 with A and B prefixes, up to
-    the metric cap, of two expanding rays grown from fixed stratum directions
-    and meeting at an illegal turn; when the metric bound is exhausted, `none`
-    is certified.  The pairs are matched by a hash join on the prefixes' keys
-    (_nielsen_tails): A.B^-1 is Nielsen exactly when A and B have the same
-    terminus v and the same tail [A^-1 . f(A)], so no candidate is mapped.  An
-    empty tail marks a Nielsen prefix and ends the ray, and then every pair
-    joined is indivisible (module docstring).  Candidates collapse only
-    up to reversal: two paths joining the same lower classes may still differ
-    in rank (one merges, one closes a loop).
+    A type3 stratum whose level has no illegal turn certifies `none` (the
+    stretch fact), decided by _derivative_identifies_darts (the turn
+    equivalence).  Otherwise it looks for crossing paths A.B^-1, A and B
+    prefixes up to the metric cap of the rays of two fixed stratum
+    directions, that meet at a turn degenerating in one step; `none` is
+    certified once every ray passed the cap.  Each ray is walked once
+    (_walk_ray), and a running hash join matches its prefix keys against the
+    rays walked before it, the earlier ray giving A.  Every matched pair is
+    an indivisible Nielsen path, and no two are equal up to reversal (module
+    docstring).  They are never collapsed: two paths joining the same lower
+    classes may still differ in rank (one merges, one closes a loop).
 
     Metric-cap lemma.  Let H be the type-3 stratum, G_r its level and L
     the metric of pf_metric (0 below H), lo * L <= M^T L <= hi * L, lo > 1.
@@ -549,9 +546,8 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
        hence of the ray from d once [f^k(d)] outgrows it.  [f(A)] and [f(B)]
        end with the images of the last darts of A and B, so the turn there
        degenerates in one step.
-    2. Stretch (lo): the H darts of f(A) survive tightening and lower edges
-       weigh 0, so L(A) + L(tau) = L([f(A)]) = sum over the H edges e of A
-       of (M^T L)_e >= lo * L(A), and L(tau) >= (lo - 1) * L(A).
+    2. Stretch (lo): L(A) + L(tau) = L([f(A)]) >= lo * L(A) by the stretch
+       fact, so L(tau) >= (lo - 1) * L(A).
     3. Bounded cancellation (hi): tightening [f(A)].[f(B)]^-1 to A.B^-1
        cancels tau.  Run the proof of GraphMap.cancellation_bound on the
        component K of G_r that holds the path (f(K) lies in K, and K holds
@@ -567,15 +563,10 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
     injective maps that are not onto.
     """
     level = filt.level_edges(info.index + 1)
-    stratum = set(info.edges)
-
     class_of = {v: i for i, c in enumerate(lower_classes) for v in c}
 
     def record(cands: list[EdgePath], status_if_empty: str) -> None:
-        uniq: dict[tuple, EdgePath] = {}
-        for p in cands:
-            uniq.setdefault(_canonical(p), p)
-        kept = sorted(uniq.values(), key=lambda p: (len(p.darts), _canonical(p)))
+        kept = sorted(cands, key=lambda p: (len(p.darts), _canonical(p)))
         if info.stype == "type2":
             # Candidates joining the same pair of lower classes are taken to
             # differ by lower-level Nielsen loops and to induce the same
@@ -606,15 +597,14 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
         return info
 
     if info.stype == "type2":
-        cands = nielsen_paths_brute(f, max_len, within=level, crossing=stratum)
-        record(cands, "none-within-bound")
+        record(nielsen_paths_brute(f, max_len, level, info.edges), "none-within-bound")
         return info
 
     if info.stype != "type3":
         info.inp_status = "unsearched"
         return info
 
-    if not info.has_illegal_turn:
+    if not _derivative_identifies_darts(f, level):
         info.inp_status = "certified-none"
         return info
 
@@ -623,35 +613,22 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
     exp = info.expansion
     weight = dict(zip(info.edges, exp.weights))
     cap = (exp.hi - 1) * sum(exp.weights) // (exp.lo - 1)
-    seeds = []
-    for v in fixed_vertices(f):
-        seeds.extend(fixed_directions(f, v, info.edges))
-    dart_cap = max(max_len, 16 * (cap // min(exp.weights) + 2))
-    rays, keys, at_key = {}, {}, {}
-    exhausted = True
-    for d in seeds:
-        ray, lens = _ray(f, d, weight, cap, dart_cap)
-        # A ray that never reached the metric cap within dart_cap darts leaves
-        # part of the search region uncovered.
-        exhausted = exhausted and lens[-1] > cap
-        # Prefix lengths only grow, so the prefixes within the cap come first.
-        keys[d] = _nielsen_tails(f, ray[:bisect_right(lens, cap)])
-        rays[d] = ray[:len(keys[d])]
-        at_key[d] = {}
-        for n, key in enumerate(keys[d], start=1):
-            at_key[d].setdefault(key, []).append(n)
-
+    dart_cap = 16 * (cap // min(exp.weights) + 2)
+    walked: dict[tuple, list[tuple[tuple[Dart, ...], int]]] = {}
     cands: list[EdgePath] = []
-    for ia, d1 in enumerate(seeds):
-        for d2 in seeds[ia + 1:]:
-            r1, r2 = rays[d1], rays[d2]
-            # Prefix pairs in the order n1, then n2, ascending; each pair
-            # found here is an indivisible Nielsen path.
-            for n1, key in enumerate(keys[d1], start=1):
-                for n2 in at_key[d2].get(key, ()):
-                    e1, e2 = r1[n1 - 1], r2[n2 - 1]
-                    if e1 == e2 or not turn_degenerates_in_one_step(f, e1.rev, e2.rev):
-                        continue
-                    cands.append(EdgePath(r1[:n1] + tuple(d.rev for d in reversed(r2[:n2]))))
+    exhausted = True
+    for v in fixed_vertices(f):
+        for d in fixed_directions(f, v, info.edges):
+            ray, keys, passed = _walk_ray(f, d, weight, cap, dart_cap)
+            # A ray that never reached the metric cap within dart_cap darts
+            # leaves part of the search region uncovered.
+            exhausted = exhausted and passed
+            for n, key in enumerate(keys, start=1):
+                for earlier, m in walked.get(key, ()):
+                    if turn_degenerates_in_one_step(f, earlier[m - 1].rev, ray[n - 1].rev):
+                        cands.append(EdgePath(earlier[:m]
+                                              + tuple(e.rev for e in reversed(ray[:n]))))
+            for n, key in enumerate(keys, start=1):
+                walked.setdefault(key, []).append((ray, n))
     record(cands, "certified-none" if exhausted else "none-within-bound")
     return info

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import map_path, rose
+from test_multivertex import theta_collapse, theta_fold, theta_swap
 from nielsenkit import graphs, rtt
 from nielsenkit.graphs import (EdgePath, Graph, GraphMap, fixed_vertices, parse_dart,
                                 subdivided_fixed_map, trivial_path)
@@ -313,7 +314,8 @@ class TestNielsenPaths:
         assert is_indivisible(f, path("a"))
 
     def test_brute_force_finds_derived_inp(self):
-        found = nielsen_paths_brute(derived, 6)
+        edges = derived.graph.edges
+        found = nielsen_paths_brute(derived, 6, within=edges, crossing=edges)
         assert any(p.darts in (path("b", "a", "b-").darts, path("b", "a-", "b-").darts)
                    for p in found)
 
@@ -431,27 +433,28 @@ def divisible(ref, p):
 
 def assert_search_exact(f, filt, depths):
     """nielsen_paths_brute equals the reference's indivisible paths at every
-    depth, unrestricted and with each stratum's within / crossing variants."""
+    depth, unrestricted (every edge as `within` and `crossing`) and with each
+    stratum's within / crossing variants."""
     ref = set(reference_nielsen_paths(f, max(depths)))
     indivisible = [p for p in ref if not divisible(ref, p)]
-    variants = [{}]
+    edges = f.graph.edges
+    variants = [(edges, edges)]
     for i, stratum in enumerate(filt.strata):
         level = filt.level_edges(i + 1)
-        variants += [{"within": level}, {"crossing": stratum},
-                     {"within": level, "crossing": stratum}]
+        variants += [(level, edges), (edges, stratum), (level, stratum)]
 
-    def admitted(p, within=(), crossing=()):
-        return ((not within or all(d.name in within for d in p))
-                and (not crossing or any(d.name in crossing for d in p)))
+    def admitted(p, within, crossing):
+        return all(d.name in within for d in p) and any(d.name in crossing for d in p)
 
     def key(darts):
         return frozenset((darts, tuple(d.rev for d in reversed(darts))))
 
     for depth in depths:
-        for kw in variants:
-            got = [key(p.darts) for p in nielsen_paths_brute(f, depth, **kw)]
-            want = {key(p) for p in indivisible if len(p) <= depth and admitted(p, **kw)}
-            assert len(got) == len(set(got)) and set(got) == want, (depth, kw)
+        for within, crossing in variants:
+            got = [key(p.darts) for p in nielsen_paths_brute(f, depth, within, crossing)]
+            want = {key(p) for p in indivisible
+                    if len(p) <= depth and admitted(p, within, crossing)}
+            assert len(got) == len(set(got)) and set(got) == want, (depth, within, crossing)
 
 
 def assert_oracle_exact(f, depths):
@@ -546,7 +549,7 @@ def metric_cap(info):
     return (exp.hi - 1) * sum(lengths.values()) / (exp.lo - 1), lengths
 
 
-def reference_type3_pairs(f, info, max_len):
+def reference_type3_pairs(f, info):
     """find_inp's type-3 candidates as first written, sharing none of its
     ray or matching code: each ray is grown by mapping it whole, and every
     prefix pair meeting at a one-step-degenerate turn is mapped in full.
@@ -554,7 +557,7 @@ def reference_type3_pairs(f, info, max_len):
     them, and whether every ray passed the metric cap."""
     g = f.graph
     cap, lengths = metric_cap(info)
-    dart_cap = max(max_len, 16 * (int(cap) + 2))
+    dart_cap = 16 * (int(cap) + 2)
 
     def running(darts):  # metric length of each prefix
         out, total = [], Fraction(0)
@@ -621,45 +624,67 @@ def reference_type3(f, nielsen, exhausted):
     return ("certified-none" if exhausted else "none-within-bound"), []
 
 
+def has_illegal_turn_in(f, edges):
+    """Whether some turn among directions of the given subgraph is illegal,
+    by classify_turn on every pair of darts at one vertex: the reference for
+    rtt._derivative_identifies_darts."""
+    g = f.graph
+    darts = g.darts(list(edges))
+    return any(g.origin(a) == g.origin(b) and graphs.classify_turn(f, a, b) == "illegal"
+               for i, a in enumerate(darts) for b in darts[i + 1:])
+
+
+def level_has_illegal_turn(f, filt, info):
+    return has_illegal_turn_in(f, filt.level_edges(info.index + 1))
+
+
 def type3_strata(f):
     """The subdivided map of f and its type-3 strata that have illegal turns."""
     g, _ = subdivided_fixed_map(f)
     filt = derive_filtration(g)
     infos = [classify_stratum(g, filt, i) for i in range(filt.depth)]
-    return g, filt, [i for i in infos if i.stype == "type3" and i.has_illegal_turn]
+    return g, filt, [i for i in infos
+                     if i.stype == "type3" and level_has_illegal_turn(g, filt, i)]
+
+
+def assert_walk_keys(g, d, dart_cap=16):
+    """The first dart_cap darts of the ray from d that rtt._walk_ray walks
+    with no weight: each key is (terminus, tight [A^-1 . f(A)]), and every
+    tail is nonempty."""
+    darts = g.graph.darts()
+    ray, keys, passed = rtt._walk_ray(g, d, {}, 0, dart_cap)
+    for full in graphs.ray_images(g, d):
+        if len(full) >= dart_cap:
+            break
+    assert ray == full[:dart_cap] and len(keys) == len(ray) and not passed
+    for n, (v, tau) in enumerate(keys, start=1):
+        fa = map_path(g, EdgePath(ray[:n])).darts  # A^-1 cancels against it
+        k = 0
+        while k < min(n, len(fa)) and fa[k] == ray[k]:
+            k += 1
+        tight = tuple(x.rev for x in reversed(ray[k:n])) + fa[k:]
+        assert v == g.graph.terminus(ray[n - 1])
+        assert tuple(darts[c] for c in tau) == tight, (n, ray, g.edge_map)
+        assert tau, (n, ray, g.edge_map)
 
 
 def assert_type3_exact(f, max_len=8):
-    """find_inp agrees with reference_type3 on every type-3 stratum of f,
-    each key _nielsen_tails gives is (terminus, tight [A^-1 . f(A)]), and the
-    keys stop just before the first Nielsen prefix.  Returns the number of
-    strata with a crossing path and of prefix pairs matched."""
+    """find_inp agrees with reference_type3 on every type-3 stratum of f with
+    an illegal turn, and the walk of each ray gives the keys its docstring
+    states (assert_walk_keys).  Returns the number of strata with a crossing
+    path and of prefix pairs matched."""
     g, filt, infos = type3_strata(f)
-    darts = g.graph.darts()
     with_path = matched = 0
     for info in infos:
         rtt.find_inp(g, filt, info, max_len, [frozenset({v}) for v in fixed_vertices(g)])
-        _, nielsen, exhausted = reference_type3_pairs(g, info, max_len)
+        _, nielsen, exhausted = reference_type3_pairs(g, info)
         want = reference_type3(g, nielsen, exhausted)
         assert (info.inp_status, info.paths) == want, f.edge_map
         with_path += info.inp_status in ("found", "multiple")
         matched += len(nielsen)
-        for d in (d for v in fixed_vertices(g)
-                  for d in graphs.fixed_directions(g, v, info.edges)):
-            for ray in graphs.ray_images(g, d):
-                if len(ray) > 16:
-                    break
-            keys = rtt._nielsen_tails(g, ray)
-            for n, (v, tau) in enumerate(keys, start=1):
-                fa = map_path(g, EdgePath(ray[:n])).darts  # A^-1 cancels against it
-                k = 0
-                while k < min(n, len(fa)) and fa[k] == ray[k]:
-                    k += 1
-                tight = tuple(d.rev for d in reversed(ray[k:n])) + fa[k:]
-                assert v == g.graph.terminus(ray[n - 1])
-                assert tuple(darts[c] for c in tau) == tight, (n, ray, f.edge_map)
-                assert tau, (n, ray, f.edge_map)
-            assert len(keys) == len(ray) or path_is_nielsen(g, ray[:len(keys) + 1])
+        for v in fixed_vertices(g):
+            for d in graphs.fixed_directions(g, v, info.edges):
+                assert_walk_keys(g, d)
     return with_path, matched
 
 
@@ -676,14 +701,16 @@ class TestCrossingPathExact:
     """Matching prefixes by their Nielsen tails finds exactly the crossing
     paths that mapping every prefix pair finds."""
 
-    def test_tails_stop_before_the_first_nielsen_prefix(self):
-        # b a b- is a Nielsen path of a -> a, b -> b a: its tail is empty, so
-        # the keys end with those of b and b a, whose tails are both a.
-        _, code, _ = rtt._dart_codes(derived)
-        ray = path("b", "a", "b-", "b").darts
-        a = code[parse_dart("a")]
-        assert rtt._nielsen_tails(derived, ray) == [("*", (a,)), ("*", (a,))]
-        assert verify_nielsen_path(derived, EdgePath(ray[:3]))
+    def test_nielsen_prefix_is_a_structure_violation(self):
+        # a -> a b, b -> b- flips b about its midpoint.  The ray from a is
+        # a b:1 b:2, and its prefix a b:1 is a Nielsen path to the fixed
+        # point b@1/2, which no ray of a type-3 stratum carries (the stretch
+        # fact), so the walk raises rather than cut the ray there.
+        g, _ = subdivided_fixed_map(rose({"a": ["a", "b"], "b": ["b-"]}))
+        assert verify_nielsen_path(g, path("a", "b:1"))
+        assert list(graphs.ray_images(g, parse_dart("a")))[-1] == path("a", "b:1", "b:2").darts
+        with pytest.raises(rtt.StructureViolation, match="prefix a b:1 of the ray from a"):
+            rtt._walk_ray(g, parse_dart("a"), {"a": 1}, 100, 100)
 
     @pytest.mark.parametrize("images", SECOND_PATH_MAPS)
     def test_second_crossing_path_maps(self, images):
@@ -756,7 +783,7 @@ class TestSearchWork:
         f, _ = subdivided_fixed_map(rose({"a": ["b", "a", "a"], "b": ["b", "a"]}))
         filt = derive_filtration(f)
         info = classify_stratum(f, filt, 0)
-        assert info.stype == "type3" and info.has_illegal_turn
+        assert info.stype == "type3" and level_has_illegal_turn(f, filt, info)
         rtt.find_inp(f, filt, info, 8, [frozenset({v}) for v in fixed_vertices(f)])
         assert info.inp_status == "multiple"  # two crossing paths, see TestSecondCrossingPath
         cap, lengths = metric_cap(info)
@@ -781,7 +808,7 @@ class TestSearchWork:
         f = rose(SECOND_PATH_MAPS[1])
         g, filt, infos = type3_strata(f)
         (info,) = infos
-        pairs, nielsen, _ = reference_type3_pairs(g, info, 8)
+        pairs, nielsen, _ = reference_type3_pairs(g, info)
         mapped = count_paths_mapped(monkeypatch)
         rtt.find_inp(g, filt, info, 8, [frozenset({v}) for v in fixed_vertices(g)])
         assert info.inp_status == "multiple"
@@ -795,10 +822,11 @@ class TestMetricCap:
 
     def test_certified_none_has_no_crossing_path(self):
         # No crossing indivisible Nielsen path up to length 12 on any such
-        # stratum with illegal turns, over the first 300 rank-2 maps with
+        # stratum, whether certified by the turn check or, for the 47 with
+        # an illegal turn, by the search, over the first 300 rank-2 maps with
         # images of length <= 4 (seed 1).
         gen = random_injective_endos(2, 4, 1)
-        audited = 0
+        audited = searched = 0
         for _ in range(300):
             rep = analyze(rose_map(next(gen)))
             if not rep.classification_complete:
@@ -806,13 +834,12 @@ class TestMetricCap:
             for info in rep.strata:
                 if (info.stype, info.inp_status) != ("type3", "certified-none"):
                     continue
-                if not info.has_illegal_turn:
-                    continue
                 level = rep.filtration.level_edges(info.index + 1)
                 brute = nielsen_paths_brute(rep.map, 12, within=level, crossing=info.edges)
                 assert brute == [], [str(p) for p in brute]
                 audited += 1
-        assert audited == 47
+                searched += has_illegal_turn_in(rep.map, level)
+        assert (audited, searched) == (103, 47)
 
     def test_import_leaves_numpy_out(self):
         # The bracket is integer arithmetic; numpy is a test-only reference.
@@ -821,6 +848,46 @@ class TestMetricCap:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True).stdout
         assert out.strip() == "False"
+
+
+class TestTurnCheck:
+    """find_inp certifies `none` on a type-3 stratum whose level has no dart
+    pair at one vertex with one derivative; by the turn equivalence (rtt
+    module docstring) that is a level with no illegal turn, which the
+    reference has_illegal_turn_in decides with classify_turn."""
+
+    @staticmethod
+    def agreement(f):
+        """(levels, levels with an illegal turn, type-3 strata, type-3 strata
+        with one) of the subdivided map of f, asserting that the two checks
+        agree on every level."""
+        g, _ = subdivided_fixed_map(f)
+        filt = derive_filtration(g)
+        counts = [0, 0, 0, 0]
+        for i in range(filt.depth):
+            level = filt.level_edges(i + 1)
+            want = has_illegal_turn_in(g, level)
+            assert rtt._derivative_identifies_darts(g, level) == want, (f.edge_map, i)
+            type3 = classify_stratum(g, filt, i).stype == "type3"
+            counts = [a + b for a, b in zip(counts, (1, want, type3, type3 and want))]
+        return counts
+
+    def test_agrees_with_reference_on_survey(self):
+        # Every level of the 2400 rank-2 maps with images of length <= 4
+        # (seed 1); 475 of the 1007 type-3 strata have an illegal turn.
+        gen = random_injective_endos(2, 4, 1)
+        totals = [0, 0, 0, 0]
+        for _ in range(2400):
+            f = rose_map(next(gen))
+            if not f.is_identity():
+                totals = [a + b for a, b in zip(totals, self.agreement(f))]
+        assert totals == [3203, 2138, 1007, 475]
+
+    def test_agrees_with_reference_on_multivertex_maps(self):
+        totals = [0, 0, 0, 0]
+        for make in (theta_swap, theta_collapse, theta_fold):
+            totals = [a + b for a, b in zip(totals, self.agreement(make()))]
+        assert totals == [8, 2, 1, 0]
 
 
 class TestSecondCrossingPath:
