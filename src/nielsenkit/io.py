@@ -15,7 +15,10 @@ Endomorphism files:
 
 Subdivision names the pieces of an edge e as e:1, e:2, ... and the new
 vertices as e@t, so an edge or vertex name or a letter containing ':' or '@'
-is rejected.
+is rejected.  So are names the readers cannot read back: an edge name ending
+in '-' (a reversed dart), an empty letter, a single-character letter that is
+not lowercase (uppercase is an inverse) and a longer letter that holds
+whitespace or ends in '-' (such bases are read as tokens).
 """
 
 from __future__ import annotations
@@ -34,10 +37,25 @@ class InputError(ValueError):
 
 
 def _check_names(kind: str, names) -> None:
+    """Reject the names that the module docstring rules out."""
     for name in names:
-        if isinstance(name, str) and (":" in name or "@" in name):
-            raise InputError(f"{kind} name {name!r} contains ':' or '@', "
-                             "which subdivision reserves")
+        if not isinstance(name, str):
+            continue
+        letter = kind == "letter"
+        if ":" in name or "@" in name:
+            rule = "contains ':' or '@', which subdivision reserves"
+        elif kind == "edge" and name.endswith("-"):
+            rule = "ends in '-'; edge names may not"
+        elif letter and not name:
+            rule = "is empty; letters must be nonempty"
+        elif letter and len(name) == 1 and not name.islower():
+            rule = "is not lowercase; single-character letters must be"
+        elif letter and len(name) > 1 and (name.endswith("-")
+                                           or any(c.isspace() for c in name)):
+            rule = "holds whitespace or ends in '-'; multi-character letters may not"
+        else:
+            continue
+        raise InputError(f"{kind} name {name!r} {rule}")
 
 
 def load_json(path: str | Path) -> Any:

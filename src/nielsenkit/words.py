@@ -102,7 +102,9 @@ def common_prefix(w: Word, v: Word) -> Word:
 
 @dataclass(frozen=True)
 class Basis:
-    """Ordered generator names; the CLI restricts these to single ASCII letters."""
+    """Ordered generator names.  parse reads a basis of single-character
+    names by case and any other as space-separated tokens with a "-" suffix
+    for inverses; io rejects input names that it cannot read back."""
 
     letters: tuple[str, ...]
 
@@ -397,21 +399,18 @@ def twisted_solutions(phi: Endomorphism, left: Word, right: Word,
     without its last |right| letters is a prefix of [u.v.right], a word of at
     most depth + |right| letters.  A solution u.v therefore needs
     |L| <= depth + |right| and L, Q equal on their first min(|L|, |Q|)
-    letters; when either fails the branch is cut.  For a non-injective phi no
-    B exists and nothing is cut.
+    letters; when either fails the branch is cut.  A non-injective phi has no
+    B, and cancellation_bound raises ValueError.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    try:
-        bound = phi.cancellation_bound()
-    except ValueError:  # not injective: cancellation is unbounded
-        bound = None
+    bound = phi.cancellation_bound()
     table = phi.image_table
     lt, rt = left.letters, right.letters
     cap = depth + len(rt)
 
     def cut(u: tuple[int, ...], img: tuple[int, ...]) -> bool:
-        if bound is None or len(img) - bound < len(lt):
+        if len(img) - bound < len(lt):
             return False
         settled = img[:len(img) - bound]
         if lt:
@@ -472,11 +471,10 @@ class RouteSearch:
 
     found: bool
     witness: Optional[Word]
-    depth: int
 
 
 def route_equivalent(w: Word, w2: Word, phi: Endomorphism, depth: int) -> RouteSearch:
     """The first u with |u| <= depth and w2 = u * w * phi(u)^-1, i.e.
     w2.phi(u) = u.w, in the order of `twisted_solutions`."""
     u = next(twisted_solutions(phi, w2, w, depth), None)
-    return RouteSearch(u is not None, u, depth)
+    return RouteSearch(u is not None, u)

@@ -61,6 +61,27 @@ MALFORMED = {
                              "vertex_map": {"*": "*", "a@1/2": "a@1/2"},
                              "edge_map": {"a": ["a-"], "b": ["b"]}},
     "reserved-letter": {"letters": ["a", "a:1"], "images": {"a": "a-", "a:1": "a:1 a:1"}},
+    # Names that the dart and word readers cannot read back.
+    "dash-edge-name": {"vertices": ["*"],
+                       "edges": [{"name": n, "from": "*", "to": "*"} for n in ("a", "x-")],
+                       "vertex_map": {"*": "*"},
+                       "edge_map": {"a": ["a", "a"], "x-": ["x-"]}},
+    "uppercase-letter": {"rank": 2, "letters": ["A", "b"], "images": {"A": "Ab", "b": "b"}},
+    "empty-letter": {"rank": 2, "letters": ["", "b"], "images": {"": "", "b": "bb"}},
+    "spaced-letter": {"rank": 2, "letters": ["ab", "c d"],
+                      "images": {"ab": "ab ab", "c d": "ab"}},
+    "dash-letter": {"rank": 2, "letters": ["ab", "cd-"], "images": {"ab": "ab", "cd-": "ab"}},
+}
+
+# The message each name rule prints, naming the name and the rule.
+NAME_ERRORS = {
+    "dash-edge-name": "edge name 'x-' ends in '-'; edge names may not",
+    "uppercase-letter": "letter name 'A' is not lowercase; single-character letters must be",
+    "empty-letter": "letter name '' is empty; letters must be nonempty",
+    "spaced-letter": "letter name 'c d' holds whitespace or ends in '-'; "
+                     "multi-character letters may not",
+    "dash-letter": "letter name 'cd-' holds whitespace or ends in '-'; "
+                   "multi-character letters may not",
 }
 
 COMMANDS = ("invariants", "validate", "lefschetz", "attracting", "classify", "route")
@@ -313,8 +334,9 @@ class TestCommands:
         text = MALFORMED[name]
         p.write_text(text if isinstance(text, str) else json.dumps(text))
         code = main(argv_for(command, p))  # no exception may escape
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert code == 2
+        assert NAME_ERRORS.get(name, "input error") in err, err
 
     @settings(max_examples=300, deadline=None)
     @given(ANY_JSON | ENDO_LIKE | GRAPH_LIKE, st.sampled_from(COMMANDS))
