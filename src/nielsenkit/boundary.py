@@ -55,10 +55,10 @@ STALL_BLOCKS = 8
 class MorphicRay:
     """The ray e u phi(u) phi^2(u) ... for a seed e with phi(e) = e.u.
 
-    The buffer holds P_k = [phi^k(e)].  Appending the block phi^k(u) turns it
-    into P_{k+1}; its first `kept` letters survive, so X = P_{k+1}[:kept] is
-    a prefix of both.  Letters are returned only once certified, and X is
-    certified when |[phi(X)]| >= |X| + B, B = phi.cancellation_bound().
+    Appending the block phi^k(u) to P_k = [phi^k(e)] gives P_{k+1}; its first
+    `kept` letters survive, so X = P_{k+1}[:kept] is a prefix of both.
+    Letters are returned only once certified, and X is certified when
+    |[phi(X)]| >= |X| + B, B = phi.cancellation_bound().
 
     Proof that such an X is a prefix of every P_j, j >= k, and so of the
     ray.  Suppose X is a prefix of P_j and P_{j+1}, as it is for j = k, and
@@ -67,13 +67,36 @@ class MorphicRay:
     [phi(X.Y)] = P_{j+1} and of [phi(X.Z)] = P_{j+2}.  X and S are both
     prefixes of P_{j+1} and |S| >= |X|, so X is a prefix of S and hence of
     P_{j+2}.  The condition does not depend on j, so induction on j proves
-    the claim.
+    the claim.  In particular `kept` never falls below the certified count.
 
-    Blocks are computed only when appended, and only until the letters asked
-    for are certified.  The rule is sufficient, not necessary: a ray that
-    grows by fewer than B letters a step (a -> ab, b -> b) never certifies.
-    Such rays, and seeds whose iterates never settle, raise DegenerateRay
-    once STALL_BLOCKS blocks in a row certified nothing.
+    The rule is sufficient, not necessary: a ray that grows by fewer than B
+    letters a step (a -> ab, b -> b) never certifies.  Such rays, and seeds
+    whose iterates never settle, raise DegenerateRay once STALL_BLOCKS
+    blocks in a row certified nothing.
+
+    Growth is lazy in two ways, and neither changes what is computed.
+
+    The last block is spelled only as far as its junction with the buffer.
+    phi^k(u) = [phi(Q)] is built from chunks of Q = phi^(k-1)(u) passed to
+    `Endomorphism.apply`.  For a prefix Q' of Q, Q'.Q'' is reduced, so
+    [phi(Q')] without its last B letters is a prefix of [phi(Q)] by bounded
+    cancellation; only those letters go to the buffer, which so holds
+    [P_k . S] for a prefix S of the block.  A reduced block cancels against
+    P_k only by a prefix of its own, so once one letter of S survives, no
+    later block letter cancels: `kept` is then what appending the whole
+    block gives, and the buffer is a prefix of P_{k+1}.  The rest of the
+    block is spelled only when the next block is needed.
+
+    Certification resumes instead of rescanning.  [phi(buf[:i])] is kept
+    across blocks with one undo record per scanned letter, and rolled back
+    to `kept` after each block; letters before `kept` are the same in P_k
+    and P_{k+1}, so the images of their prefixes are too.  The scan stops
+    as soon as the letters asked for are certified and resumes before the
+    next block is appended, so each block's whole kept range is scanned
+    before its stall count is decided.  `kept`, the certified count and the
+    stall count after each block are hence those of appending each whole
+    block and rescanning from the first letter, and so is every prefix and
+    DegenerateRay.
     """
 
     def __init__(self, seed: Word, endo: Endomorphism):
@@ -92,31 +115,87 @@ class MorphicRay:
         self.seed = seed
         self.endo = endo
         self._tail = tail
-        self._block: Optional[Word] = None  # phi^k(u), the block appended last
         self._buf: list[int] = list(seed.letters)
+        # The block phi^k(u) being appended, spelled as [phi(src[:pos])] from
+        # src = phi^(k-1)(u) (None before the first block, which is u), the
+        # number of its letters moved to the buffer, and `kept`, None until
+        # the block has passed its junction with the buffer (0 before the
+        # first block).
+        self._src: Optional[tuple[int, ...]] = None
+        self._pos = 0
+        self._block: list[int] = []
+        self._moved = 0
+        self._kept: Optional[int] = 0
+        # [phi(buf[:i])] for the i scanned letters, and (letter, cancelled)
+        # for each of them to undo its step.
+        self._img: list[int] = []
+        self._undo: list[tuple[int, int]] = []
         self._certified = 0
+        self._open: Optional[int] = None  # certified count when the block began
         self._stalled = 0
 
+    def _spell(self, upto: int) -> None:
+        """Spell the block from src[:upto] and move what it settles to the
+        buffer, fixing `kept` once a block letter survives the junction."""
+        if upto > self._pos:
+            chunk = self.endo.apply(Word(self._src[self._pos:upto]))
+            extend_reduced(self._block, chunk.letters)
+            self._pos = upto
+        done = upto == len(self._src)
+        end = len(self._block) if done else len(self._block) - self._bound
+        if end > self._moved:
+            new = self._block[self._moved:end]
+            self._moved = end
+            if self._kept is None:
+                survived = len(new) - extend_reduced(self._buf, new)
+                if survived:
+                    self._kept = len(self._buf) - survived
+            else:
+                self._buf.extend(new)
+        if done and self._kept is None:
+            self._kept = len(self._buf)
+
     def _append_block(self) -> None:
-        self._block = self._tail if self._block is None else self.endo.apply(self._block)
-        kept = len(self._buf) - extend_reduced(self._buf, self._block.letters)
-        # Every prefix X of the kept letters is a prefix of P_k and P_{k+1};
-        # certify the longest with |[phi(X)]| >= |X| + B.
-        table = self.endo.image_table
-        img: list[int] = []
-        best = self._certified
-        for i in range(kept):
-            extend_reduced(img, table[self._buf[i]])
-            if len(img) > i + self._bound:
-                best = i + 1
-        if best > self._certified:
-            self._certified = best
-            self._stalled = 0
+        if self._src is None:
+            self._src, self._block = (), list(self._tail.letters)
         else:
-            self._stalled += 1
+            self._spell(len(self._src))   # finish phi^(k-1)(u): buf = P_k
+            self._src, self._block = tuple(self._block), []
+        self._pos = self._moved = 0
+        self._kept = None
+        step = self._bound + 1
+        while self._kept is None:
+            self._spell(min(len(self._src), self._pos + step))
+            step *= 2
+        table, img, undo = self.endo.image_table, self._img, self._undo
+        while len(undo) > self._kept:
+            x, cancelled = undo.pop()
+            im = table[x]
+            del img[len(img) - len(im) + cancelled:]
+            img.extend(-y for y in reversed(im[:cancelled]))
+        self._open = self._certified
+
+    def _scan(self, m: int) -> None:
+        """Scan the kept letters until m of them are certified."""
+        buf, img, undo, table = self._buf, self._img, self._undo, self.endo.image_table
+        bound, i = self._bound, len(undo)
+        while i < self._kept:
+            x = buf[i]
+            undo.append((x, extend_reduced(img, table[x])))
+            i += 1
+            if len(img) >= i + bound:
+                self._certified = i
+                if i >= m:
+                    return
 
     def _ensure(self, m: int) -> None:
         while self._certified < m:
+            if len(self._undo) < self._kept:
+                self._scan(m)
+                continue
+            if self._open is not None:   # the block's kept range is scanned
+                self._stalled = 0 if self._certified > self._open else self._stalled + 1
+                self._open = None
             if self._stalled >= STALL_BLOCKS:
                 raise DegenerateRay(
                     f"no letter certified in {STALL_BLOCKS} blocks; seed does not converge")

@@ -64,15 +64,20 @@ class SurveyStats:
 def run_survey(count: int, rank: int = 2, max_image_len: int = 4,
                seed: Optional[int] = None, depth: int = DEPTH) -> SurveyStats:
     """Analyze `count` random injective endomorphisms; on every instance
-    whose classification completes, each failed verdict is a violation."""
+    whose classification completes, each failed verdict is a violation.  A
+    StructureViolation is a state the proofs exclude, so it is a violation
+    that names the map, and the instance is neither analyzed nor skipped."""
     stats = SurveyStats(requested=count)
     gen = random_injective_endos(rank, max_image_len, seed)
     for _ in range(count):
         phi = next(gen)
         try:
             rep = analyze_endomorphism(phi, depth)
-        except StructureViolation:
-            stats.skipped_unclassified += 1
+        except StructureViolation as exc:
+            fmt = phi.basis.format
+            name = ", ".join(f"{g} -> {fmt(im)}"
+                             for g, im in zip(phi.basis.letters, phi.images))
+            stats.violations.append(f"structure error on {name}: {exc}")
             continue
         if not rep.literal_classification_complete:
             stats.skipped_unclassified += 1

@@ -241,6 +241,22 @@ def _iterates(seed: Word, phi: Endomorphism, max_len: int, max_steps: int) -> li
     return out
 
 
+class CountingRay(MorphicRay):
+    """A MorphicRay that counts the blocks it has begun, after k of which
+    its buffer is a prefix of [phi^k(e)], and the scans it rolled back; after
+    each block it checks that the scan holds [phi(X)] for the X scanned."""
+
+    blocks = rollbacks = 0
+
+    def _append_block(self) -> None:
+        scanned = len(self._undo)
+        self.blocks += 1
+        super()._append_block()
+        self.rollbacks += scanned > self._kept
+        x = Word(tuple(self._buf[:len(self._undo)]))
+        assert self._img == list(self.endo.apply(x).letters)
+
+
 REDUCED2 = st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=4).map(
     word).filter(lambda w: not w.is_identity)
 
@@ -279,7 +295,18 @@ class TestExactness:
         with pytest.raises(DegenerateRay):
             MorphicRay(b2.parse("a"), endo(2, "ab", "ab"))
 
+    def test_scan_rolls_back_to_kept(self):
+        # a -> aBAb, b -> BAb: the iterates of a are aBAb, aBabABAb,
+        # aaBAbABaab...; the third block keeps one of the two letters the
+        # second let the scan read, so the scan is undone to that one.
+        ray = CountingRay(b2.parse("a"), endo(2, "aBAb", "BAb"))
+        with pytest.raises(DegenerateRay):
+            ray.prefix(1)
+        assert ray.rollbacks > 0
+
     def test_growth_is_lazy(self, monkeypatch):
+        # Appending every block in full would apply 340 letters and buffer
+        # 683 here: the last block is as long as all the others together.
         seen = [0]
         original = Endomorphism.apply
 
@@ -291,14 +318,16 @@ class TestExactness:
         ray = MorphicRay(b2.parse("B"), jiang)
         seen[0] = 0
         ray.prefix(200)
-        assert seen[0] < 2 * 200
+        assert seen[0] <= 174
+        assert len(ray._buf) <= 346
 
     @settings(max_examples=200, deadline=None)
     @given(REDUCED2, REDUCED2)
     @example(word([1, -2]), word([-2, 1, -2]))   # the rule less B errs here
     def test_certified_letters_are_final(self, im_a, im_b):
         # Every returned prefix is a prefix of [phi^k(e)] for the last three
-        # iterates computed by brute force, all beyond the ray's own buffer.
+        # iterates computed by brute force, all beyond the iterate the ray
+        # is building, and the buffer is a prefix of that iterate.
         phi = Endomorphism(b2, (im_a, im_b))
         if not phi.is_injective():
             return
@@ -307,7 +336,7 @@ class TestExactness:
             if len(img) < 2 or img[0] != x:
                 continue
             seed = Word((x,))
-            ray = MorphicRay(seed, phi)
+            ray = CountingRay(seed, phi)
             reference = _iterates(seed, phi, 6000, 300)
             for m in (1, 6, 24, 60):
                 try:
@@ -315,8 +344,33 @@ class TestExactness:
                 except DegenerateRay:
                     break
                 assert len(letters) == m
-                buffer = tuple(ray._buf)
-                if buffer not in reference[:-3]:
+                if ray.blocks + 3 >= len(reference):
                     break           # the brute force does not reach past it
+                assert reference[ray.blocks][:len(ray._buf)] == tuple(ray._buf)
                 for late in reference[-3:]:
                     assert late[:m] == letters
+
+    @settings(max_examples=200, deadline=None)
+    @given(REDUCED2, REDUCED2)
+    def test_requests_in_steps_match_one_request(self, im_a, im_b):
+        # How far earlier requests grew a ray changes no later answer.
+        phi = Endomorphism(b2, (im_a, im_b))
+        if not phi.is_injective():
+            return
+        for x in (1, -1, 2, -2):
+            img = phi.letter_image(x)
+            if len(img) < 2 or img[0] != x:
+                continue
+            seed = Word((x,))
+            try:
+                whole = MorphicRay(seed, phi).prefix(60).letters
+            except DegenerateRay:
+                whole = None
+            stepped = MorphicRay(seed, phi)
+            for m in (1, 6, 24, 60):
+                try:
+                    letters = stepped.prefix(m).letters
+                except DegenerateRay:
+                    assert whole is None
+                    break
+                assert whole is not None and letters == whole[:m]

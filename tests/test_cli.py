@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import endo_to_json, graph_map_to_json
-from nielsenkit import boundary, cli, invariants
+from nielsenkit import boundary, cli, invariants, rtt
 from nielsenkit.cli import main
 from nielsenkit.io import (
     corpus_files,
@@ -463,6 +463,20 @@ class TestCommands:
         props = data["properties"]
         assert props["violations"] == []
         assert props["analyzed"] + props["skipped"] == 20
+
+    def test_props_structure_error_is_a_violation(self, capsys, monkeypatch):
+        # A structure error is a state the proofs exclude; forced in every
+        # type-3 ray walk, it fails the survey and names each map it hit.
+        def walk(*args):
+            raise rtt.StructureViolation("forced")
+
+        monkeypatch.setattr(rtt, "_walk_ray", walk)
+        code, data = run(capsys, "verify", "--props", "--count", "60", "--seed", "3")
+        props = data["properties"]
+        assert code == 1
+        assert (props["analyzed"], props["skipped"], len(props["violations"])) == (50, 2, 8)
+        assert all(v.startswith("structure error on a -> ") and v.endswith(": forced")
+                   for v in props["violations"])
 
     @pytest.mark.parametrize("schema", ["graph-map", "endomorphism"])
     @pytest.mark.parametrize("command", COMMANDS + ("verify",))
