@@ -174,6 +174,8 @@ def cmd_verify(args) -> int:
         raise InputError("nothing to verify: give an input file, --suite or --props")
     if args.props and args.count < 0:
         raise InputError("count must be nonnegative")
+    if args.props and min(args.rank, args.max_image_len) < 1:
+        raise InputError("rank and max image length must be positive")
     results: dict[str, dict] = {}
     worst = PASS
 
@@ -198,7 +200,8 @@ def cmd_verify(args) -> int:
 
     data: dict = {"results": results}
     if args.props:
-        stats = run_survey(args.count, seed=args.seed, depth=depth)
+        stats = run_survey(args.count, rank=args.rank, max_image_len=args.max_image_len,
+                           seed=args.seed, depth=depth)
         data["properties"] = {
             "requested": stats.requested,
             "analyzed": stats.analyzed,
@@ -263,6 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--props", action="store_true",
                    help="also run the randomized property survey")
     p.add_argument("--count", type=int, default=500)
+    p.add_argument("--rank", type=int, default=2,
+                   help="rank of the surveyed endomorphisms")
+    p.add_argument("--max-image-len", type=int, default=4,
+                   help="longest image of a generator in the survey")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--depth", type=int, default=DEPTH)
 

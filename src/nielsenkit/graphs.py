@@ -166,25 +166,88 @@ class GraphMap:
             table[Dart(e, False)] = p.reverse().darts
         return table
 
+    @cached_property
+    def dart_codes(self) -> tuple[list[Dart], dict[Dart, int], list[list[int]]]:
+        """The darts of the graph as integer codes, edge k being 2k forward
+        and 2k+1 reversed, so reversal is `c ^ 1`, and the image of each
+        code in codes."""
+        darts = self.graph.darts()
+        code = {d: i for i, d in enumerate(darts)}
+        return darts, code, [[code[x] for x in self.image_table[d]] for d in darts]
+
     def cancellation_bound(self) -> int:
         """Bounded cancellation constant C: whenever P and Q are tight paths
         with P.Q tight, at most C darts of [f(P)] cancel against [f(Q)] when
         [f(P)][f(Q)] is tightened.  Valid only when f is pi1-injective.
 
-        C = sum_e |f(e)| - rank(pi1 G) + 1 is the vertex count of the graph G'
-        obtained by subdividing each edge e into |f(e)| edges (collapsing it
-        when |f(e)| = 0); on a rose it is Endomorphism.cancellation_bound().
-        Proof: f factors as G' -> G, sending each edge of G' to one edge of
-        G, and that map factors as Stallings folds G' -> Gamma followed by an
-        immersion Gamma -> G.  Because f is pi1-injective no fold identifies
-        two edges with the same endpoints, so every fold is a homotopy
-        equivalence that removes one vertex, and there are at most V(G') - 1
-        folds.  Each fold cancels at most one edge at a junction and the
-        immersion cancels none.
+        C is the number of Stallings folds (Stallings, Invent. Math. 71, 1983)
+        of G', the graph obtained by subdividing each edge e into |f(e)|
+        edges labelled by the darts of f(e) and contracting e when
+        |f(e)| = 0: C = E(G') - E(Gamma), Gamma the folded graph.  Proof: the
+        contracted edges form a forest, since a loop among them would be a
+        nontrivial loop with a trivial image, so a tight path of G stays
+        tight in G'.  f factors as G' -> G, sending each edge of G' to the
+        edge of its label, and that map factors as the folds G' -> Gamma
+        followed by an immersion Gamma -> G.  Because f is pi1-injective
+        every fold is pi1-injective: it identifies two edges with distinct
+        far ends, a homotopy equivalence.  So each fold cancels at most one
+        edge at a junction of the image of a tight path, and the immersion
+        cancels none.  a -> aa folds nothing, so C = 0.  C is at most
+        V(G') - 1 = sum_e |f(e)| - rank(pi1 G), as each fold removes a vertex.
         """
+        return self._fold_count
+
+    @cached_property
+    def _fold_count(self) -> int:
+        """E(G') - E(Gamma) for cancellation_bound, folding G' with a
+        union-find on its vertices, the vertices of G first, and labelling
+        its edges by dart codes (dart_codes)."""
         g = self.graph
-        rank = len(g.edges) - len(g.vertices) + 1
-        return max(0, sum(len(p.darts) for p in self.edge_map.values()) - rank + 1)
+        vid = {v: i for i, v in enumerate(g.vertices)}
+        imgs = self.dart_codes[2]
+        parent = list(range(len(vid)))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        images = []
+        for k, (u, v) in enumerate(g.edge_ends.values()):
+            if imgs[2 * k]:
+                images.append((vid[u], imgs[2 * k], vid[v]))
+            else:
+                parent[find(vid[u])] = find(vid[v])
+        # out[x][c]: the far end of the edge labelled c at the root x.
+        out: list[dict[int, int]] = [{} for _ in parent]
+        merge: list[tuple[int, int]] = []
+
+        def attach(x, c, y):
+            z = out[x].setdefault(c, y)
+            if z != y and find(z) != find(y):  # two edges labelled c at x: fold
+                merge.append((z, y))
+
+        edges = 0
+        for u, cs, v in images:
+            x = find(u)
+            for c in cs[:-1]:
+                y = len(parent)
+                parent.append(y)
+                out.append({c ^ 1: x})  # a new vertex, with its edge back to x
+                attach(x, c, y)
+                x = y
+            y = find(v)
+            attach(x, cs[-1], y)
+            attach(y, cs[-1] ^ 1, x)
+            edges += len(cs)
+        while merge:
+            a, b = map(find, merge.pop())
+            if a != b:
+                parent[a] = b
+                for c, y in out[a].items():
+                    attach(b, c, y)
+                out[a] = {}
+        return edges - sum(map(len, out)) // 2
 
     def validate(self) -> None:
         g = self.graph

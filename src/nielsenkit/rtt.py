@@ -209,8 +209,10 @@ def pf_metric(m: list[list[int]]) -> ExpansionData:
     B = M^T + I is primitive and has M^T's Perron vector also when M is
     periodic.  Each v = B^(2^k) . 1 is a positive integer vector, so by
     Collatz-Wielandt lo = min (M^T v)_i / v_i <= lam <= max (M^T v)_i / v_i
-    = hi.  Raises for reducible matrices, for a bracket that does not narrow
-    and for lo <= 1 (not an expanding stratum).
+    = hi.  The ratios are compared, and the stopping rule tested, by
+    cross-multiplying integers (every v_i >= 1); only the returned ends are
+    Fractions.  Raises for reducible matrices, for a bracket that does not
+    narrow and for lo <= 1 (not an expanding stratum).
     """
     n = len(m)
     if any(len(row) != n for row in m):
@@ -221,19 +223,28 @@ def pf_metric(m: list[list[int]]) -> ExpansionData:
         raise ValueError("matrix is reducible")
     mt = [list(col) for col in zip(*m)]
     b = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(mt)]
+    width_num, width_den = PF_WIDTH.numerator, PF_WIDTH.denominator
     for k in range(PF_SQUARINGS + 1):
         if k:
             cols = list(zip(*b))
             b = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in b]
         v = [sum(row) for row in b]
-        ratios = [Fraction(sum(x * y for x, y in zip(row, v)), vi)
-                  for row, vi in zip(mt, v)]
-        lo, hi = min(ratios), max(ratios)
-        if hi - lo <= hi * PF_WIDTH:
-            if lo <= 1:
-                raise ValueError(f"spectral radius {float(hi):.12g} is not > 1")
-            return ExpansionData(lo, hi, tuple(v))
-    raise ValueError(f"Perron-Frobenius bracket [{float(lo):.12g}, {float(hi):.12g}] "
+        w = [sum(x * y for x, y in zip(row, v)) for row in mt]
+        # lo = w[i] / v[i] and hi = w[j] / v[j]
+        i = j = 0
+        for r in range(1, n):
+            if w[r] * v[i] < w[i] * v[r]:
+                i = r
+            if w[r] * v[j] > w[j] * v[r]:
+                j = r
+        hi_lo = w[j] * v[i]  # hi and lo over the common denominator v[i] * v[j]
+        if (hi_lo - w[i] * v[j]) * width_den <= hi_lo * width_num:
+            if w[i] <= v[i]:
+                raise ValueError(f"spectral radius {float(Fraction(w[j], v[j])):.12g} "
+                                 "is not > 1")
+            return ExpansionData(Fraction(w[i], v[i]), Fraction(w[j], v[j]), tuple(v))
+    raise ValueError(f"Perron-Frobenius bracket [{float(Fraction(w[i], v[i])):.12g}, "
+                     f"{float(Fraction(w[j], v[j])):.12g}] "
                      f"did not narrow in {PF_SQUARINGS} squarings")
 
 
@@ -341,14 +352,6 @@ def _canonical(p: EdgePath) -> tuple:
     return min(a, b)
 
 
-def _dart_codes(f: GraphMap) -> tuple[list[Dart], dict[Dart, int], list[list[int]]]:
-    """The darts of f's graph as integer codes, edge k being 2k forward and
-    2k+1 reversed, so reversal is `x ^ 1`, and the image of each code."""
-    darts = f.graph.darts()
-    code = {d: i for i, d in enumerate(darts)}
-    return darts, code, [[code[x] for x in f.image_table[d]] for d in darts]
-
-
 def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
                                names: Iterable[str],
                                must: Optional[set[str]]) -> list[tuple[Dart, ...]]:
@@ -358,20 +361,22 @@ def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
 
     The search descends tight paths P and stops at the first Nielsen node,
     since every extension of a Nielsen path is divisible (the cancellation
-    lemma in the module docstring).  Darts are integer codes (_dart_codes).
+    lemma in the module docstring).  Darts are integer codes (f.dart_codes).
     The image [f(P)] is kept tight incrementally: pushing a dart cancels the
     prefix of its image that meets its reversal at the tail of [f(P)] and
     extends by the rest, and popping deletes that rest and restores the
     cancelled tail.
 
     Branches are cut by bounded cancellation, exactly for pi1-injective f
-    (analyze rejects other maps).  With C = f.cancellation_bound() and
-    k = |[f(P)]| - C, the first k darts of [f(P)] are a prefix of [f(PQ)] for
-    every tight extension PQ, and a Nielsen path has [f(PQ)] = PQ.  So a
-    branch is cut when k > max_len, or when the first min(k, |P|) darts of
-    [f(P)] and of P differ."""
+    (analyze rejects other maps).  C = f.cancellation_bound() is the number
+    of Stallings folds of the subdivided graph, each of which cancels at most
+    one dart, so with k = |[f(P)]| - C the first k darts of [f(P)] are a
+    prefix of [f(PQ)] for every tight extension PQ, and a Nielsen path has
+    [f(PQ)] = PQ.  So a branch is cut when k > max_len, or when the first
+    min(k, |P|) darts of [f(P)] and of P differ.  C is 0 on an immersion
+    such as a -> aa, which folds nothing."""
     g = f.graph
-    darts, code, imgs = _dart_codes(f)
+    darts, code, imgs = f.dart_codes
     out_at: dict[str, list[int]] = {v: [] for v in g.vertices}
     for d in g.darts(names):
         out_at[g.origin(d)].append(code[d])
@@ -465,7 +470,7 @@ def _walk_ray(f: GraphMap, d: Dart, weight: dict[str, int], cap: int,
     dart_cap darts (edges not in `weight` weigh 0), the key (v, tau) of each,
     shortest first, and whether the walk stopped at the weight cap.  v is the
     terminus of A and tau its Nielsen tail [A^-1 . f(A)] in dart codes
-    (_dart_codes), so two prefixes have equal keys iff A.B^-1 is a Nielsen
+    (f.dart_codes), so two prefixes have equal keys iff A.B^-1 is a Nielsen
     path (the tail lemma in the module docstring).
 
     tau is grown one dart e at a time, tau <- [e^-1 . tau . f(e)], cancelling
@@ -473,7 +478,7 @@ def _walk_ray(f: GraphMap, d: Dart, weight: dict[str, int], cap: int,
     being fixed.  A ray of a type3 stratum has no Nielsen prefix (the stretch
     fact), so an empty tail raises StructureViolation."""
     g = f.graph
-    _, code, imgs = _dart_codes(f)
+    _, code, imgs = f.dart_codes
     tau: deque[int] = deque()
     ray: list[Dart] = []
     keys = []
@@ -549,11 +554,13 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
     2. Stretch (lo): L(A) + L(tau) = L([f(A)]) >= lo * L(A) by the stretch
        fact, so L(tau) >= (lo - 1) * L(A).
     3. Bounded cancellation (hi): tightening [f(A)].[f(B)]^-1 to A.B^-1
-       cancels tau.  Run the proof of GraphMap.cancellation_bound on the
-       component K of G_r that holds the path (f(K) lies in K, and K holds
-       all of H), each edge of the subdivided K' weighing the L-length of
-       its image: a fold removes one edge and cancels at most one of that
-       weight, so L(tau) <= w(K') - w(Gamma), Gamma the folded graph.
+       cancels tau.  Run the proof of GraphMap.cancellation_bound, where C
+       is the number of folds, on the component K of G_r that holds the
+       path (f(K) lies in K, and K holds all of H), each edge of the
+       subdivided K' weighing the L-length of its image: a fold removes one
+       edge and cancels at most one of that weight, and the immersion
+       Gamma -> G_r cancels none, so L(tau) <= w(K') - w(Gamma), Gamma the
+       folded graph.
        w(K') = sum_e (M^T L)_e <= hi * sum(L), and Gamma covers H (no row
        of M is 0), so w(Gamma) >= sum(L) and L(tau) <= (hi - 1) * sum(L).
     The bound is the search cap, and it is reached on rank-2 survey maps.

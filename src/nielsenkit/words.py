@@ -232,7 +232,13 @@ class Endomorphism:
     def cancellation_bound(self) -> int:
         """A valid constant B with |phi(W.V)| >= |phi(W)| + |phi(V)| - 2B whenever
         the product W.V is itself reduced.  Conservative, never sharp;
-        meaningless (and rejected) for non-injective endomorphisms."""
+        meaningless (and rejected) for non-injective endomorphisms.
+
+        It is the vertex count of the subdivided rose, more than the
+        rose map's fold count (GraphMap.cancellation_bound), and it is kept
+        so: the burn-in and gap thresholds of boundary.attraction_check and
+        the settling of MorphicRay read B, so a smaller B would change the
+        letters they grow and the route reports."""
         if not self.is_injective():
             raise ValueError("cancellation is unbounded for non-injective endomorphisms")
         return max(0, sum(len(im) for im in self.images) - self.rank + 1)

@@ -279,8 +279,11 @@ class TestCommands:
         ["verify", "--props", "--count", "-1"],
         ["verify", "--props", "--count", "3", "--depth", "-1"],
         ["verify", "--suite", "{dir}", "--depth", "-1"],
+        ["verify", "--props", "--count", "3", "--rank", "0"],
+        ["verify", "--props", "--count", "3", "--max-image-len", "0"],
     ], ids=["missing-suite", "file-as-suite", "nothing", "negative-count",
-            "props-negative-depth", "suite-negative-depth"])
+            "props-negative-depth", "suite-negative-depth", "props-rank-zero",
+            "props-image-len-zero"])
     def test_verify_bad_arguments_exit_2(self, corpus_dir, capsys, argv):
         argv = [a.format(file=corpus_dir / "ex6_2.json", dir=corpus_dir) for a in argv]
         code = main(argv)
@@ -463,6 +466,17 @@ class TestCommands:
         props = data["properties"]
         assert props["violations"] == []
         assert props["analyzed"] + props["skipped"] == 20
+
+    @pytest.mark.parametrize("argv, analyzed, verified", [
+        (["--count", "60", "--seed", "3"], 58, 66),
+        (["--count", "30", "--seed", "3", "--rank", "3", "--max-image-len", "3"], 27, 22),
+    ], ids=["rank2", "rank3"])
+    def test_props_survey_tallies(self, capsys, argv, analyzed, verified):
+        code, data = run(capsys, "verify", "--props", *argv)
+        assert code == 0
+        props = data["properties"]
+        assert props["analyzed"] == analyzed and props["violations"] == []
+        assert props["index_equals_improved_char"] == [verified, verified]
 
     def test_props_structure_error_is_a_violation(self, capsys, monkeypatch):
         # A structure error is a state the proofs exclude; forced in every

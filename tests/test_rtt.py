@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -168,7 +169,78 @@ def assert_brackets_root(m, data):
     assert hi >= 0 and hi * hi >= disc
 
 
+def reference_pf_metric(m, squarings):
+    """The bracket of pf_metric in Fraction arithmetic: every ratio
+    (M^T v)_i / v_i a Fraction, min and max taken over Fractions."""
+    n = len(m)
+    if not rtt._support_irreducible(m):
+        raise ValueError("matrix is reducible")
+    mt = [list(col) for col in zip(*m)]
+    b = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(mt)]
+    for k in range(squarings + 1):
+        if k:
+            b = [[sum(b[i][t] * b[t][j] for t in range(n)) for j in range(n)]
+                 for i in range(n)]
+        v = [sum(row) for row in b]
+        ratios = [Fraction(sum(x * y for x, y in zip(row, v)), vi)
+                  for row, vi in zip(mt, v)]
+        lo, hi = min(ratios), max(ratios)
+        if hi - lo <= hi * rtt.PF_WIDTH:
+            if lo <= 1:
+                raise ValueError(f"spectral radius {float(hi):.12g} is not > 1")
+            return lo, hi, tuple(v)
+    raise ValueError(f"Perron-Frobenius bracket [{float(lo):.12g}, {float(hi):.12g}] "
+                     f"did not narrow in {squarings} squarings")
+
+
+def outcome(fn, m):
+    try:
+        return fn(m)
+    except ValueError as exc:
+        return str(exc)
+
+
+def survey_stratum_matrices(count):
+    """The transition matrix of every stratum of the first `count` maps of
+    the rank-2 survey with images of length <= 4, seed 1, identities aside."""
+    out = []
+    for phi in itertools.islice(random_injective_endos(2, 4, seed=1), count):
+        f = rose_map(phi)
+        if f.is_identity():
+            continue
+        g, _ = subdivided_fixed_map(f)
+        out.extend(transition_matrix(g, s) for s in derive_filtration(g).strata)
+    return out
+
+
 class TestPFMetric:
+    def test_matches_fraction_reference_on_survey_strata(self):
+        def integer(m):
+            data = pf_metric(m)
+            return data.lo, data.hi, data.weights
+
+        expanding = 0
+        for m in survey_stratum_matrices(300):
+            got = outcome(integer, m)
+            assert got == outcome(lambda m: reference_pf_metric(m, rtt.PF_SQUARINGS), m), m
+            expanding += isinstance(got, tuple)
+        assert expanding > 200
+
+    @pytest.mark.parametrize("m, squarings, message", [
+        ([[2, 1], [0, 2]], rtt.PF_SQUARINGS, "matrix is reducible"),
+        ([[1]], rtt.PF_SQUARINGS, "spectral radius 1 is not > 1"),
+        ([[0, 1], [1, 0]], rtt.PF_SQUARINGS, "spectral radius 1 is not > 1"),
+        ([[1, 1], [1, 0]], 2,
+         "Perron-Frobenius bracket [1.61764705882, 1.61818181818] did not narrow "
+         "in 2 squarings"),
+    ])
+    def test_error_messages(self, monkeypatch, m, squarings, message):
+        monkeypatch.setattr(rtt, "PF_SQUARINGS", squarings)
+        with pytest.raises(ValueError) as exc:
+            pf_metric(m)
+        assert str(exc.value) == message
+        assert outcome(lambda m: reference_pf_metric(m, squarings), m) == message
+
     def test_one_by_one(self):
         data = pf_metric([[2]])
         assert data.lam == 2.0 and metric_lengths(data) == [Fraction(1)] and data.exact
