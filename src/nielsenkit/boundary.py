@@ -244,6 +244,15 @@ def attraction_check(w, phi: Endomorphism) -> AttractionVerdict:
     attracting requires k(i) - i to clear B after a burn-in of 4B + 8 letters
     and to gain at least 1 over every stretch of s = max generator image
     length steps of the 4s-letter window that follows.
+
+    The window of n = 4B + 8 + 4s steps reads W up to index n and up to the
+    agreement k(i) <= s.n.  W is asked for more letters, through `w.prefix`,
+    only when i or k reaches the end of those held, doubling up to s.n + 1,
+    so a slowly settling ray is grown no further than the verdict needs.
+    The verdict is read off the same letters as if all s.n + 1 were asked
+    for first, with one difference: `ray generation failed` is reported only
+    when DegenerateRay is raised for a letter the window reads, so a ray
+    that cannot be certified past those letters gets their verdict.
     """
     if not phi.is_injective():
         raise ValueError("attraction is defined for injective endomorphisms only")
@@ -251,29 +260,36 @@ def attraction_check(w, phi: Endomorphism) -> AttractionVerdict:
     s = max(1, phi.max_image_length())
     burn_in = 4 * bound + 8
     n = burn_in + 4 * s
+    cap = s * n + 1
     fixed = isinstance(w, MorphicRay) and w.endo == phi
 
-    try:
-        ray = w.prefix(s * n + 1).letters
-    except DegenerateRay:
-        return AttractionVerdict("inconclusive", "ray generation failed")
     # Incremental image of growing prefixes, and its agreement k with W: the
     # letters that survive the cancellation keep their agreement.
+    ray: tuple[int, ...] = ()
     img_letters: list[int] = []
     gaps: list[int] = []  # k(i) - i over the window after the burn-in
     k = 0
-    for i in range(1, n + 1):
-        before = len(img_letters)
-        cancelled = extend_reduced(img_letters, phi.letter_image(ray[i - 1]))
-        k = min(k, before - cancelled)
-        while k < len(img_letters) and k < len(ray) and img_letters[k] == ray[k]:
-            k += 1
-        if not fixed and len(img_letters) - k > bound:
-            return AttractionVerdict(
-                "not-fixed",
-                f"|phi(W_i)| - k(i) exceeds the cancellation bound at i={i}")
-        if i > burn_in:
-            gaps.append(k - i)
+    try:
+        for i in range(1, n + 1):
+            if i > len(ray):
+                ray = w.prefix(min(cap, 2 * len(ray) or 1)).letters
+            before = len(img_letters)
+            cancelled = extend_reduced(img_letters, phi.letter_image(ray[i - 1]))
+            k = min(k, before - cancelled)
+            while k < len(img_letters):
+                if k == len(ray):
+                    ray = w.prefix(min(cap, 2 * len(ray))).letters
+                if img_letters[k] != ray[k]:
+                    break
+                k += 1
+            if not fixed and len(img_letters) - k > bound:
+                return AttractionVerdict(
+                    "not-fixed",
+                    f"|phi(W_i)| - k(i) exceeds the cancellation bound at i={i}")
+            if i > burn_in:
+                gaps.append(k - i)
+    except DegenerateRay:
+        return AttractionVerdict("inconclusive", "ray generation failed")
 
     if all(g > bound for g in gaps) and all(
             gaps[j + s] >= gaps[j] + 1 for j in range(len(gaps) - s)):

@@ -234,14 +234,26 @@ class Endomorphism:
         the product W.V is itself reduced.  Conservative, never sharp;
         meaningless (and rejected) for non-injective endomorphisms.
 
-        It is the vertex count of the subdivided rose, more than the
-        rose map's fold count (GraphMap.cancellation_bound), and it is kept
-        so: the burn-in and gap thresholds of boundary.attraction_check and
-        the settling of MorphicRay read B, so a smaller B would change the
-        letters they grow and the route reports."""
+        It is the vertex count of the subdivided rose, above fold_count
+        (each fold removes a vertex), and only `boundary` reads it: the
+        burn-in and gap thresholds of attraction_check and the settling of
+        MorphicRay are set by B, so a smaller constant would change the
+        letters they grow and the verdicts route prints."""
         if not self.is_injective():
             raise ValueError("cancellation is unbounded for non-injective endomorphisms")
         return max(0, sum(len(im) for im in self.images) - self.rank + 1)
+
+    def fold_count(self) -> int:
+        """The number of Stallings folds from the wedge of loops spelling
+        the images to their folded core graph: sum |phi(x)| less the edges of
+        folded_image().  It is the bounded-cancellation constant of the rose
+        map, rose_map(phi).cancellation_bound(), whose docstring has the
+        proof: at most this many letters of phi(W) cancel against phi(V)
+        when W.V is reduced.  Rejected for non-injective endomorphisms."""
+        injective, edges = _fold_summary(self)
+        if not injective:
+            raise ValueError("cancellation is unbounded for non-injective endomorphisms")
+        return sum(len(im) for im in self.images) - edges
 
     def folded_image(self) -> "FoldedGraph":
         """The folded core graph of the subgroup generated by the images."""
@@ -249,14 +261,19 @@ class Endomorphism:
 
     def is_injective(self) -> bool:
         """Injective iff the image subgroup has full rank (free groups are Hopfian)."""
-        return _injective(self)
+        return _fold_summary(self)[0]
 
 
 @lru_cache(maxsize=4096)
-def _injective(phi: "Endomorphism") -> bool:
+def _fold_summary(phi: "Endomorphism") -> tuple[bool, int]:
+    """Whether phi is injective, and the edge count of its folded image: one
+    fold serves is_injective and fold_count.  Only the two figures are kept,
+    since a kept graph per checked map costs more in garbage collection than
+    the fold it saves."""
     if any(im.is_identity for im in phi.images):
-        return False
-    return phi.folded_image().subgroup_rank() == phi.rank
+        return False, 0
+    g = phi.folded_image()
+    return g.subgroup_rank() == phi.rank, g.edge_count()
 
 
 def matrix_trace(a: list[list[int]]) -> int:
@@ -396,7 +413,12 @@ def twisted_solutions(phi: Endomorphism, left: Word, right: Word,
     possibly empty) can be a solution, by bounded cancellation (Cooper,
     J. Algebra 111, 1987), the rule `rtt.nielsen_paths_brute` uses for paths.
 
-    Proof.  Let B = phi.cancellation_bound().  At most B letters of phi(u)
+    Proof.  Let B = phi.fold_count(), the number of Stallings folds of the
+    images, which bounds cancellation as GraphMap.cancellation_bound proves
+    for the rose map (Stallings, Invent. Math. 71, 1983).  The cut below is
+    exact for any valid constant, so this one, the smallest the program
+    knows, cuts the most and yields the same solutions in the same order
+    as a larger one.  At most B letters of phi(u)
     cancel in phi(u).phi(v), so phi(u) without its last B letters, S, is a
     prefix of phi(u.v).  When |S| >= |left|, the free reduction of
     left.phi(u.v) cancels only within the first |left| letters of phi(u.v),
@@ -406,11 +428,11 @@ def twisted_solutions(phi: Endomorphism, left: Word, right: Word,
     most depth + |right| letters.  A solution u.v therefore needs
     |L| <= depth + |right| and L, Q equal on their first min(|L|, |Q|)
     letters; when either fails the branch is cut.  A non-injective phi has no
-    B, and cancellation_bound raises ValueError.
+    B, and fold_count raises ValueError.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    bound = phi.cancellation_bound()
+    bound = phi.fold_count()
     table = phi.image_table
     lt, rt = left.letters, right.letters
     cap = depth + len(rt)

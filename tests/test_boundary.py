@@ -1,11 +1,30 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import endo
+from test_words import route_pairs
 from nielsenkit import boundary
-from nielsenkit.boundary import DegenerateRay, MorphicRay, attraction_check, equivalent_under
-from nielsenkit.words import IDENTITY, Endomorphism, Word, default_basis, fold_words, word
+from nielsenkit.boundary import (
+    AttractionVerdict,
+    DegenerateRay,
+    MorphicRay,
+    attraction_check,
+    equivalent_under,
+)
+from nielsenkit.invariants import word_attracting_candidates
+from nielsenkit.sampling import random_injective_endos
+from nielsenkit.words import (
+    IDENTITY,
+    Endomorphism,
+    Word,
+    default_basis,
+    extend_reduced,
+    fold_words,
+    word,
+)
 
 b1 = default_basis(1)
 b2 = default_basis(2)
@@ -183,6 +202,101 @@ class TestAttraction:
     def test_non_injective_rejected(self):
         with pytest.raises(ValueError):
             attraction_check(MorphicRay(b1.parse("a"), square1), endo(1, ""))
+
+
+def reference_attraction_check(w, phi):
+    """The eager attraction check: W is asked for all s.n + 1 letters the
+    window could read before any is read.  The reference for the lazy
+    reads of `attraction_check`."""
+    bound = phi.cancellation_bound()
+    s = max(1, phi.max_image_length())
+    burn_in = 4 * bound + 8
+    n = burn_in + 4 * s
+    fixed = isinstance(w, MorphicRay) and w.endo == phi
+    try:
+        ray = w.prefix(s * n + 1).letters
+    except DegenerateRay:
+        return AttractionVerdict("inconclusive", "ray generation failed")
+    img_letters: list[int] = []
+    gaps: list[int] = []
+    k = 0
+    for i in range(1, n + 1):
+        before = len(img_letters)
+        cancelled = extend_reduced(img_letters, phi.letter_image(ray[i - 1]))
+        k = min(k, before - cancelled)
+        while k < len(img_letters) and k < len(ray) and img_letters[k] == ray[k]:
+            k += 1
+        if not fixed and len(img_letters) - k > bound:
+            return AttractionVerdict(
+                "not-fixed",
+                f"|phi(W_i)| - k(i) exceeds the cancellation bound at i={i}")
+        if i > burn_in:
+            gaps.append(k - i)
+    if all(g > bound for g in gaps) and all(
+            gaps[j + s] >= gaps[j] + 1 for j in range(len(gaps) - s)):
+        return AttractionVerdict("attracting",
+                                 "gap clears the cancellation bound and keeps growing")
+    return AttractionVerdict("inconclusive",
+                             "window shows neither certified growth nor a certificate")
+
+
+class Truncated:
+    """A ray that raises DegenerateRay when asked for more than `limit`
+    letters, and records the most it was asked for."""
+
+    def __init__(self, ray, limit: int):
+        self.ray, self.limit, self.asked = ray, limit, 0
+
+    def prefix(self, m: int) -> Word:
+        self.asked = max(self.asked, m)
+        if m > self.limit:
+            raise DegenerateRay("truncated")
+        return self.ray.prefix(m)
+
+
+def assert_checks_agree(phi):
+    for ray in word_attracting_candidates(phi):
+        lazy = attraction_check(ray, phi)
+        eager = reference_attraction_check(MorphicRay(ray.seed, phi), phi)
+        assert (lazy.status, lazy.reason) == (eager.status, eager.reason), (phi, ray)
+
+
+class TestLazyAttraction:
+    """The check reads ray letters only as far as its window needs them."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_route_pairs_agree_with_eager_check(self, seed):
+        for phi, route in route_pairs(seed):
+            assert_checks_agree(phi.inner_twist(route))
+
+    def test_rank3_maps_agree_with_eager_check(self):
+        for phi in itertools.islice(random_injective_endos(3, 3, seed=1), 300):
+            assert_checks_agree(phi)
+
+    def test_slow_ray_is_read_only_as_far_as_needed(self):
+        # Routes-r2 instance 26 of seed 1: the twisted map of a -> bab,
+        # b -> BA by the route AA.  Its A-ray certifies 18 letters every 4
+        # blocks; the eager check asks for s.n + 1 = 533 letters.
+        phi = endo(2, "AAbabaa", "AABa")
+        ray = MorphicRay(b2.parse("A"), phi)
+        v = attraction_check(ray, phi)
+        assert v.status == "inconclusive" and "neither" in v.reason
+        assert ray._certified <= 160
+        eager = MorphicRay(b2.parse("A"), phi)
+        assert (reference_attraction_check(eager, phi) == v
+                and eager._certified == 533)
+
+    def test_degenerate_past_the_window(self):
+        # b.ray is not fixed by conj2, and that is seen within a few
+        # letters; a ray that cannot be certified past them keeps that
+        # verdict, where the eager check reports failed generation.
+        shifted = Shifted(b2.parse("b"), MorphicRay(b2.parse("B"), conj2))
+        whole = Truncated(shifted, 10 ** 6)
+        v = attraction_check(whole, conj2)
+        assert v.status == "not-fixed"
+        short = Truncated(shifted, whole.asked)
+        assert attraction_check(short, conj2) == v
+        assert reference_attraction_check(short, conj2).reason == "ray generation failed"
 
 
 class TestEquivalence:

@@ -10,6 +10,7 @@ from test_multivertex import theta_collapse, theta_swap
 from nielsenkit.graphs import EdgePath, any_route_endo, subdivided_fixed_map
 from nielsenkit.invariants import fixed_subgroup_basis
 from nielsenkit.io import corpus_files, endo_from_json, graph_map_from_json, rose_map
+from nielsenkit import words
 from nielsenkit.sampling import random_injective_endos
 from nielsenkit.words import (
     IDENTITY,
@@ -301,6 +302,52 @@ class TestCancellationBound:
     def test_observed_never_exceeds_bound(self):
         for phi in [endo(2, "ab", "B"), endo(2, "A", "Abb"), endo(2, "a", "Bab")]:
             assert observed_cancellation(phi, 3) <= phi.cancellation_bound()
+
+    @pytest.mark.parametrize("rank, length", [(1, 4), (2, 4), (3, 3)])
+    def test_fold_count_is_the_rose_bound(self, rank, length):
+        for phi in itertools.islice(random_injective_endos(rank, length, seed=1), 40):
+            assert phi.fold_count() == rose_map(phi).cancellation_bound()
+
+    def test_fold_count_values(self):
+        # a -> aa is an immersion; a -> a, b -> Bab folds its two b-edges
+        # into the base once, and one letter does cancel: a.Bab.
+        assert endo(1, "aa").fold_count() == 0
+        phi = endo(2, "a", "Bab")
+        assert phi.fold_count() == 1
+        assert observed_cancellation(phi, 3) == 1
+
+    def test_fold_count_bounds_cancellation(self):
+        for phi in [endo(2, "ab", "B"), endo(2, "A", "Abb"), endo(2, "bab", "a"),
+                    endo(2, "AAbabaa", "AABa")]:
+            assert cancellation_holds(phi, phi.fold_count(), 3)
+            assert observed_cancellation(phi, 3) <= phi.fold_count()
+
+    @settings(max_examples=25, deadline=None)
+    @given(endos2)
+    def test_fold_count_random(self, phi):
+        if not phi.is_injective():
+            return
+        assert cancellation_holds(phi, phi.fold_count(), 3)
+
+    def test_fold_count_rejects_non_injective(self):
+        with pytest.raises(ValueError, match="non-injective"):
+            endo(2, "a", "a").fold_count()
+
+    def test_images_fold_once(self, monkeypatch):
+        # is_injective and fold_count share one fold, also across equal maps.
+        folds = [0]
+        original = words.fold_words
+
+        def counting(rank, gens):
+            folds[0] += 1
+            return original(rank, gens)
+
+        monkeypatch.setattr(words, "fold_words", counting)
+        words._fold_summary.cache_clear()
+        phi = endo(2, "AAbabaa", "AABa")
+        assert phi.is_injective() and phi.fold_count() == 9
+        assert endo(2, "AAbabaa", "AABa").fold_count() == 9
+        assert folds[0] == 1
 
 
 class TestGraphCancellationBound:
