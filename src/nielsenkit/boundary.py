@@ -39,16 +39,21 @@ from .words import (
 
 class DegenerateRay(ValueError):
     """Raised when a morphic seed does not generate a ray this module can
-    certify: phi(e) is not e.u with u nonempty, phi is not injective, or
-    STALL_BLOCKS consecutive blocks certified no further letter."""
+    certify: phi(e) is not e.u with u nonempty, phi is not injective,
+    STALL_BLOCKS consecutive blocks certified no further letter, or a block
+    outgrew the certified letters (see STALL_BLOCKS)."""
 
 
 # Blocks in a row that may pass without certifying a letter before a ray is
-# given up.  On 2640 seeded rank-2 route analyses (images of length <= 4),
-# the block that certified again came within 6 in all but 9 of ~16000 cases
-# and never later than the 9th; route reports came out the same with 8 and 10.
-# A block can be as long as the whole buffer, so the limit also bounds the
-# work spent on seeds that never settle.
+# given up.  A ray is also given up once a finished block is longer than
+# 2**STALL_BLOCKS * (c + B + 1) letters, c the certified count and B the
+# fold count: a ray that certifies a letter every other block while its
+# blocks keep doubling would otherwise grow until memory runs out (the ray
+# of B under a -> ACA, b -> Cb, c -> AC).  On 2640 seeded rank-2 route
+# analyses (images of length <= 4), the block that certified again after a
+# stall came within 6 in all but 3 of ~2000 stalls and never later than the
+# 8th; 256 rays stalled out and 28 outgrew their letters, and route reports
+# came out the same with 8, 10 and 12.
 STALL_BLOCKS = 8
 
 
@@ -58,7 +63,7 @@ class MorphicRay:
     Appending the block phi^k(u) to P_k = [phi^k(e)] gives P_{k+1}; its first
     `kept` letters survive, so X = P_{k+1}[:kept] is a prefix of both.
     Letters are returned only once certified, and X is certified when
-    |[phi(X)]| >= |X| + B, B = phi.cancellation_bound().
+    |[phi(X)]| >= |X| + B, B = phi.fold_count().
 
     Proof that such an X is a prefix of every P_j, j >= k, and so of the
     ray.  Suppose X is a prefix of P_j and P_{j+1}, as it is for j = k, and
@@ -70,9 +75,12 @@ class MorphicRay:
     the claim.  In particular `kept` never falls below the certified count.
 
     The rule is sufficient, not necessary: a ray that grows by fewer than B
-    letters a step (a -> ab, b -> b) never certifies.  Such rays, and seeds
-    whose iterates never settle, raise DegenerateRay once STALL_BLOCKS
-    blocks in a row certified nothing.
+    letters a step (a -> ab, b -> b, c -> bcB, B = 3) never certifies.
+    Such rays, and seeds whose iterates never settle, raise DegenerateRay
+    once STALL_BLOCKS blocks in a row certified nothing.  So does a ray
+    whose finished block is longer than 2**STALL_BLOCKS * (c + B + 1)
+    letters, c the certified count: it certifies too slowly for its growth
+    to be worth following.
 
     Growth is lazy in two ways, and neither changes what is computed.
 
@@ -93,10 +101,10 @@ class MorphicRay:
     and P_{k+1}, so the images of their prefixes are too.  The scan stops
     as soon as the letters asked for are certified and resumes before the
     next block is appended, so each block's whole kept range is scanned
-    before its stall count is decided.  `kept`, the certified count and the
-    stall count after each block are hence those of appending each whole
-    block and rescanning from the first letter, and so is every prefix and
-    DegenerateRay.
+    before its stall count and its length check are decided.  `kept`, the
+    certified count and the stall count after each block are hence those of
+    appending each whole block and rescanning from the first letter, and so
+    is every prefix and DegenerateRay.
     """
 
     def __init__(self, seed: Word, endo: Endomorphism):
@@ -109,7 +117,7 @@ class MorphicRay:
         if tail.is_identity:
             raise DegenerateRay("stationary seed: phi(e) = e is not a ray")
         try:
-            self._bound = endo.cancellation_bound()
+            self._bound = endo.fold_count()
         except ValueError:
             raise DegenerateRay("ray growth needs an injective endomorphism") from None
         self.seed = seed
@@ -159,7 +167,6 @@ class MorphicRay:
         if self._src is None:
             self._src, self._block = (), list(self._tail.letters)
         else:
-            self._spell(len(self._src))   # finish phi^(k-1)(u): buf = P_k
             self._src, self._block = tuple(self._block), []
         self._pos = self._moved = 0
         self._kept = None
@@ -199,6 +206,11 @@ class MorphicRay:
             if self._stalled >= STALL_BLOCKS:
                 raise DegenerateRay(
                     f"no letter certified in {STALL_BLOCKS} blocks; seed does not converge")
+            if self._src is not None:
+                self._spell(len(self._src))   # finish the block: buf = P_{k+1}
+                if len(self._block) > (self._certified + self._bound + 1) << STALL_BLOCKS:
+                    raise DegenerateRay("a block outgrew the certified letters; "
+                                        "the ray settles too slowly")
             self._append_block()
 
     def prefix(self, m: int, pre: Word = IDENTITY) -> Word:
@@ -239,8 +251,9 @@ class AttractionVerdict:
 def attraction_check(w, phi: Endomorphism) -> AttractionVerdict:
     """Sample k(i) = |W ^ phi(W_i)| and classify the ray W against phi.
 
-    not-fixed fires on the certificate |phi(W_i)| - k(i) > B, impossible for a
-    fixed word; a MorphicRay of phi itself is fixed by construction.
+    not-fixed fires on the certificate |phi(W_i)| - k(i) > B, B =
+    phi.fold_count(), impossible for a fixed word; a MorphicRay of phi
+    itself is fixed by construction.
     attracting requires k(i) - i to clear B after a burn-in of 4B + 8 letters
     and to gain at least 1 over every stretch of s = max generator image
     length steps of the 4s-letter window that follows.
@@ -253,10 +266,9 @@ def attraction_check(w, phi: Endomorphism) -> AttractionVerdict:
     for first, with one difference: `ray generation failed` is reported only
     when DegenerateRay is raised for a letter the window reads, so a ray
     that cannot be certified past those letters gets their verdict.
+    A non-injective phi has no B, and fold_count raises ValueError.
     """
-    if not phi.is_injective():
-        raise ValueError("attraction is defined for injective endomorphisms only")
-    bound = phi.cancellation_bound()
+    bound = phi.fold_count()
     s = max(1, phi.max_image_length())
     burn_in = 4 * bound + 8
     n = burn_in + 4 * s

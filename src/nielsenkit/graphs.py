@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .words import IDENTITY, Basis, Endomorphism, Word, reduce_letters
+from .words import IDENTITY, Basis, Endomorphism, Word, reduce_letters, stallings_fold
 
 
 class Dart(NamedTuple):
@@ -167,13 +167,17 @@ class GraphMap:
         return table
 
     @cached_property
-    def dart_codes(self) -> tuple[list[Dart], dict[Dart, int], list[list[int]]]:
-        """The darts of the graph as integer codes, edge k being 2k forward
-        and 2k+1 reversed, so reversal is `c ^ 1`, and the image of each
-        code in codes."""
-        darts = self.graph.darts()
-        code = {d: i for i, d in enumerate(darts)}
-        return darts, code, [[code[x] for x in self.image_table[d]] for d in darts]
+    def dart_codes(self) -> tuple[dict[int, Dart], dict[Dart, int], dict[int, list[int]]]:
+        """The darts of the graph as integer codes, the way words code
+        letters: edge k is k+1 forward and -(k+1) reversed, so reversal is
+        `-c`, and the petals of a rose (io.rose_map) are coded by their
+        letters.  Returns the dart of each code, the code of each dart and
+        the image of each code in codes."""
+        darts = {s * k: Dart(e, s > 0)
+                 for k, e in enumerate(self.graph.edges, start=1) for s in (1, -1)}
+        code = {d: c for c, d in darts.items()}
+        return darts, code, {c: [code[x] for x in self.image_table[d]]
+                             for c, d in darts.items()}
 
     def cancellation_bound(self) -> int:
         """Bounded cancellation constant C: whenever P and Q are tight paths
@@ -199,55 +203,15 @@ class GraphMap:
 
     @cached_property
     def _fold_count(self) -> int:
-        """E(G') - E(Gamma) for cancellation_bound, folding G' with a
-        union-find on its vertices, the vertices of G first, and labelling
-        its edges by dart codes (dart_codes)."""
+        """E(G') - E(Gamma) for cancellation_bound: G' is each edge's image
+        path between its ends, in dart codes, folded by stallings_fold."""
         g = self.graph
         vid = {v: i for i, v in enumerate(g.vertices)}
         imgs = self.dart_codes[2]
-        parent = list(range(len(vid)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
-        images = []
-        for k, (u, v) in enumerate(g.edge_ends.values()):
-            if imgs[2 * k]:
-                images.append((vid[u], imgs[2 * k], vid[v]))
-            else:
-                parent[find(vid[u])] = find(vid[v])
-        # out[x][c]: the far end of the edge labelled c at the root x.
-        out: list[dict[int, int]] = [{} for _ in parent]
-        merge: list[tuple[int, int]] = []
-
-        def attach(x, c, y):
-            z = out[x].setdefault(c, y)
-            if z != y and find(z) != find(y):  # two edges labelled c at x: fold
-                merge.append((z, y))
-
-        edges = 0
-        for u, cs, v in images:
-            x = find(u)
-            for c in cs[:-1]:
-                y = len(parent)
-                parent.append(y)
-                out.append({c ^ 1: x})  # a new vertex, with its edge back to x
-                attach(x, c, y)
-                x = y
-            y = find(v)
-            attach(x, cs[-1], y)
-            attach(y, cs[-1] ^ 1, x)
-            edges += len(cs)
-        while merge:
-            a, b = map(find, merge.pop())
-            if a != b:
-                parent[a] = b
-                for c, y in out[a].items():
-                    attach(b, c, y)
-                out[a] = {}
-        return edges - sum(map(len, out)) // 2
+        paths = [(vid[u], imgs[k], vid[v])
+                 for k, (u, v) in enumerate(g.edge_ends.values(), start=1)]
+        out, _ = stallings_fold(len(vid), paths)
+        return sum(len(p) for _, p, _ in paths) - sum(map(len, out)) // 2
 
     def validate(self) -> None:
         g = self.graph

@@ -381,11 +381,11 @@ def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
     for d in g.darts(names):
         out_at[g.origin(d)].append(code[d])
     # after[c]: the darts that may follow dart c on a tight path.
-    after = [[d for d in out_at[g.terminus(dart)] if d != c ^ 1]
-             for c, dart in enumerate(darts)]
-    # first_rev[c]: the reversal of the first dart of c's image (-1: none).
-    first_rev = [x[0] ^ 1 if x else -1 for x in imgs]
-    marked = [must is None or d.name in must for d in darts]
+    after = {c: [d for d in out_at[g.terminus(dart)] if d != -c]
+             for c, dart in darts.items()}
+    # first_rev[c]: the reversal of the first dart of c's image (0: none).
+    first_rev = {c: -x[0] if x else 0 for c, x in imgs.items()}
+    marked = {c: must is None or d.name in must for c, d in darts.items()}
     bound = f.cancellation_bound()
     path: list[int] = []
     img: list[int] = []
@@ -397,7 +397,7 @@ def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
             x = imgs[d]
             if m and img[-1] == first_rev[d]:
                 n = 1
-                while n < m and n < len(x) and img[m - 1 - n] == x[n] ^ 1:
+                while n < m and n < len(x) and img[m - 1 - n] == -x[n]:
                     n += 1
                 cut = img[m - n:]
                 del img[m - n:]
@@ -494,9 +494,9 @@ def _walk_ray(f: GraphMap, d: Dart, weight: dict[str, int], cap: int,
             if tau and tau[0] == c:
                 tau.popleft()
             else:
-                tau.appendleft(c ^ 1)
+                tau.appendleft(-c)
             for x in imgs[c]:
-                if tau and tau[-1] == x ^ 1:
+                if tau and tau[-1] == -x:
                     tau.pop()
                 else:
                     tau.append(x)

@@ -70,9 +70,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple(-x for x in reversed(self.letters)))
 
-    def __invert__(self) -> "Word":
-        return self.inverse()
-
     def prefix(self, m: int) -> "Word":
         return Word(self.letters[:m])
 
@@ -209,9 +206,6 @@ class Endomorphism:
             raise BasisMismatch("word does not live over this basis") from None
         return Word(tuple(out))
 
-    def __call__(self, w: Word) -> Word:
-        return self.apply(w)
-
     def inner_twist(self, c: Word) -> "Endomorphism":
         """The endomorphism i_c o self: g -> c self(g) c^-1."""
         ci = c.inverse()
@@ -229,27 +223,16 @@ class Endomorphism:
     def max_image_length(self) -> int:
         return max((len(im) for im in self.images), default=0)
 
-    def cancellation_bound(self) -> int:
-        """A valid constant B with |phi(W.V)| >= |phi(W)| + |phi(V)| - 2B whenever
-        the product W.V is itself reduced.  Conservative, never sharp;
-        meaningless (and rejected) for non-injective endomorphisms.
-
-        It is the vertex count of the subdivided rose, above fold_count
-        (each fold removes a vertex), and only `boundary` reads it: the
-        burn-in and gap thresholds of attraction_check and the settling of
-        MorphicRay are set by B, so a smaller constant would change the
-        letters they grow and the verdicts route prints."""
-        if not self.is_injective():
-            raise ValueError("cancellation is unbounded for non-injective endomorphisms")
-        return max(0, sum(len(im) for im in self.images) - self.rank + 1)
-
     def fold_count(self) -> int:
         """The number of Stallings folds from the wedge of loops spelling
         the images to their folded core graph: sum |phi(x)| less the edges of
         folded_image().  It is the bounded-cancellation constant of the rose
         map, rose_map(phi).cancellation_bound(), whose docstring has the
         proof: at most this many letters of phi(W) cancel against phi(V)
-        when W.V is reduced.  Rejected for non-injective endomorphisms."""
+        when W.V is reduced.  The two are one computation, since the dart
+        codes of the rose are the letters (GraphMap.dart_codes), so both
+        fold the same labelled loops with stallings_fold.  Rejected for
+        non-injective endomorphisms."""
         injective, edges = _fold_summary(self)
         if not injective:
             raise ValueError("cancellation is unbounded for non-injective endomorphisms")
@@ -285,117 +268,100 @@ def matrix_trace(a: list[list[int]]) -> int:
 
 
 class FoldedGraph:
-    """Deterministic and co-deterministic labeled graph with a base state.
+    """Deterministic and co-deterministic labeled graph with base state 0.
 
-    Transitions are stored for both letter signs: delta[(s, x)] = s' means the
-    x-labeled edge leaves s and enters s' (and delta[(s', -x)] = s).
+    out[s][x] = s' means the x-labeled edge leaves s and enters s' (and
+    out[s'][-x] = s); a state folded into another has no edges.
     """
 
-    def __init__(self, rank: int, delta: dict[tuple[int, int], int], base: int = 0,
-                 n_states: int = 1):
+    def __init__(self, rank: int, out: list[dict[int, int]], n_states: int):
         self.rank = rank
-        self.delta = delta
-        self.base = base
+        self.out = out
         self.n_states = n_states
 
-    def step(self, state: int, letter: int) -> Optional[int]:
-        return self.delta.get((state, letter))
-
     def read(self, w: Word) -> Optional[int]:
-        s: Optional[int] = self.base
+        s: Optional[int] = 0
         for x in w.letters:
-            s = self.step(s, x)
+            s = self.out[s].get(x)
             if s is None:
                 return None
         return s
 
     def accepts(self, w: Word) -> bool:
-        return self.read(w) == self.base
+        return self.read(w) == 0
 
     def edge_count(self) -> int:
-        return sum(1 for (_, x) in self.delta if x > 0)
+        return sum(map(len, self.out)) // 2
 
     def subgroup_rank(self) -> int:
         # Folded graphs built from loops at the base are connected cores.
         return self.edge_count() - self.n_states + 1
 
 
-def fold_words(rank: int, gens: Sequence[Word]) -> FoldedGraph:
-    """Stallings folding of the wedge of loops spelling the given words."""
-    parent = [0]
+def stallings_fold(n: int, paths: Iterable[tuple[int, Sequence[int], int]]
+                   ) -> tuple[list[dict[int, int]], int]:
+    """Stallings folding (Invent. Math. 71, 1983) of a graph whose edges
+    carry nonzero integer labels, an edge read backwards carrying the
+    negated label: the vertices 0, ..., n-1 and, for each (u, labels, v) of
+    `paths`, a path from u to v spelling `labels` through new vertices (an
+    empty one identifies u with v).  Returns the folded graph as (out,
+    vertex count), out as in FoldedGraph; each vertex is named by the least
+    vertex folded into it, so vertex 0 keeps its name.
+
+    A worklist over a union-find: every edge is stored at both ends, keyed
+    by its label read from there, and an edge whose key is taken queues the
+    identification of the two far ends.  Identifying two vertices moves the
+    edges of one onto the other, queueing each clash of keys in turn."""
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+            parent[x] = x = parent[parent[x]]
         return x
 
-    def union(x: int, y: int) -> int:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return rx
-        if ry < rx:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        return rx
+    out: list[dict[int, int]] = [{} for _ in parent]  # out[x][c]: far end of c at x
+    merge: list[tuple[int, int]] = []
 
-    def new_state() -> int:
-        parent.append(len(parent))
-        return len(parent) - 1
+    def attach(x: int, c: int, y: int) -> None:
+        z = out[x].setdefault(c, y)
+        if z != y and find(z) != find(y):
+            merge.append((z, y))
 
-    parent[0] = 0
-    edges: list[tuple[int, int, int]] = []  # (origin, positive letter, terminus)
-    for g in gens:
-        if g.is_identity:
+    for u, labels, v in paths:
+        if not labels:
+            merge.append((u, v))
             continue
-        prev = 0
-        for i, x in enumerate(g.letters):
-            nxt = 0 if i == len(g.letters) - 1 else new_state()
-            if x > 0:
-                edges.append((prev, x, nxt))
-            else:
-                edges.append((nxt, -x, prev))
-            prev = nxt
+        x = u
+        for c in labels[:-1]:
+            y = len(parent)
+            parent.append(y)
+            out.append({-c: x})  # a new vertex, with its edge back to x
+            attach(x, c, y)
+            x = y
+        attach(x, labels[-1], v)
+        attach(v, -labels[-1], x)
+    states = len(parent)
+    while merge:
+        a, b = merge.pop()
+        a, b = find(a), find(b)
+        if a != b:
+            if b < a:
+                a, b = b, a
+            parent[b] = a
+            states -= 1
+            for c, y in out[b].items():
+                attach(a, c, y)
+            out[b] = {}
+    for at in out:
+        for c, y in at.items():
+            at[c] = find(y)
+    return out, states
 
-    # Fold until the graph is deterministic and co-deterministic.
-    changed = True
-    while changed:
-        changed = False
-        out_seen: dict[tuple[int, int], int] = {}
-        in_seen: dict[tuple[int, int], int] = {}
-        for u, x, v in edges:
-            ru, rv = find(u), find(v)
-            key_out = (ru, x)
-            if key_out in out_seen:
-                other = find(out_seen[key_out])
-                if other != rv:
-                    union(other, rv)
-                    changed = True
-            else:
-                out_seen[key_out] = rv
-            key_in = (rv, x)
-            if key_in in in_seen:
-                other = find(in_seen[key_in])
-                if other != ru:
-                    union(other, ru)
-                    changed = True
-            else:
-                in_seen[key_in] = ru
-        if changed:
-            edges = [(find(u), x, find(v)) for u, x, v in edges]
 
-    # Renumber states reachable in the folded graph, base first.
-    folded = {(find(u), x, find(v)) for u, x, v in edges}
-    names: dict[int, int] = {find(0): 0}
-    for u, _, v in sorted(folded):
-        for s in (u, v):
-            if s not in names:
-                names[s] = len(names)
-    delta: dict[tuple[int, int], int] = {}
-    for u, x, v in folded:
-        delta[(names[u], x)] = names[v]
-        delta[(names[v], -x)] = names[u]
-    return FoldedGraph(rank, delta, base=0, n_states=max(1, len(names)))
+def fold_words(rank: int, gens: Sequence[Word]) -> FoldedGraph:
+    """Stallings folding of the wedge of loops at the base spelling the
+    given words."""
+    return FoldedGraph(rank, *stallings_fold(1, [(0, g.letters, 0) for g in gens]))
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +382,7 @@ def twisted_solutions(phi: Endomorphism, left: Word, right: Word,
     Proof.  Let B = phi.fold_count(), the number of Stallings folds of the
     images, which bounds cancellation as GraphMap.cancellation_bound proves
     for the rose map (Stallings, Invent. Math. 71, 1983).  The cut below is
-    exact for any valid constant, so this one, the smallest the program
-    knows, cuts the most and yields the same solutions in the same order
-    as a larger one.  At most B letters of phi(u)
+    exact for any valid constant.  At most B letters of phi(u)
     cancel in phi(u).phi(v), so phi(u) without its last B letters, S, is a
     prefix of phi(u.v).  When |S| >= |left|, the free reduction of
     left.phi(u.v) cancels only within the first |left| letters of phi(u.v),

@@ -59,6 +59,27 @@ def compose(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:
     return Endomorphism(phi.basis, tuple(phi.apply(im) for im in psi.images))
 
 
+class LetterBudget(Exception):
+    pass
+
+
+def apply_budget(monkeypatch, letters: int) -> list[int]:
+    """Count the letters passed to Endomorphism.apply from now on, and raise
+    LetterBudget once they exceed `letters` in all, as the benchmark abandons
+    an instance; returns the one-element count."""
+    seen = [0]
+    original = Endomorphism.apply
+
+    def apply(phi, w):
+        seen[0] += len(w)
+        if seen[0] > letters:
+            raise LetterBudget
+        return original(phi, w)
+
+    monkeypatch.setattr(Endomorphism, "apply", apply)
+    return seen
+
+
 def endo_to_json(phi: Endomorphism) -> dict:
     """The endomorphism-file form that `io.endo_from_json` reads."""
     return {

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import endo
+from conftest import apply_budget, endo
 from test_words import route_pairs
 from nielsenkit import boundary
 from nielsenkit.boundary import (
@@ -193,10 +193,10 @@ class TestAttraction:
         assert attraction_check(ray, conj2).status == "attracting"
 
     def test_parabolic_ray_inconclusive(self):
-        # a -> ab, b -> b grows a b^k one letter a step, less than B = 2, so
-        # no letter is ever certified
-        phi = endo(2, "ab", "b")
-        v = attraction_check(MorphicRay(b2.parse("a"), phi), phi)
+        # a -> ab, b -> b, c -> bcB grows a b^k one letter a step, less than
+        # its fold count 3, so no letter is ever certified
+        phi = endo(3, "ab", "b", "bcB")
+        v = attraction_check(MorphicRay(default_basis(3).parse("a"), phi), phi)
         assert (v.status, v.reason) == ("inconclusive", "ray generation failed")
 
     def test_non_injective_rejected(self):
@@ -208,7 +208,7 @@ def reference_attraction_check(w, phi):
     """The eager attraction check: W is asked for all s.n + 1 letters the
     window could read before any is read.  The reference for the lazy
     reads of `attraction_check`."""
-    bound = phi.cancellation_bound()
+    bound = phi.fold_count()
     s = max(1, phi.max_image_length())
     burn_in = 4 * bound + 8
     n = burn_in + 4 * s
@@ -276,7 +276,8 @@ class TestLazyAttraction:
     def test_slow_ray_is_read_only_as_far_as_needed(self):
         # Routes-r2 instance 26 of seed 1: the twisted map of a -> bab,
         # b -> BA by the route AA.  Its A-ray certifies 18 letters every 4
-        # blocks; the eager check asks for s.n + 1 = 533 letters.
+        # blocks; the eager check asks for s.n + 1 = 505 letters, and its
+        # scan stops at the first certified count past them, 507.
         phi = endo(2, "AAbabaa", "AABa")
         ray = MorphicRay(b2.parse("A"), phi)
         v = attraction_check(ray, phi)
@@ -284,7 +285,7 @@ class TestLazyAttraction:
         assert ray._certified <= 160
         eager = MorphicRay(b2.parse("A"), phi)
         assert (reference_attraction_check(eager, phi) == v
-                and eager._certified == 533)
+                and eager._certified == 507)
 
     def test_degenerate_past_the_window(self):
         # b.ray is not fixed by conj2, and that is seen within a few
@@ -330,12 +331,12 @@ class TestPushForward:
         u = word(raw)
         img = Shifted(conj2.apply(u), ray)
         long = conj2.apply(ray.prefix(64, pre=u))
-        m = len(long) - conj2.cancellation_bound()
+        m = len(long) - conj2.fold_count()
         assert img.prefix(m).letters == long.letters[:m]
 
     def test_morphic_fixedness_up_to_bound(self):
         ray = MorphicRay(b2.parse("B"), jiang)
-        bound = jiang.cancellation_bound()
+        bound = jiang.fold_count()
         for m in range(4, 40, 7):
             p = ray.prefix(m)
             img = jiang.apply(p)
@@ -387,8 +388,9 @@ class TestExactness:
             ray.prefix(24)
 
     def test_parabolic_ray_raises(self):
-        # a b b b ... is the limit, but one letter a step never clears B = 2
-        ray = MorphicRay(b2.parse("a"), endo(2, "ab", "b"))
+        # a b b b ... is the limit, but one letter a step never clears the
+        # fold count 3 of a -> ab, b -> b, c -> bcB
+        ray = MorphicRay(default_basis(3).parse("a"), endo(3, "ab", "b", "bcB"))
         with pytest.raises(DegenerateRay):
             ray.prefix(2)
 
@@ -421,14 +423,7 @@ class TestExactness:
     def test_growth_is_lazy(self, monkeypatch):
         # Appending every block in full would apply 340 letters and buffer
         # 683 here: the last block is as long as all the others together.
-        seen = [0]
-        original = Endomorphism.apply
-
-        def apply(phi, w):
-            seen[0] += len(w)
-            return original(phi, w)
-
-        monkeypatch.setattr(Endomorphism, "apply", apply)
+        seen = apply_budget(monkeypatch, 10 ** 6)
         ray = MorphicRay(b2.parse("B"), jiang)
         seen[0] = 0
         ray.prefix(200)
@@ -476,15 +471,15 @@ class TestExactness:
             if len(img) < 2 or img[0] != x:
                 continue
             seed = Word((x,))
-            try:
-                whole = MorphicRay(seed, phi).prefix(60).letters
-            except DegenerateRay:
-                whole = None
             stepped = MorphicRay(seed, phi)
             for m in (1, 6, 24, 60):
                 try:
+                    fresh = MorphicRay(seed, phi).prefix(m).letters
+                except DegenerateRay:
+                    fresh = None
+                try:
                     letters = stepped.prefix(m).letters
                 except DegenerateRay:
-                    assert whole is None
+                    assert fresh is None
                     break
-                assert whole is not None and letters == whole[:m]
+                assert letters == fresh

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import endo_to_json, graph_map_to_json
+from conftest import apply_budget, endo_to_json, graph_map_to_json
 from nielsenkit import boundary, cli, invariants, rtt
 from nielsenkit.cli import main
 from nielsenkit.io import (
@@ -433,6 +433,18 @@ class TestCommands:
             signal.signal(signal.SIGALRM, previous)
         assert code == 0
         assert (data["a"], data["attracting_prefixes"]) == (0, [])
+
+    def test_route_runaway_ray_is_given_up(self, tmp_path, capsys, monkeypatch):
+        # The ray of B under a -> ACA, b -> Cb, c -> AC certifies a letter
+        # every other block while its blocks grow ~2.6 times each; it is
+        # given up once a block outgrows its certified letters instead of
+        # being grown until memory runs out.
+        p = tmp_path / "route.json"
+        p.write_text(json.dumps({"rank": 3, "letters": ["a", "b", "c"],
+                                 "images": {"a": "ACA", "b": "Cb", "c": "AC"}}))
+        apply_budget(monkeypatch, 50_000)
+        code, _ = run(capsys, "route", "--word", "", str(p))
+        assert code == 0
 
     def test_route_unknown_base(self, tmp_path, capsys):
         data = _rose_with(base="v")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import class_of, endo, rose
+from conftest import apply_budget, class_of, endo, rose
 from test_multivertex import theta_collapse, theta_fold, theta_swap
 from nielsenkit import invariants
 from nielsenkit.boundary import MorphicRay, attraction_check
@@ -331,6 +331,15 @@ class TestRouteAnalysis:
         assert rep.generators and rep.attract_found == 2 and compared[0] == 1
         assert built[0] == candidates
 
+    @pytest.mark.parametrize("images, route", [(("b", "aaB"), "BB"), (("BA", "AA"), "a")])
+    def test_runaway_rays_are_given_up(self, monkeypatch, images, route):
+        # Instances 56 and 439 of the seed-2 routes benchmark workload: rays
+        # that certify a letter every other block while their blocks double
+        # are given up once a block outgrows their certified letters.
+        apply_budget(monkeypatch, 50_000)
+        rep = analyze_route(endo(2, *images), b2.parse(route), 6)
+        assert rep.attracting == []
+
     def test_seeded_route_outputs_pinned(self):
         # 440 seeded rank-2 maps (images of length <= 4), each with the
         # identity, a random letter or a random reduced 2-letter route in
@@ -355,7 +364,7 @@ class TestRouteAnalysis:
                 "-" if rep.constant_witness is None else fmt(rep.constant_witness),
             ]) + "\n")
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
-        assert digest == "53cf91414a8ceeae76ca0a90f2692ca0dafdad265099f13cc3a7b99755253be0"
+        assert digest == "886c11d0dc1174b4e3a9c7d6d12b9d9fa75315e499fdf6bc8142a90b2a86e271"
 
 
 class TestTheoremSuite:

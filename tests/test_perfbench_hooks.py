@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import LetterBudget, apply_budget
 import nielsenkit
 import nielsenkit.io  # noqa: F401  (spans hooks io functions)
 from nielsenkit.boundary import MorphicRay
@@ -22,24 +23,11 @@ def test_every_hooked_name_resolves():
     assert missing == []
 
 
-class LetterBudget(Exception):
-    pass
-
-
 def test_ray_growth_goes_through_apply(monkeypatch):
     """The benchmark abandons an instance once Endomorphism.apply has taken
     its letter budget, so ray growth must go through apply: a small budget
     stops a convergent ray asked for many letters."""
-    original = Endomorphism.apply
-    left = [5_000]
-
-    def apply(endo, w):
-        left[0] -= len(w)
-        if left[0] < 0:
-            raise LetterBudget
-        return original(endo, w)
-
-    monkeypatch.setattr(Endomorphism, "apply", apply)
+    apply_budget(monkeypatch, 5_000)
     b = default_basis(2)
     phi = Endomorphism(b, (b.parse("A"), b.parse("Abb")))
     with pytest.raises(LetterBudget):

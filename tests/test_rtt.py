@@ -723,7 +723,7 @@ def assert_walk_keys(g, d, dart_cap=16):
     """The first dart_cap darts of the ray from d that rtt._walk_ray walks
     with no weight: each key is (terminus, tight [A^-1 . f(A)]), and every
     tail is nonempty."""
-    darts = g.graph.darts()
+    darts = g.dart_codes[0]
     ray, keys, passed = rtt._walk_ray(g, d, {}, 0, dart_cap)
     for full in graphs.ray_images(g, d):
         if len(full) >= dart_cap:
@@ -840,6 +840,30 @@ class TestSearchWork:
             rtt.find_inp(f, filt, info, 8, [frozenset({v}) for v in fixed_vertices(f)])
             assert len(searches) == 1 and info.inp_status == "found", i
             assert mapped == [], (i, mapped)
+
+    def test_search_never_backtracks(self):
+        # The depth-first search of the partition oracle descends tight paths
+        # only: no frame may push the reversal of the path's last dart.  A
+        # backtracking descent is cut later on, so it changes no result,
+        # only the count of frames.
+        f, _ = subdivided_fixed_map(rose({"a": ["b", "a", "a"], "b": ["b", "a"]}))
+        darts = f.dart_codes[0]
+        frames = []
+
+        def watch(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_name == "visit" and code.co_filename == rtt.__file__:
+                path, nexts = frame.f_locals["path"], frame.f_locals["nexts"]
+                frames.append(bool(path) and darts[path[-1]].rev in
+                              [darts[c] for c in nexts])
+
+        sys.setprofile(watch)
+        try:
+            nielsen_partition_oracle(f, 10)
+        finally:
+            sys.setprofile(None)
+        assert not any(frames)
+        assert len(frames) == 74
 
     def test_rays_stop_at_metric_cap(self, monkeypatch):
         # Each ray grows to its first image longer than find_inp's metric cap.
