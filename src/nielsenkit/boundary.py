@@ -31,7 +31,6 @@ from .words import (
     Endomorphism,
     IDENTITY,
     Word,
-    common_prefix,
     extend_reduced,
     subgroup_ball,
 )
@@ -111,7 +110,7 @@ class MorphicRay:
         if seed.is_identity:
             raise DegenerateRay("empty seed")
         img = endo.apply(seed)
-        if len(common_prefix(img, seed)) != len(seed):
+        if img.letters[:len(seed)] != seed.letters:
             raise DegenerateRay("seed is not a prefix of its image")
         tail = Word(img.letters[len(seed):])
         if tail.is_identity:

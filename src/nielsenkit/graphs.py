@@ -1,7 +1,9 @@
 """Finite graphs with oriented-edge involution and cellular selfmaps.
 
 Oriented edges are (name, sign) pairs ("darts"); the involution flips the
-sign.  Edge images are tight edge paths; interior fixed points are located by
+sign.  Paths are computed on dart codes, the way words code letters: edge k
+is k+1 forward and -(k+1) reversed (Graph.dart_of), so reversal is `-c`.
+Edge images are tight edge paths; interior fixed points are located by
 the affine model in which each edge is parametrized uniformly over [0,1] and
 its image path is traversed at uniform speed.
 
@@ -18,7 +20,8 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .words import IDENTITY, Basis, Endomorphism, Word, reduce_letters, stallings_fold
+from .words import (IDENTITY, Basis, Endomorphism, Word, extend_reduced, reduce_letters,
+                    stallings_fold)
 
 
 class Dart(NamedTuple):
@@ -108,6 +111,17 @@ class Graph:
         u, v = self.edge_ends[d.name]
         return v if d.fwd else u
 
+    @cached_property
+    def dart_of(self) -> dict[int, Dart]:
+        """The dart of each code: edge k is k+1 forward and -(k+1) reversed,
+        so the petals of a rose (io.rose_map) are coded by their letters."""
+        return {s * k: Dart(e, s > 0)
+                for k, e in enumerate(self.edges, start=1) for s in (1, -1)}
+
+    @cached_property
+    def code_of(self) -> dict[Dart, int]:
+        return {d: c for c, d in self.dart_of.items()}
+
     def darts(self, names: Optional[Iterable[str]] = None) -> list[Dart]:
         names = self.edges if names is None else names
         return [Dart(e, s) for e in names for s in (True, False)]
@@ -156,28 +170,18 @@ class GraphMap:
     edge_map: dict[str, EdgePath]
 
     @cached_property
-    def image_table(self) -> dict[Dart, tuple[Dart, ...]]:
-        """Image darts of every dart, reversed darts included.  Built on first
-        use, so a map can be constructed before it is validated."""
-        table: dict[Dart, tuple[Dart, ...]] = {}
-        for e in self.graph.edges:
-            p = self.edge_map[e]
-            table[Dart(e, True)] = p.darts
-            table[Dart(e, False)] = p.reverse().darts
+    def image_table(self) -> dict[int, tuple[int, ...]]:
+        """The tight image of every dart in dart codes (Graph.dart_of),
+        reversed darts included, as Endomorphism.image_table keeps letters:
+        rose_map(phi).image_table == phi.image_table.  Built on first use, so
+        a map can be constructed before it is validated."""
+        code = self.graph.code_of
+        table: dict[int, tuple[int, ...]] = {}
+        for k, e in enumerate(self.graph.edges, start=1):
+            img = tuple(code[x] for x in self.edge_map[e].darts)
+            table[k] = img
+            table[-k] = tuple(-x for x in reversed(img))
         return table
-
-    @cached_property
-    def dart_codes(self) -> tuple[dict[int, Dart], dict[Dart, int], dict[int, list[int]]]:
-        """The darts of the graph as integer codes, the way words code
-        letters: edge k is k+1 forward and -(k+1) reversed, so reversal is
-        `-c`, and the petals of a rose (io.rose_map) are coded by their
-        letters.  Returns the dart of each code, the code of each dart and
-        the image of each code in codes."""
-        darts = {s * k: Dart(e, s > 0)
-                 for k, e in enumerate(self.graph.edges, start=1) for s in (1, -1)}
-        code = {d: c for c, d in darts.items()}
-        return darts, code, {c: [code[x] for x in self.image_table[d]]
-                             for c, d in darts.items()}
 
     def cancellation_bound(self) -> int:
         """Bounded cancellation constant C: whenever P and Q are tight paths
@@ -207,7 +211,7 @@ class GraphMap:
         path between its ends, in dart codes, folded by stallings_fold."""
         g = self.graph
         vid = {v: i for i, v in enumerate(g.vertices)}
-        imgs = self.dart_codes[2]
+        imgs = self.image_table
         paths = [(vid[u], imgs[k], vid[v])
                  for k, (u, v) in enumerate(g.edge_ends.values(), start=1)]
         out, _ = stallings_fold(len(vid), paths)
@@ -248,22 +252,12 @@ class GraphMap:
                          if self.edge_map[e].darts == (Dart(e, True),))
 
 
-def _map_onto(f: GraphMap, out: list[Dart], darts: Iterable[Dart]) -> None:
-    """Append the image of `darts` to the tight path `out`, cancelling at
-    every junction, so `out` becomes [out . f(darts)]."""
-    imgs = f.image_table
-    for d in darts:
-        for x in imgs[d]:
-            if out and out[-1] == x.rev:
-                out.pop()
-            else:
-                out.append(x)
-
-
 def derivative(f: GraphMap, d: Dart) -> Optional[Dart]:
     """First dart of the tight image; None for a collapsed edge."""
-    img = f.image_table[d]
-    return img[0] if img else None
+    img = f.edge_map[d.name].darts
+    if not img:
+        return None
+    return img[0] if d.fwd else img[-1].rev
 
 
 def classify_turn(f: GraphMap, d1: Dart, d2: Dart) -> str:
@@ -416,37 +410,38 @@ def subdivided_fixed_map(f: GraphMap) -> tuple[GraphMap, list[tuple[str, Fractio
 class Marking:
     """A marking of pi_1 at `base`: a BFS spanning tree (`parent[v]` is the
     dart at v leading back toward the base) whose non-tree edges index the
-    free basis through `letter_of`.  `basis` is None when the graph is a tree."""
+    free basis.  `letter_of` gives the signed letter of every dart code, 0 on
+    tree darts.  `basis` is None when the graph is a tree."""
 
     graph: Graph
     base: str
     parent: dict[str, Dart]
-    letter_of: dict[str, int]
+    letter_of: dict[int, int]
     basis: Optional[Basis]
 
-    def word(self, darts: Iterable[Dart]) -> Word:
-        """Collapse the tree: one signed letter per non-tree dart, reduced."""
-        letter_of = self.letter_of
-        return Word(reduce_letters(
-            letter_of[d.name] if d.fwd else -letter_of[d.name]
-            for d in darts if d.name in letter_of))
+    def word(self, codes: Iterable[int]) -> Word:
+        """Collapse the tree: one signed letter per non-tree dart code,
+        reduced.  Anything but a dart code raises KeyError."""
+        letters = (self.letter_of[c] for c in codes)
+        return Word(reduce_letters(x for x in letters if x))
 
     def endo(self, f: GraphMap) -> Endomorphism:
         """The endomorphism f induces on pi_1 at the base, along the tree route
         from the base to its image (a tree route spells the empty word):
         x_e -> [w(f g_u) . w(f e) . w(f g_v)^-1] for each basis edge e = (u, v),
         where g_x is the tree path from the base to x.  The endomorphism along
-        a route r is `endo(f).inner_twist(word(r))`."""
+        a route r, in dart codes, is `endo(f).inner_twist(word(r))`."""
         if self.basis is None:
             raise ValueError("graph is a tree; fundamental group is trivial")
         g, imgs = self.graph, f.image_table
+        code = g.code_of
         spell = {self.base: IDENTITY}  # x -> w(f g_x); parents come first
         for v, back in self.parent.items():
-            spell[v] = spell[g.terminus(back)] * self.word(imgs[back.rev])
+            spell[v] = spell[g.terminus(back)] * self.word(imgs[-code[back]])
         images = []
         for e in self.basis.letters:
             u, v = g.edge_ends[e]
-            images.append(spell[u] * self.word(imgs[Dart(e, True)]) * spell[v].inverse())
+            images.append(spell[u] * self.word(imgs[code[Dart(e, True)]]) * spell[v].inverse())
         return Endomorphism(self.basis, tuple(images))
 
 
@@ -465,8 +460,11 @@ def marking(graph: Graph, base: str) -> Marking:
         raise ValueError("graph is not connected")
     tree = {d.name for d in parent.values()}
     names = tuple(e for e in graph.edges if e not in tree)
-    return Marking(graph, base, parent, {e: i for i, e in enumerate(names, start=1)},
-                   Basis(names) if names else None)
+    letter_of = dict.fromkeys(graph.dart_of, 0)
+    for i, e in enumerate(names, start=1):
+        k = graph.code_of[Dart(e, True)]
+        letter_of[k], letter_of[-k] = i, -i
+    return Marking(graph, base, parent, letter_of, Basis(names) if names else None)
 
 
 def any_route_endo(f: GraphMap, base: Optional[str] = None) -> Endomorphism:
@@ -475,20 +473,22 @@ def any_route_endo(f: GraphMap, base: Optional[str] = None) -> Endomorphism:
     return marking(f.graph, f.graph.vertices[0] if base is None else base).endo(f)
 
 
-def ray_images(f: GraphMap, d: Dart) -> Iterator[tuple[Dart, ...]]:
-    """The ray grown from a fixed direction d with Df(d) = d: the darts of
+def ray_images(f: GraphMap, d: Dart) -> Iterator[tuple[int, ...]]:
+    """The ray grown from a fixed direction d with Df(d) = d, in dart codes:
     d, [f(d)], [f^2(d)], ..., each extending the one before.  It stops at the
     first image that does not extend its predecessor.
 
     Only the new darts are mapped: each image is current = [f(prev)] and
     extends prev by some darts S, so [f(current)] = [current . f(S)],
     tightened at the junction."""
-    current: tuple[Dart, ...] = (d,)
-    img: list[Dart] = []  # [f(current[:done])]
+    imgs = f.image_table
+    current = (f.graph.code_of[d],)
+    img: list[int] = []  # [f(current[:done])]
     done = 0
     while True:
         yield current
-        _map_onto(f, img, current[done:])
+        for c in current[done:]:
+            extend_reduced(img, imgs[c])
         if len(img) <= len(current) or tuple(img[:len(current)]) != current:
             return
         done, current = len(current), tuple(img)

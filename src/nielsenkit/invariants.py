@@ -277,9 +277,9 @@ def attracting_rays(f: GraphMap, cls: ClassData) -> list[MorphicRay]:
     for d in cls.ray_seeds:
         mark = marking(f.graph, f.graph.origin(d))
         phi = mark.endo(f)
-        for darts in islice(ray_images(f, d), SEED_IMAGES):
+        for codes in islice(ray_images(f, d), SEED_IMAGES):
             try:
-                rays.append(MorphicRay(mark.word(darts), phi))
+                rays.append(MorphicRay(mark.word(codes), phi))
                 break
             except DegenerateRay:
                 continue

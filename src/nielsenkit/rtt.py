@@ -83,6 +83,7 @@ from .graphs import (
     reachable,
     turn_degenerates_in_one_step,
 )
+from .words import extend_reduced
 
 
 class StructureViolation(RuntimeError):
@@ -361,11 +362,11 @@ def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
 
     The search descends tight paths P and stops at the first Nielsen node,
     since every extension of a Nielsen path is divisible (the cancellation
-    lemma in the module docstring).  Darts are integer codes (f.dart_codes).
-    The image [f(P)] is kept tight incrementally: pushing a dart cancels the
-    prefix of its image that meets its reversal at the tail of [f(P)] and
-    extends by the rest, and popping deletes that rest and restores the
-    cancelled tail.
+    lemma in the module docstring).  Darts are codes (Graph.dart_of), read
+    through f.image_table.  The image [f(P)] is kept tight incrementally:
+    pushing a dart appends its image with extend_reduced, which returns the
+    number n of letters that cancelled, and popping rolls the push back with
+    n: it deletes what was appended and restores the cancelled tail.
 
     Branches are cut by bounded cancellation, exactly for pi1-injective f
     (analyze rejects other maps).  C = f.cancellation_bound() is the number
@@ -376,15 +377,13 @@ def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
     min(k, |P|) darts of [f(P)] and of P differ.  C is 0 on an immersion
     such as a -> aa, which folds nothing."""
     g = f.graph
-    darts, code, imgs = f.dart_codes
+    darts, code, imgs = g.dart_of, g.code_of, f.image_table
     out_at: dict[str, list[int]] = {v: [] for v in g.vertices}
     for d in g.darts(names):
         out_at[g.origin(d)].append(code[d])
     # after[c]: the darts that may follow dart c on a tight path.
     after = {c: [d for d in out_at[g.terminus(dart)] if d != -c]
              for c, dart in darts.items()}
-    # first_rev[c]: the reversal of the first dart of c's image (0: none).
-    first_rev = {c: -x[0] if x else 0 for c, x in imgs.items()}
     marked = {c: must is None or d.name in must for c, d in darts.items()}
     bound = f.cancellation_bound()
     path: list[int] = []
@@ -395,16 +394,7 @@ def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
         m = len(img)
         for d in nexts:
             x = imgs[d]
-            if m and img[-1] == first_rev[d]:
-                n = 1
-                while n < m and n < len(x) and img[m - 1 - n] == -x[n]:
-                    n += 1
-                cut = img[m - n:]
-                del img[m - n:]
-                img.extend(x[n:])
-            else:
-                n = 0
-                img.extend(x)
+            n = extend_reduced(img, x)
             path.append(d)
             if img == path:
                 # A Nielsen path has both ends fixed.
@@ -421,7 +411,7 @@ def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
             path.pop()
             del img[m - n:]
             if n:
-                img.extend(cut)
+                img.extend(-y for y in reversed(x[:n]))
 
     for start in starts:
         visit(out_at[start])
@@ -470,36 +460,34 @@ def _walk_ray(f: GraphMap, d: Dart, weight: dict[str, int], cap: int,
     dart_cap darts (edges not in `weight` weigh 0), the key (v, tau) of each,
     shortest first, and whether the walk stopped at the weight cap.  v is the
     terminus of A and tau its Nielsen tail [A^-1 . f(A)] in dart codes
-    (f.dart_codes), so two prefixes have equal keys iff A.B^-1 is a Nielsen
+    (Graph.dart_of), so two prefixes have equal keys iff A.B^-1 is a Nielsen
     path (the tail lemma in the module docstring).
 
-    tau is grown one dart e at a time, tau <- [e^-1 . tau . f(e)], cancelling
-    at both ends of a deque; the empty prefix has the empty tail, its vertex
-    being fixed.  A ray of a type3 stratum has no Nielsen prefix (the stretch
-    fact), so an empty tail raises StructureViolation."""
+    tau is grown one dart e at a time, tau <- [e^-1 . tau . f(e)], in a
+    deque: e^-1 cancels against its left end or is prepended, and f(e),
+    read from f.image_table, is appended at its right end by extend_reduced.
+    The empty prefix has the empty tail, its vertex being fixed.  A ray of a
+    type3 stratum has no Nielsen prefix (the stretch fact), so an empty tail
+    raises StructureViolation."""
     g = f.graph
-    _, code, imgs = f.dart_codes
+    darts, imgs = g.dart_of, f.image_table
     tau: deque[int] = deque()
     ray: list[Dart] = []
     keys = []
     total = 0
     for current in ray_images(f, d):
-        for e in current[len(ray):]:
+        for c in current[len(ray):]:
             if len(ray) == dart_cap:
                 return tuple(ray), keys, False
+            e = darts[c]
             total += weight.get(e.name, 0)
             if total > cap:
                 return tuple(ray), keys, True
-            c = code[e]
             if tau and tau[0] == c:
                 tau.popleft()
             else:
                 tau.appendleft(-c)
-            for x in imgs[c]:
-                if tau and tau[-1] == -x:
-                    tau.pop()
-                else:
-                    tau.append(x)
+            extend_reduced(tau, imgs[c])
             ray.append(e)
             if not tau:
                 raise StructureViolation(f"prefix {EdgePath(tuple(ray))} of the ray from {d} "

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, MutableSequence, Optional, Sequence
 
 
 class BasisMismatch(ValueError):
@@ -33,11 +33,11 @@ def reduce_letters(raw: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def extend_reduced(out: list[int], letters: Sequence[int]) -> int:
-    """Append the reduced word `letters` to the reduced list `out`, keeping it
-    reduced; returns how many letters of `out` cancelled.  Only a prefix of
-    `letters` can cancel, because `letters` is itself reduced, so the rest is
-    appended in one `extend`."""
+def extend_reduced(out: MutableSequence[int], letters: Sequence[int]) -> int:
+    """Append the reduced word `letters` to the reduced `out`, a list or a
+    deque, keeping it reduced; returns how many letters of `out` cancelled.
+    Only a prefix of `letters` can cancel, because `letters` is itself
+    reduced, so the rest is appended in one `extend`."""
     j, n = 0, len(letters)
     while j < n and out and out[-1] == -letters[j]:
         out.pop()
@@ -86,15 +86,6 @@ IDENTITY = Word()
 
 def word(raw: Iterable[int]) -> Word:
     return Word(reduce_letters(raw))
-
-
-def common_prefix(w: Word, v: Word) -> Word:
-    n = 0
-    for a, b in zip(w.letters, v.letters):
-        if a != b:
-            break
-        n += 1
-    return Word(w.letters[:n])
 
 
 @dataclass(frozen=True)
@@ -229,10 +220,10 @@ class Endomorphism:
         folded_image().  It is the bounded-cancellation constant of the rose
         map, rose_map(phi).cancellation_bound(), whose docstring has the
         proof: at most this many letters of phi(W) cancel against phi(V)
-        when W.V is reduced.  The two are one computation, since the dart
-        codes of the rose are the letters (GraphMap.dart_codes), so both
-        fold the same labelled loops with stallings_fold.  Rejected for
-        non-injective endomorphisms."""
+        when W.V is reduced.  The two are one computation, since the rose
+        map keeps this image table (rose_map(phi).image_table ==
+        phi.image_table), so both fold the same labelled loops with
+        stallings_fold.  Rejected for non-injective endomorphisms."""
         injective, edges = _fold_summary(self)
         if not injective:
             raise ValueError("cancellation is unbounded for non-injective endomorphisms")

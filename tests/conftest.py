@@ -22,13 +22,15 @@ def rose(images: dict[str, list[str]]) -> GraphMap:
 
 
 def map_path(f: GraphMap, p: EdgePath) -> EdgePath:
-    """[f(p)], the tight image of an edge path, mapped whole and tightened at
-    every junction: the reference for the program's incremental images."""
+    """[f(p)], the tight image of an edge path, mapped whole from edge_map
+    and tightened at every junction: the reference for the program's
+    incremental images, which read GraphMap.image_table."""
     if p.is_trivial:
         return trivial_path(f.vertex_map[p.at])
     out = []
     for d in p.darts:
-        for x in f.image_table[d]:
+        img = f.edge_map[d.name]
+        for x in (img if d.fwd else img.reverse()).darts:
             if out and out[-1] == x.rev:
                 out.pop()
             else:

@@ -73,8 +73,11 @@ class TestPrefix:
             MorphicRay(b2.parse("a"), conj2)  # phi(a) = a
 
     def test_wrong_seed_rejected(self):
-        with pytest.raises(DegenerateRay):
+        wrong = "^seed is not a prefix of its image$"
+        with pytest.raises(DegenerateRay, match=wrong):
             MorphicRay(b2.parse("b"), jiang)  # phi(b) does not start with b
+        with pytest.raises(DegenerateRay, match=wrong):
+            MorphicRay(b2.parse("ab"), endo(2, "a", ""))  # phi(ab) = a is shorter
 
     def test_empty_seed_rejected(self):
         with pytest.raises(DegenerateRay):

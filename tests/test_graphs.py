@@ -22,7 +22,7 @@ from nielsenkit.graphs import (
 )
 from nielsenkit.io import corpus_files, endo_from_json, graph_map_from_json, rose_map
 from nielsenkit.sampling import random_injective_endos
-from nielsenkit.words import Endomorphism
+from nielsenkit.words import Endomorphism, default_basis
 
 ex1 = rose({"a": ["a", "a"], "b": ["b", "b"]})
 ex2 = rose({"a1": ["a1"], "a2": ["a2-", "a1", "a2"]})
@@ -35,6 +35,10 @@ def darts(*tokens):
     from nielsenkit.graphs import parse_dart
 
     return tuple(parse_dart(t) for t in tokens)
+
+
+def codes(graph: Graph, darts_: Iterable[Dart]) -> list[int]:
+    return [graph.code_of[d] for d in darts_]
 
 
 def tighten(graph: Graph, darts: Iterable[Dart], at: Optional[str] = None) -> EdgePath:
@@ -102,6 +106,38 @@ class TestMapPath:
             ex3.graph, ex3.vertex_map,
             {e: map_path(ex3, ex3.edge_map[e]) for e in ex3.graph.edges})
         assert map_path(composed, p) == twice
+
+
+class TestImageTable:
+    """A graph map keeps one image table, in dart codes, with the shape of
+    Endomorphism.image_table."""
+
+    def test_codes(self):
+        g = ex4.graph
+        assert g.dart_of == {1: Dart("a", True), -1: Dart("a", False),
+                             2: Dart("b", True), -2: Dart("b", False)}
+        assert all(g.code_of[d] == c and g.code_of[d.rev] == -c for c, d in g.dart_of.items())
+
+    @pytest.mark.parametrize("rank, max_len, seed", [(1, 4, 1), (2, 4, 1), (2, 6, 2), (3, 3, 1)])
+    def test_rose_map_keeps_the_endomorphism_table(self, rank, max_len, seed):
+        gen = random_injective_endos(rank, max_len, seed)
+        for _ in range(100):
+            phi = next(gen)
+            assert rose_map(phi).image_table == phi.image_table, phi.images
+
+    def test_trivial_image(self):
+        b = default_basis(3)
+        phi = Endomorphism(b, (b.parse("ab"), b.parse(""), b.parse("Cab")))
+        table = rose_map(phi).image_table
+        assert table == phi.image_table
+        assert table[2] == table[-2] == () and table[-3] == (-2, -1, 3)
+
+    def test_matches_edge_map(self):
+        # Off the rose too: each dart's entry codes its image from edge_map.
+        for f in marked_maps():
+            g = f.graph
+            for c, d in g.dart_of.items():
+                assert f.image_table[c] == tuple(codes(g, map_path(f, EdgePath((d,))).darts))
 
 
 class TestDerivative:
@@ -292,7 +328,7 @@ def induced_endo(f: GraphMap, base: str, route: EdgePath) -> Endomorphism:
                        at=base)
         img = map_path(f, loop)
         total = tighten(g, route.darts + img.darts + route.reverse().darts, at=base)
-        images.append(m.word(total.darts))
+        images.append(m.word(codes(g, total.darts)))
     return Endomorphism(m.basis, tuple(images))
 
 
@@ -317,10 +353,19 @@ def marked_maps():
 class TestPi1:
     def test_rotation_route(self):
         m = marking(ex3.graph, "*")
-        phi = m.endo(ex3).inner_twist(m.word(darts("a")))
+        phi = m.endo(ex3).inner_twist(m.word(codes(ex3.graph, darts("a"))))
         b = phi.basis
         assert [b.format(w) for w in phi.images] == ["abA", "A"]
         assert phi == induced_endo(ex3, "*", EdgePath(darts("a")))
+
+    def test_word_takes_codes(self):
+        # A dart is not a code: it raises, rather than read as no letter.
+        m = marking(ex3.graph, "*")
+        assert m.word([1, 2, -1]) == m.basis.parse("abA")
+        with pytest.raises(KeyError):
+            m.word(darts("a"))
+        with pytest.raises(KeyError):
+            m.word([1, 3])
 
     def test_trivial_route_is_the_endo(self):
         phi = marking(ex2.graph, "*").endo(ex2)
@@ -360,7 +405,7 @@ class TestPi1:
                 for darts_ in (to_image, loop + to_image):
                     route = tighten(g, darts_, at=base)
                     expect = induced_endo(f, base, route)
-                    assert m.endo(f).inner_twist(m.word(route.darts)) == expect
+                    assert m.endo(f).inner_twist(m.word(codes(g, route.darts))) == expect
                     checked += 1
         assert checked > 400
 

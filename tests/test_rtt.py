@@ -476,7 +476,7 @@ def reference_nielsen_paths(f, max_len):
     darts = g.darts()
     code = {d: i for i, d in enumerate(darts)}
     rev = [code[d.rev] for d in darts]
-    img = [tuple(code[x] for x in f.image_table[d]) for d in darts]
+    img = [tuple(code[x] for x in map_path(f, EdgePath((d,))).darts) for d in darts]
     term = [g.terminus(d) for d in darts]
     out = {v: [code[d] for d in g.darts_at(v)] for v in g.vertices}
     fixed = set(fixed_vertices(f))
@@ -723,12 +723,13 @@ def assert_walk_keys(g, d, dart_cap=16):
     """The first dart_cap darts of the ray from d that rtt._walk_ray walks
     with no weight: each key is (terminus, tight [A^-1 . f(A)]), and every
     tail is nonempty."""
-    darts = g.dart_codes[0]
+    darts = g.graph.dart_of
     ray, keys, passed = rtt._walk_ray(g, d, {}, 0, dart_cap)
     for full in graphs.ray_images(g, d):
         if len(full) >= dart_cap:
             break
-    assert ray == full[:dart_cap] and len(keys) == len(ray) and not passed
+    assert ray == tuple(darts[c] for c in full[:dart_cap])
+    assert len(keys) == len(ray) and not passed
     for n, (v, tau) in enumerate(keys, start=1):
         fa = map_path(g, EdgePath(ray[:n])).darts  # A^-1 cancels against it
         k = 0
@@ -780,7 +781,8 @@ class TestCrossingPathExact:
         # fact), so the walk raises rather than cut the ray there.
         g, _ = subdivided_fixed_map(rose({"a": ["a", "b"], "b": ["b-"]}))
         assert verify_nielsen_path(g, path("a", "b:1"))
-        assert list(graphs.ray_images(g, parse_dart("a")))[-1] == path("a", "b:1", "b:2").darts
+        last = list(graphs.ray_images(g, parse_dart("a")))[-1]
+        assert tuple(g.graph.dart_of[c] for c in last) == path("a", "b:1", "b:2").darts
         with pytest.raises(rtt.StructureViolation, match="prefix a b:1 of the ray from a"):
             rtt._walk_ray(g, parse_dart("a"), {"a": 1}, 100, 100)
 
@@ -802,18 +804,17 @@ class TestCrossingPathExact:
 
 
 def count_paths_mapped(monkeypatch, counting=lambda: True):
-    """The dart lists that graphs._map_onto maps outside ray_images (which
-    maps only each ray's new darts) while counting() holds."""
+    """The images that graphs.extend_reduced appends outside ray_images
+    (which maps only each ray's new darts) while counting() holds."""
     mapped = []
-    real = graphs._map_onto
+    real = graphs.extend_reduced
 
-    def counted(f, out, darts):
-        darts = tuple(darts)
+    def counted(out, letters):
         if counting() and sys._getframe(1).f_code.co_name != "ray_images":
-            mapped.append(darts)
-        return real(f, out, darts)
+            mapped.append(tuple(letters))
+        return real(out, letters)
 
-    monkeypatch.setattr(graphs, "_map_onto", counted)
+    monkeypatch.setattr(graphs, "extend_reduced", counted)
     return mapped
 
 
@@ -847,7 +848,7 @@ class TestSearchWork:
         # backtracking descent is cut later on, so it changes no result,
         # only the count of frames.
         f, _ = subdivided_fixed_map(rose({"a": ["b", "a", "a"], "b": ["b", "a"]}))
-        darts = f.dart_codes[0]
+        darts = f.graph.dart_of
         frames = []
 
         def watch(frame, event, arg):
@@ -884,8 +885,8 @@ class TestSearchWork:
         assert info.inp_status == "multiple"  # two crossing paths, see TestSecondCrossingPath
         cap, lengths = metric_cap(info)
 
-        def metric(darts):
-            return sum(lengths.get(d.name, 0) for d in darts)
+        def metric(codes):
+            return sum(lengths.get(f.graph.dart_of[c].name, 0) for c in codes)
 
         assert len(images) == 4
         for ray in images.values():

@@ -17,7 +17,6 @@ from nielsenkit.words import (
     BasisMismatch,
     Endomorphism,
     Word,
-    common_prefix,
     default_basis,
     fold_words,
     matrix_trace,
@@ -79,15 +78,6 @@ class TestReduce:
         assert word(w.letters) == w
         assert (w * w.inverse()) == IDENTITY
         assert len(w * w.inverse()) == 0
-
-
-class TestCommonPrefix:
-    def test_basic(self):
-        assert common_prefix(b2.parse("ab"), b2.parse("ab")) == b2.parse("ab")
-        assert common_prefix(b3.parse("abc"), b3.parse("abb")) == b3.parse("ab")
-
-    def test_opposite(self):
-        assert common_prefix(b2.parse("a"), b2.parse("A")) == IDENTITY
 
 
 class TestApply:
