@@ -265,6 +265,6 @@ def emit_corpus(target: str | Path) -> list[Path]:
     written = []
     for name, data in sorted(corpus_files().items()):
         p = target / name
-        p.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        p.write_text(dump_report(data))
         written.append(p)
     return written

@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .invariants import DEPTH, analyze_endomorphism
+from .invariants import DEPTH, AnalysisError, analyze_endomorphism
 from .rtt import StructureViolation
 from .words import Endomorphism, Word, default_basis
 
@@ -49,8 +49,7 @@ class SurveyStats:
     analyzed: int = 0
     skipped_unclassified: int = 0
     violations: list[str] = field(default_factory=list)
-    conjecture_equal: int = 0      # classes with ind == 1 - rk - a
-    conjecture_checked: int = 0
+    verified_classes: int = 0      # analyze checked ind == 1 - rk - a on each
 
     @property
     def skip_rate(self) -> float:
@@ -65,15 +64,16 @@ def run_survey(count: int, rank: int = 2, max_image_len: int = 4,
                seed: Optional[int] = None, depth: int = DEPTH) -> SurveyStats:
     """Analyze `count` random injective endomorphisms; on every instance
     whose classification completes, each failed verdict is a violation.  A
-    StructureViolation is a state the proofs exclude, so it is a violation
-    that names the map, and the instance is neither analyzed nor skipped."""
+    StructureViolation or a failed cross-check (AnalysisError) is a state the
+    proofs exclude, so it is a violation that names the map, and the
+    instance is neither analyzed nor skipped."""
     stats = SurveyStats(requested=count)
     gen = random_injective_endos(rank, max_image_len, seed)
     for _ in range(count):
         phi = next(gen)
         try:
             rep = analyze_endomorphism(phi, depth)
-        except StructureViolation as exc:
+        except (AnalysisError, StructureViolation) as exc:
             fmt = phi.basis.format
             name = ", ".join(f"{g} -> {fmt(im)}"
                              for g, im in zip(phi.basis.letters, phi.images))
@@ -85,9 +85,5 @@ def run_survey(count: int, rank: int = 2, max_image_len: int = 4,
         stats.analyzed += 1
         stats.violations.extend(f"{name}: {rep.verdict_details[name]}"
                                 for name, v in rep.verdicts.items() if v == "fail")
-        for c in rep.classes:
-            if c.improved_char is not None:
-                stats.conjecture_checked += 1
-                if c.index == c.improved_char:
-                    stats.conjecture_equal += 1
+        stats.verified_classes += sum(c.improved_char is not None for c in rep.classes)
     return stats

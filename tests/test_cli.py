@@ -504,6 +504,38 @@ class TestCommands:
         assert all(v.startswith("structure error on a -> ") and v.endswith(": forced")
                    for v in props["violations"])
 
+    def test_props_cross_check_failure_is_a_violation(self, capsys, monkeypatch):
+        # A failed cross-check fails the survey and names the map it hit; it
+        # does not abort the survey.
+        fold = invariants._fold_stratum
+
+        def corrupted(f, classes, info):
+            fold(f, classes, info)
+            next(c for c in classes if c.verified).rank += 1
+
+        monkeypatch.setattr(invariants, "_fold_stratum", corrupted)
+        code, data = run(capsys, "verify", "--props", "--count", "20", "--seed", "7")
+        props = data["properties"]
+        assert code == 1
+        assert props["violations"]
+        assert all(v.startswith("structure error on a -> ") and ": index mismatch on class "
+                   in v for v in props["violations"])
+
+    def test_small_depth_is_not_a_structure_error(self, tmp_path, capsys):
+        # The partition oracle searches as deep as the longest crossing path,
+        # which the type-3 search bounds by the metric, not by --depth.
+        p = tmp_path / "long_path.json"
+        p.write_text(json.dumps({"rank": 2, "letters": ["a", "b"],
+                                 "images": {"a": "aaba", "b": "ba"}}))
+        outs = []
+        for depth in ("2", "8"):
+            code = main(["invariants", str(p), "--depth", depth])
+            assert code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert [(c["members"], c["ind"], c["rk"], c["a"])
+                for c in json.loads(outs[0])["classes"]] == [(["*", "a@1/3"], -3, 0, 4)]
+
     @pytest.mark.parametrize("schema", ["graph-map", "endomorphism"])
     @pytest.mark.parametrize("command", COMMANDS + ("verify",))
     def test_filtration_key_rejected(self, tmp_path, capsys, command, schema):

@@ -411,9 +411,9 @@ class TestSimilarityInvariance:
         if rep1.classification_complete and rep2.classification_complete and \
                 all(c_.rank is not None for c_ in rep1.classes + rep2.classes):
             vals1 = sorted((c_.index, c_.rank, c_.attract)
-                           for c_ in rep1.classes if c_.essential)
+                           for c_ in rep1.classes if c_.index != 0)
             vals2 = sorted((c_.index, c_.rank, c_.attract)
-                           for c_ in rep2.classes if c_.essential)
+                           for c_ in rep2.classes if c_.index != 0)
             assert vals1 == vals2
 
     @settings(max_examples=20, deadline=None)
@@ -488,7 +488,7 @@ class TestReportFields:
 
 class TestRecursionInternals:
     def test_improved_char_recursion_step(self):
-        # Every class here is verified, so cross-check 1 has compared its
+        # Every class here is verified, so _check_theorems has compared its
         # index, counted at its fixed vertices, with the folded 1 - rk - a.
         for images in [("aa", "bb"), ("a", "Bab"), ("a", "ba")]:
             rep = analyze_endomorphism(endo(2, *images))
@@ -532,8 +532,8 @@ class TestRecursionInternals:
         assert [c.delta for c in rep.classes] == [0, 0]
 
     def test_corrupted_rank_is_a_structure_error(self, monkeypatch):
-        # A recursion that miscounts a verified class's rank must fail
-        # cross-check 1, not surface as a failed theorem verdict.
+        # A recursion that miscounts a verified class's rank must raise in
+        # _check_theorems, not surface as a failed theorem verdict.
         fold = invariants._fold_stratum
 
         def corrupted(f, classes, info):
@@ -543,6 +543,23 @@ class TestRecursionInternals:
         monkeypatch.setattr(invariants, "_fold_stratum", corrupted)
         with pytest.raises(AnalysisError, match="index mismatch"):
             analyze_endomorphism(endo(2, "aa", "bb"))
+
+    @pytest.mark.parametrize("f", [rose({"a": ["a", "a"], "b": ["b", "b"]}),
+                                   rose({"a": ["a"], "b": ["b"]})],
+                             ids=["rose", "identity"])
+    def test_lefschetz_mismatch_is_a_structure_error(self, monkeypatch, f):
+        # An index sum other than the Lefschetz number raises, on the
+        # identity map's report too, which reads the number off the map.
+        real = invariants.lefschetz_number
+
+        def off_by_one(*args):
+            lef, tr = real(*args)
+            return lef + 1, tr
+
+        assert analyze(f).verdicts["lefschetz_sum"] == "pass"
+        monkeypatch.setattr(invariants, "lefschetz_number", off_by_one)
+        with pytest.raises(AnalysisError, match="differs from the Lefschetz number"):
+            analyze(f)
 
     def test_type2_path_needs_one_fixed_direction(self, monkeypatch):
         # Stratum 0 of a -> a, b -> Bab is the fixed edge a, whose crossing
