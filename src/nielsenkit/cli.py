@@ -156,7 +156,7 @@ def cmd_route(args) -> int:
 
 def cmd_lefschetz(args) -> int:
     f, _ = load_instance(args.input)
-    lef, tr = lefschetz_number(f)
+    lef, tr = lefschetz_number(any_route_endo(f))
     _emit({"lefschetz": lef, "trace": tr,
            "chi": f.graph.euler_characteristic()}, args.out)
     return PASS

@@ -1,7 +1,8 @@
 """Fixed point classes of a graph selfmap and their invariants.
 
 The pipeline subdivides interior fixed points away, derives and classifies an
-invariant filtration, and folds the class data up the strata:
+invariant filtration, and folds the class data up the strata below the first
+unclassifiable one:
 
 * no crossing Nielsen path: every class keeps its members, gains the count of
   expanding fixed stratum directions;
@@ -14,19 +15,21 @@ seeds one ray at each fixed stratum direction, and a `found` crossing path
 drops the seed at its last dart (reversed), whose ray is equivalent to that of
 its first dart.
 
-Each class's index is counted once, at its fixed vertices.  The class
-partition is cross-checked against a brute-force Nielsen-path search, and
-every report, the identity map's too, is checked against the theorems in
-one place, _check_theorems: on every verified class the index must equal
-1 - rk - a, the characteristic the recursion folds, and the indices must sum
-to the Lefschetz number.  Disagreement is a structure error, never a
-warning.
+Each class's index is counted once, at its fixed vertices.  A brute-force
+Nielsen-path search runs once per map, as deep as the longest crossing path
+the fold found: its partition gives the classes when a stratum is
+unclassifiable and cross-checks the fold's otherwise.  Every report, the
+identity map's too, is built along one path and checked against the
+theorems in one place, _check_theorems: on every verified class the index
+must equal 1 - rk - a, the characteristic the recursion folds, and the
+indices must sum to the Lefschetz number.  Disagreement is a structure
+error, never a warning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, takewhile
 from typing import Optional, Sequence
 
 from .boundary import DegenerateRay, MorphicRay, attraction_check, equivalent_under
@@ -144,17 +147,11 @@ def local_index(f: GraphMap, members: Sequence[str]) -> int:
     return sum(1 - len(fixed_directions(f, v)) for v in members)
 
 
-def lefschetz_number(f: GraphMap, phi: Optional[Endomorphism] = None) -> tuple[int, int]:
-    """(lefschetz, trace) from the induced endomorphism on first homology.
-
-    phi is an endomorphism f induces on pi_1 along any route, built here when
-    not given; the trace does not depend on the route, and it is a homotopy
-    invariant, so a subdivision of f has the same one."""
-    if phi is None:
-        # Local: perfbench/spans.py hooks any_route_endo on graphs only.
-        from .graphs import any_route_endo
-
-        phi = any_route_endo(f)
+def lefschetz_number(phi: Endomorphism) -> tuple[int, int]:
+    """(lefschetz, trace) of a selfmap, phi being an endomorphism it induces
+    on pi_1 along any route.  The trace on first homology does not depend on
+    the route, and it is a homotopy invariant, so a subdivision of the map has
+    the same one."""
     tr = matrix_trace(phi.abelianization())
     return 1 - tr, tr
 
@@ -294,12 +291,12 @@ def fixed_subgroup_basis(phi: Endomorphism, depth: int) -> list[Word]:
     """Greedy independent set of fixed words of length <= depth, taken in the
     order `twisted_solutions` finds them (phi(w) = w: left = right = 1)."""
     gens: list[Word] = []
-    graph = fold_words(phi.rank, gens)
+    graph = fold_words(gens)
     for w in twisted_solutions(phi, IDENTITY, IDENTITY, depth):
         if w.is_identity or (gens and graph.accepts(w)):
             continue
         gens.append(w)
-        graph = fold_words(phi.rank, gens)
+        graph = fold_words(gens)
     return gens
 
 
@@ -318,7 +315,7 @@ def analyze_route(phi: Endomorphism, route: Word, depth: int) -> RouteReport:
     """Bounded invariants of the route endomorphism i_route o phi."""
     f_w = phi.inner_twist(route)
     gens = fixed_subgroup_basis(f_w, depth)
-    rank = fold_words(f_w.rank, gens).subgroup_rank() if gens else 0
+    rank = fold_words(gens).subgroup_rank()
     attracting = []
     for ray in word_attracting_candidates(f_w):
         if attraction_check(ray, f_w).status == "attracting":
@@ -343,22 +340,6 @@ def analyze_route(phi: Endomorphism, route: Word, depth: int) -> RouteReport:
 # The pipeline.
 
 
-def _identity_report(f: GraphMap, phi: Endomorphism) -> Report:
-    chi = f.graph.euler_characteristic()
-    members = tuple(sorted(f.graph.vertices))
-    cls = ClassData(members=members, index=chi, delta=0, rank=1 - chi, attract=0,
-                    provenance="identity-map")
-    lef, tr = lefschetz_number(f, phi)
-    report = Report(
-        chi=chi, trace=tr, lefschetz=lef,
-        classes=[cls], strata=[], filtration=None, subdivided_at=[],
-        classification_complete=True, map=f,
-        notes=["identity map handled directly; every point is fixed"],
-    )
-    _check_theorems(report)
-    return report
-
-
 def analyze(f: GraphMap, depth: int = DEPTH) -> Report:
     """Full invariant computation for a pi1-injective graph selfmap; depth caps
     the crossing-path search and the partition oracle."""
@@ -374,66 +355,74 @@ def analyze(f: GraphMap, depth: int = DEPTH) -> Report:
     if not phi.is_injective():
         raise AnalysisError("selfmap is not injective on the fundamental group")
     if f.is_identity():
-        return _identity_report(f, phi)
+        # Every point is fixed: one class, with no strata to fold.
+        g, points, filt, infos, complete = f, [], None, [], True
+        chi = g.graph.euler_characteristic()
+        out_classes = [ClassData(members=tuple(sorted(g.graph.vertices)), index=chi,
+                                 delta=0, rank=1 - chi, attract=0,
+                                 provenance="identity-map")]
+        notes = ["identity map handled directly; every point is fixed"]
+    else:
+        g, points = subdivided_fixed_map(f)
+        filt = derive_filtration(g)
+        infos = [classify_stratum(g, filt, i) for i in range(filt.depth)]
+        complete = all(i.stype != "unclassifiable" for i in infos)
 
-    g, points = subdivided_fixed_map(f)
-    filt = derive_filtration(g)
+        fixed = sorted(fixed_vertices(g))
+        classes = [_ClassState(members={v}, trace=["base-point"]) for v in fixed]
+        for info in takewhile(lambda i: i.stype != "unclassifiable", infos):
+            find_inp(g, filt, info, depth,
+                     lower_classes=[frozenset(c.members) for c in classes])
+            _fold_stratum(g, classes, info)
 
-    fixed = sorted(fixed_vertices(g))
-    classes = [_ClassState(members={v}, trace=["base-point"]) for v in fixed]
-    infos: list[StratumInfo] = []
-    complete = True
-    for i in range(filt.depth):
-        info = classify_stratum(g, filt, i)
-        if info.stype == "unclassifiable":
-            complete = False
-            infos.append(info)
-            infos.extend(classify_stratum(g, filt, j)
-                         for j in range(i + 1, filt.depth))
-            break
-        find_inp(g, filt, info, depth,
-                 lower_classes=[frozenset(c.members) for c in classes])
-        _fold_stratum(g, classes, info)
-        infos.append(info)
+        # One bounded brute-force partition: the classes of an incomplete
+        # classification, whose ranks and attracting counts stay unverified,
+        # and the cross-check of a complete one.  The type-3 search is capped
+        # by the metric, not by depth, so the oracle searches at least as
+        # deep as the longest crossing path the fold found.
+        if not complete or len(fixed) > 1:
+            reach = max((len(p.darts) for i in infos for p in i.paths), default=0)
+            oracle = nielsen_partition_oracle(g, max(depth, reach))
+            if not complete:
+                classes = [_ClassState(members=set(p), verified=False,
+                                       trace=["oracle-partition"]) for p in oracle]
+            else:
+                ours = sorted((frozenset(c.members) for c in classes), key=sorted)
+                if ours != oracle:
+                    raise AnalysisError(
+                        f"class partition {[sorted(c) for c in ours]} disagrees with "
+                        f"the Nielsen-path oracle {[sorted(c) for c in oracle]}")
 
-    if not complete:
-        # The recursion broke down; fall back to the brute-force partition and
-        # local indices, with ranks and attracting counts left unverified.
-        parts = nielsen_partition_oracle(g, depth)
-        classes = [_ClassState(members=set(p), verified=False,
-                               trace=["oracle-partition"]) for p in parts]
+        out_classes = []
+        for c in sorted(classes, key=lambda c: sorted(c.members)):
+            members = tuple(sorted(c.members))
+            loc = local_index(g, members)
+            out_classes.append(ClassData(
+                members=members,
+                index=loc,
+                delta=len(members) - loc if complete else 0,
+                rank=c.rank if c.verified else None,
+                attract=len(c.ray_seeds) if c.verified else None,
+                provenance=";".join(c.trace),
+                ray_seeds=list(c.ray_seeds),
+            ))
 
-    out_classes: list[ClassData] = []
-    for c in sorted(classes, key=lambda c: sorted(c.members)):
-        members = tuple(sorted(c.members))
-        loc = local_index(g, members)
-        verified = complete and c.verified
-        out_classes.append(ClassData(
-            members=members,
-            index=loc,
-            delta=len(members) - loc if complete else 0,
-            rank=c.rank if verified else None,
-            attract=len(c.ray_seeds) if verified else None,
-            provenance=";".join(c.trace),
-            ray_seeds=list(c.ray_seeds),
-        ))
-
-    # The partition must agree with bounded brute force (an incomplete
-    # classification took its partition from the oracle above).  The type-3
-    # search is capped by the metric, not by depth, so the oracle searches at
-    # least as deep as the longest crossing path the recursion folded.
-    if complete and len(fixed) > 1:
-        reach = max((len(p.darts) for i in infos for p in i.paths), default=0)
-        oracle = nielsen_partition_oracle(g, max(depth, reach))
-        ours = sorted((frozenset(c.members) for c in out_classes), key=sorted)
-        if ours != oracle:
-            raise AnalysisError(
-                f"class partition {[sorted(c) for c in ours]} disagrees with the "
-                f"Nielsen-path oracle {[sorted(c) for c in oracle]}")
+        notes = []
+        if points:
+            notes.append(
+                "input subdivided at interior fixed points; the map is analyzed in "
+                "this normalized form")
+        if not complete:
+            notes.append(
+                "filtration has an unclassifiable stratum: partition from bounded "
+                "search, ranks and attracting counts unverified")
+        if any(i.inp_status == "none-within-bound" for i in infos):
+            notes.append(
+                "a crossing-path search hit its cap; affected classes are unverified")
 
     # The Lefschetz number is taken from the unsubdivided map, so
     # _check_theorems also covers the subdivision.
-    lef, tr = lefschetz_number(f, phi)
+    lef, tr = lefschetz_number(phi)
     report = Report(
         chi=g.graph.euler_characteristic(),
         trace=tr,
@@ -443,19 +432,9 @@ def analyze(f: GraphMap, depth: int = DEPTH) -> Report:
         filtration=filt,
         subdivided_at=points,
         classification_complete=complete,
+        notes=notes,
         map=g,
     )
-    if points:
-        report.notes.append(
-            "input subdivided at interior fixed points; the map is analyzed in "
-            "this normalized form")
-    if not complete:
-        report.notes.append(
-            "filtration has an unclassifiable stratum: partition from bounded "
-            "search, ranks and attracting counts unverified")
-    if any(i.inp_status == "none-within-bound" for i in infos):
-        report.notes.append(
-            "a crossing-path search hit its cap; affected classes are unverified")
     _check_theorems(report)
     return report
 

@@ -89,18 +89,18 @@ def endo_from_json(data: dict) -> Endomorphism:
     return Endomorphism(basis, images)
 
 
-def rose_map(phi: Endomorphism, vertex: str = "*") -> GraphMap:
-    """Realize an endomorphism as a selfmap of the rose with one petal per
-    generator; petal names are the basis letters."""
+def rose_map(phi: Endomorphism) -> GraphMap:
+    """Realize an endomorphism as a selfmap of the rose at the vertex '*' with
+    one petal per generator; petal names are the basis letters."""
     names = phi.basis.letters
-    graph = Graph((vertex,), {n: (vertex, vertex) for n in names})
+    graph = Graph(("*",), {n: ("*", "*") for n in names})
     emap = {}
     for n, im in zip(names, phi.images):
         if im.is_identity:
-            emap[n] = trivial_path(vertex)
+            emap[n] = trivial_path("*")
         else:
             emap[n] = EdgePath(tuple(Dart(names[abs(x) - 1], x > 0) for x in im.letters))
-    return GraphMap(graph, {vertex: vertex}, emap)
+    return GraphMap(graph, {"*": "*"}, emap)
 
 
 # ---------------------------------------------------------------------------

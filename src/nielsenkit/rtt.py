@@ -356,9 +356,11 @@ def _canonical(p: EdgePath) -> tuple:
 def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
                                names: Iterable[str],
                                must: Optional[set[str]]) -> list[tuple[Dart, ...]]:
-    """Every indivisible Nielsen path of length <= max_len that starts at one
-    of `starts`, runs in the edges `names` and crosses an edge of `must`
-    (any edge when None), in depth-first preorder, starts taken in order.
+    """Every indivisible Nielsen path of length <= max(max_len, 1) that starts
+    at one of `starts`, runs in the edges `names` and crosses an edge of
+    `must` (any edge when None), in depth-first preorder, starts taken in
+    order.  A dart is pushed before the length is tested, so max_len 0 still
+    finds the paths of one dart.
 
     The search descends tight paths P and stops at the first Nielsen node,
     since every extension of a Nielsen path is divisible (the cancellation

@@ -231,7 +231,7 @@ class Endomorphism:
 
     def folded_image(self) -> "FoldedGraph":
         """The folded core graph of the subgroup generated by the images."""
-        return fold_words(self.rank, self.images)
+        return fold_words(self.images)
 
     def is_injective(self) -> bool:
         """Injective iff the image subgroup has full rank (free groups are Hopfian)."""
@@ -265,8 +265,7 @@ class FoldedGraph:
     out[s'][-x] = s); a state folded into another has no edges.
     """
 
-    def __init__(self, rank: int, out: list[dict[int, int]], n_states: int):
-        self.rank = rank
+    def __init__(self, out: list[dict[int, int]], n_states: int):
         self.out = out
         self.n_states = n_states
 
@@ -349,10 +348,10 @@ def stallings_fold(n: int, paths: Iterable[tuple[int, Sequence[int], int]]
     return out, states
 
 
-def fold_words(rank: int, gens: Sequence[Word]) -> FoldedGraph:
+def fold_words(gens: Sequence[Word]) -> FoldedGraph:
     """Stallings folding of the wedge of loops at the base spelling the
     given words."""
-    return FoldedGraph(rank, *stallings_fold(1, [(0, g.letters, 0) for g in gens]))
+    return FoldedGraph(*stallings_fold(1, [(0, g.letters, 0) for g in gens]))
 
 
 # ---------------------------------------------------------------------------

@@ -151,18 +151,18 @@ class TestMembership:
     # A ray lies in the boundary of a subgroup to depth m when its first m
     # letters read through the folded graph from the base.
     def test_stays(self):
-        graph = fold_words(2, [b2.parse("a")])
+        graph = fold_words([b2.parse("a")])
         w = MorphicRay(b2.parse("a"), endo(2, "aa", "b"))
         assert graph.read(w.prefix(32)) is not None
 
     def test_escapes(self):
-        graph = fold_words(2, [b2.parse("a")])
+        graph = fold_words([b2.parse("a")])
         w = MorphicRay(b2.parse("a"), endo(2, "ab", "ba"))   # a b b a ...
         assert graph.read(w.prefix(1)) is not None
         assert graph.read(w.prefix(2)) is None
 
     def test_ray_escapes_immediately(self):
-        graph = fold_words(2, [b2.parse("a")])
+        graph = fold_words([b2.parse("a")])
         ray = MorphicRay(b2.parse("B"), conj2)
         assert graph.read(ray.prefix(1)) is None
 

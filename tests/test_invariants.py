@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,8 @@ from nielsenkit.invariants import (
     local_index,
     word_attracting_candidates,
 )
-from nielsenkit.graphs import (fixed_directions, fixed_vertices, marking, ray_images,
-                                subdivided_fixed_map)
+from nielsenkit.graphs import (any_route_endo, fixed_directions, fixed_vertices, marking,
+                                ray_images, subdivided_fixed_map)
 from nielsenkit.io import rose_map
 from nielsenkit.rtt import StructureViolation
 from nielsenkit.sampling import random_injective_endos
@@ -127,7 +128,7 @@ class TestExamples:
         gens = [b2.parse("a"), b2.parse("baB")]
         for g in gens:
             assert phi.apply(g) == g
-        assert fold_words(2, gens).subgroup_rank() == 2
+        assert fold_words(gens).subgroup_rank() == 2
 
     def test_identity_map(self):
         rep = analyze(rose({"a": ["a"], "b": ["b"]}))
@@ -178,9 +179,9 @@ class TestIndices:
         assert local_index(f, ["*"]) == -3
 
     def test_lefschetz_values(self):
-        assert lefschetz_number(rose_map(endo(2, "A", "Abb")))[0] == 0
-        assert lefschetz_number(rose_map(endo(2, "aa", "bb")))[0] == -3
-        assert lefschetz_number(rose({"a": ["a"], "b": ["b"]}))[0] == -1
+        assert lefschetz_number(endo(2, "A", "Abb"))[0] == 0
+        assert lefschetz_number(endo(2, "aa", "bb"))[0] == -3
+        assert lefschetz_number(endo(2, "a", "b"))[0] == -1
 
     @pytest.mark.parametrize("rank, max_len, count", [(2, 4, 300), (2, 8, 100), (3, 3, 100)])
     def test_subdivision_keeps_the_lefschetz_number(self, rank, max_len, count):
@@ -192,7 +193,8 @@ class TestIndices:
             if f.is_identity():
                 continue
             g, points = subdivided_fixed_map(f)
-            assert lefschetz_number(g) == lefschetz_number(f), f.edge_map
+            assert (lefschetz_number(any_route_endo(g))
+                    == lefschetz_number(any_route_endo(f))), f.edge_map
             subdivided += bool(points)
         assert subdivided > count // 4
 
@@ -243,7 +245,7 @@ class TestAttractingReps:
         star = class_of(rep, "*")
         for ray in attracting_rays(rep.map, star):
             phi = ray.endo
-            graph = fold_words(phi.rank, fixed_subgroup_basis(phi, 6))
+            graph = fold_words(fixed_subgroup_basis(phi, 6))
             assert attraction_check(ray, phi).status == "attracting"
             assert graph.read(ray.prefix(24)) is None
 
@@ -530,6 +532,35 @@ class TestRecursionInternals:
         assert len(rep.classes) == 2
         assert len(calls) == 1
         assert [c.delta for c in rep.classes] == [0, 0]
+
+    @pytest.mark.parametrize("depth", [0, 8])
+    def test_one_oracle_call_as_deep_as_the_crossing_paths(self, monkeypatch, depth):
+        # One partition serves as the classes of an incomplete classification
+        # and as the cross-check of a complete one with several fixed
+        # vertices, searched as deep as the longest crossing path the fold
+        # found.  At depth 0 the fallback of a -> a, b -> ABaB must still see
+        # its 1-dart type-2 path a.  Over the first 300 rank-2 maps with
+        # images of length <= 4 (seed 1).
+        calls = []
+        oracle = invariants.nielsen_partition_oracle
+
+        def recorded(g, max_len):
+            calls.append(max_len)
+            return oracle(g, max_len)
+
+        monkeypatch.setattr(invariants, "nielsen_partition_oracle", recorded)
+        seen = set()
+        for phi in islice(random_injective_endos(2, 4, seed=1), 300):
+            calls.clear()
+            rep = analyze_endomorphism(phi, depth)
+            reach = max((len(p.darts) for i in rep.strata for p in i.paths), default=0)
+            if not rep.classification_complete or len(fixed_vertices(rep.map)) > 1:
+                assert calls == [max(depth, reach)], phi.images
+                seen.add((rep.classification_complete, reach > depth))
+            else:
+                assert calls == [], phi.images
+        assert seen >= {(False, False), (True, False)}
+        assert (False, True) in seen or depth > 0
 
     def test_corrupted_rank_is_a_structure_error(self, monkeypatch):
         # A recursion that miscounts a verified class's rank must raise in

@@ -315,9 +315,9 @@ class TestCancellationBound:
         folds = [0]
         original = words.fold_words
 
-        def counting(rank, gens):
+        def counting(gens):
             folds[0] += 1
-            return original(rank, gens)
+            return original(gens)
 
         monkeypatch.setattr(words, "fold_words", counting)
         words._fold_summary.cache_clear()
@@ -384,16 +384,16 @@ def reference_route_search(phi, route, depth):
     return fixed, moves
 
 
-def greedy_basis(rank, fixed_words):
+def greedy_basis(fixed_words):
     """The greedy independent set `fixed_subgroup_basis` takes, over a list
     of fixed words."""
     gens = []
-    graph = fold_words(rank, gens)
+    graph = fold_words(gens)
     for w in fixed_words:
         if w.is_identity or (gens and graph.accepts(w)):
             continue
         gens.append(w)
-        graph = fold_words(rank, gens)
+        graph = fold_words(gens)
     return gens
 
 
@@ -430,7 +430,7 @@ def assert_search_exact(phi, route, depth):
     fixed, moves = reference_route_search(phi, route, depth)
     twisted = phi.inner_twist(route)
     assert list(twisted_solutions(twisted, IDENTITY, IDENTITY, depth)) == fixed
-    assert fixed_subgroup_basis(twisted, depth) == greedy_basis(phi.rank, fixed)
+    assert fixed_subgroup_basis(twisted, depth) == greedy_basis(fixed)
     assert list(twisted_solutions(phi, IDENTITY, route, depth)) == moves
     r = route_equivalent(route, IDENTITY, phi, depth)
     assert (r.found, r.witness) == (bool(moves), moves[0] if moves else None)
@@ -520,13 +520,13 @@ class TestRouteEquivalent:
 
 class TestFolding:
     def test_membership(self):
-        g = fold_words(2, [b2.parse("a"), b2.parse("bab")])
+        g = fold_words([b2.parse("a"), b2.parse("bab")])
         assert g.accepts(b2.parse("a"))
         assert g.accepts(b2.parse("babbabA"))
         assert not g.accepts(b2.parse("b"))
 
     def test_empty_subgroup(self):
-        g = fold_words(2, [])
+        g = fold_words([])
         assert g.subgroup_rank() == 0
         assert g.accepts(IDENTITY)
         assert not g.accepts(b2.parse("a"))
