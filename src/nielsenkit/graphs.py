@@ -93,10 +93,11 @@ class Graph:
     edge_ends: dict[str, tuple[str, str]]
 
     def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+        vertices = set(self.vertices)
+        if len(vertices) != len(self.vertices):
             raise ValueError("duplicate vertex names")
         for e, (u, v) in self.edge_ends.items():
-            if u not in self.vertices or v not in self.vertices:
+            if u not in vertices or v not in vertices:
                 raise ValueError(f"edge {e} has an endpoint outside the vertex set")
 
     @property
@@ -128,12 +129,16 @@ class Graph:
 
     @cached_property
     def _darts_at(self) -> dict[str, tuple[Dart, ...]]:
-        return {v: tuple(d for d in self.darts() if self.origin(d) == v) for v in self.vertices}
+        at: dict[str, list[Dart]] = {v: [] for v in self.vertices}
+        for d in self.darts():
+            at[self.origin(d)].append(d)
+        return {v: tuple(ds) for v, ds in at.items()}
 
     def darts_at(self, v: str, names: Optional[Iterable[str]] = None) -> tuple[Dart, ...]:
         """Darts with origin v, in the order of `darts(names)`."""
-        at = self._darts_at[v]
-        return at if names is None else tuple(d for d in self.darts(names) if d in at)
+        if names is None:
+            return self._darts_at[v]
+        return tuple(d for d in self.darts(names) if self.origin(d) == v)
 
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edge_ends)
@@ -251,13 +256,29 @@ class GraphMap:
         return frozenset(e for e in self.graph.edges
                          if self.edge_map[e].darts == (Dart(e, True),))
 
+    @cached_property
+    def derivative_table(self) -> dict[Dart, Optional[Dart]]:
+        """The first dart of the tight image of every dart; None for a
+        collapsed edge (see derivative)."""
+        table: dict[Dart, Optional[Dart]] = {}
+        for e in self.graph.edges:
+            img = self.edge_map[e].darts
+            table[Dart(e, True)] = img[0] if img else None
+            table[Dart(e, False)] = img[-1].rev if img else None
+        return table
+
+    @cached_property
+    def fixed_darts(self) -> frozenset[Dart]:
+        """Darts fixed by the derivative map, the identity-edge convention
+        applied: a pointwise-fixed edge counts at its origin tip only."""
+        ident = self.identity_edges
+        return frozenset(d for d, dd in self.derivative_table.items()
+                         if dd == d and (d.fwd or d.name not in ident))
+
 
 def derivative(f: GraphMap, d: Dart) -> Optional[Dart]:
     """First dart of the tight image; None for a collapsed edge."""
-    img = f.edge_map[d.name].darts
-    if not img:
-        return None
-    return img[0] if d.fwd else img[-1].rev
+    return f.derivative_table[d]
 
 
 def classify_turn(f: GraphMap, d1: Dart, d2: Dart) -> str:
@@ -296,10 +317,9 @@ def fixed_vertices(f: GraphMap) -> list[str]:
 
 def fixed_directions(f: GraphMap, v: str, among: Optional[Iterable[str]] = None) -> list[Dart]:
     """Darts at v fixed by the derivative map, the identity-edge convention
-    applied: a pointwise-fixed edge counts at its origin tip only."""
-    ident = f.identity_edges
-    return [d for d in f.graph.darts_at(v, among)
-            if derivative(f, d) == d and (d.fwd or d.name not in ident)]
+    applied (GraphMap.fixed_darts)."""
+    fixed = f.fixed_darts
+    return [d for d in f.graph.darts_at(v, among) if d in fixed]
 
 
 class NonIsolatedFixedSet(ValueError):
@@ -313,7 +333,9 @@ def interior_fixed_points(f: GraphMap) -> list[tuple[str, Fraction]]:
 
     The identity map has no isolated model and is rejected; a single
     pointwise-fixed edge inside a nontrivial map is handled by the perturbation
-    convention and contributes nothing here.
+    convention and contributes nothing here.  A candidate t = p / q (q > 0)
+    is tested against 0 < t < 1 and j / k <= t <= (j + 1) / k by
+    cross-multiplying integers, and only a kept one becomes a Fraction.
     """
     if f.is_identity():
         raise NonIsolatedFixedSet(next(iter(f.graph.edges)))
@@ -331,12 +353,12 @@ def interior_fixed_points(f: GraphMap) -> list[tuple[str, Fraction]]:
                 continue
             if d.fwd:
                 # k t - j = t  (k = 1 aligned is the identity edge, skipped above)
-                t = Fraction(j, k - 1)
+                p, q = j, k - 1
             else:
                 # k t - j = 1 - t
-                t = Fraction(j + 1, k + 1)
-            if 0 < t < 1 and Fraction(j, k) <= t <= Fraction(j + 1, k):
-                spots.add(t)
+                p, q = j + 1, k + 1
+            if 0 < p < q and j * q <= k * p <= (j + 1) * q:
+                spots.add(Fraction(p, q))
         found.extend((e, t) for t in sorted(spots))
     return found
 

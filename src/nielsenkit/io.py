@@ -217,7 +217,70 @@ def report_to_json(report: Report) -> dict:
 
 
 def dump_report(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """The text of json.dumps(data, indent=2, sort_keys=True) plus a
+    newline, written by one recursive pass into one list: with an indent,
+    json encodes through its pure-Python iterator.  Keys must be strings;
+    any other key raises TypeError, as do values json cannot encode."""
+    out: list[str] = []
+    _write_json(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_INFINITY = float("inf")
+
+
+def _write_json(o: Any, newline: str, out: list[str]) -> None:
+    """Append the encoding of o; `newline` is a newline and the indent of
+    the line o starts on.  The tests follow json's order, bool before int."""
+    if isinstance(o, str):
+        out.append(_encode_str(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        if o != o:
+            out.append("NaN")
+        elif o == _INFINITY:
+            out.append("Infinity")
+        elif o == -_INFINITY:
+            out.append("-Infinity")
+        else:
+            out.append(float.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for x in o:
+            out.append(sep)
+            _write_json(x, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k in sorted(o):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+            out.append(sep)
+            out.append(_encode_str(k))
+            out.append(": ")
+            _write_json(o[k], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,10 @@ take none, and no ray takes one, so a path and its two rays fix the junction.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .graphs import (
@@ -115,10 +116,6 @@ def crossed_edges(f: GraphMap, e: str) -> set[str]:
     return {d.name for d in f.edge_map[e].darts}
 
 
-def crossing_count(f: GraphMap, e: str, target: str) -> int:
-    return sum(1 for d in f.edge_map[e].darts if d.name == target)
-
-
 def derive_filtration(f: GraphMap) -> Filtration:
     """Strata are the strongly connected components of the edge-crossing
     digraph: the stratum of e holds every edge that e reaches and that reaches
@@ -140,8 +137,9 @@ def derive_filtration(f: GraphMap) -> Filtration:
 
 
 def verify_filtration(f: GraphMap, filt: Filtration) -> None:
+    crossed = {e: crossed_edges(f, e) for e in f.graph.edges}
     seen: list[str] = []
-    all_edges = set(f.graph.edges)
+    all_edges = set(crossed)
     for s in filt.strata:
         for e in s:
             if e not in all_edges:
@@ -149,7 +147,7 @@ def verify_filtration(f: GraphMap, filt: Filtration) -> None:
         seen.extend(s)
         level = set(seen)
         for e in level:
-            if not crossed_edges(f, e) <= level:
+            if not crossed[e] <= level:
                 raise ValueError(f"level through {s} is not invariant: edge {e} escapes")
     if set(seen) != all_edges or len(seen) != len(all_edges):
         raise ValueError("filtration does not partition the edge set")
@@ -161,13 +159,17 @@ def verify_filtration(f: GraphMap, filt: Filtration) -> None:
 
 def transition_matrix(f: GraphMap, stratum: Sequence[str]) -> list[list[int]]:
     """M[i][j] = number of times the image of stratum edge j crosses edge i."""
-    return [[crossing_count(f, ej, ei) for ej in stratum] for ei in stratum]
+    crossings = [Counter(d.name for d in f.edge_map[e].darts) for e in stratum]
+    return [[c[ei] for c in crossings] for ei in stratum]
 
 
 def _support_irreducible(m: list[list[int]]) -> bool:
+    """Whether the digraph with an arc i -> j for m[j][i] > 0 is strongly
+    connected: whether node 0 reaches every node and every node reaches 0."""
     n = len(m)
     succ = {i: [j for j in range(n) if m[j][i] > 0] for i in range(n)}
-    return all(len(reachable(succ, i)) == n for i in range(n))
+    pred = {i: [j for j, x in enumerate(m[i]) if x > 0] for i in range(n)}
+    return n == 0 or len(reachable(succ, 0)) == n == len(reachable(pred, 0))
 
 
 @dataclass(frozen=True)
@@ -208,14 +210,18 @@ def pf_metric(m: list[list[int]]) -> ExpansionData:
     """Perron-Frobenius bracket of an irreducible transition matrix M.
 
     B = M^T + I is primitive and has M^T's Perron vector also when M is
-    periodic.  Each v = B^(2^k) . 1 is a positive integer vector, so by
+    periodic.  Each v_k = B^(2^k) . 1 is a positive integer vector, so by
     Collatz-Wielandt lo = min (M^T v)_i / v_i <= lam <= max (M^T v)_i / v_i
-    = hi.  The ratios are compared, and the stopping rule tested, by
-    cross-multiplying integers (every v_i >= 1); only the returned ends are
-    Fractions.  Raises for reducible matrices, for a bracket that does not
-    narrow and for lo <= 1 (not an expanding stratum).
+    = hi.  v_k is computed as P . v_(k-1) with P = B^(2^(k-1)), which takes
+    k - 1 squarings of B, not k.  The ratios are compared, and the stopping
+    rule tested, by cross-multiplying integers (every v_i >= 1); only the
+    returned ends are Fractions.  Raises for an empty or reducible matrix,
+    for a bracket that does not narrow and for lo <= 1 (not an expanding
+    stratum).
     """
     n = len(m)
+    if not n:
+        raise ValueError("matrix must be nonempty")
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
     if any(x < 0 for row in m for x in row):
@@ -223,14 +229,16 @@ def pf_metric(m: list[list[int]]) -> ExpansionData:
     if not _support_irreducible(m):
         raise ValueError("matrix is reducible")
     mt = [list(col) for col in zip(*m)]
-    b = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(mt)]
+    p = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(mt)]
+    v = [sum(row) for row in p]
     width_num, width_den = PF_WIDTH.numerator, PF_WIDTH.denominator
     for k in range(PF_SQUARINGS + 1):
+        if k > 1:
+            cols = list(zip(*p))
+            p = [[sum(map(mul, row, col)) for col in cols] for row in p]
         if k:
-            cols = list(zip(*b))
-            b = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in b]
-        v = [sum(row) for row in b]
-        w = [sum(x * y for x, y in zip(row, v)) for row in mt]
+            v = [sum(map(mul, row, v)) for row in p]
+        w = [sum(map(mul, row, v)) for row in mt]
         # lo = w[i] / v[i] and hi = w[j] / v[j]
         i = j = 0
         for r in range(1, n):
@@ -366,8 +374,9 @@ def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
     since every extension of a Nielsen path is divisible (the cancellation
     lemma in the module docstring).  Darts are codes (Graph.dart_of), read
     through f.image_table.  The image [f(P)] is kept tight incrementally:
-    pushing a dart appends its image with extend_reduced, which returns the
-    number n of letters that cancelled, and popping rolls the push back with
+    pushing a dart appends its image, through extend_reduced when its first
+    letter cancels the last of [f(P)], which returns the number n of letters
+    that cancelled (n = 0 otherwise), and popping rolls the push back with
     n: it deletes what was appended and restores the cancelled tail.
 
     Branches are cut by bounded cancellation, exactly for pi1-injective f
@@ -379,13 +388,19 @@ def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
     min(k, |P|) darts of [f(P)] and of P differ.  C is 0 on an immersion
     such as a -> aa, which folds nothing."""
     g = f.graph
-    darts, code, imgs = g.dart_of, g.code_of, f.image_table
+    darts, imgs, ends = g.dart_of, f.image_table, g.edge_ends
+    code = {e: k for k, e in enumerate(g.edges, start=1)}  # of the forward dart
     out_at: dict[str, list[int]] = {v: [] for v in g.vertices}
-    for d in g.darts(names):
-        out_at[g.origin(d)].append(code[d])
+    for e in names:  # in the order of g.darts(names)
+        u, v = ends[e]
+        out_at[u].append(code[e])
+        out_at[v].append(-code[e])
     # after[c]: the darts that may follow dart c on a tight path.
-    after = {c: [d for d in out_at[g.terminus(dart)] if d != -c]
-             for c, dart in darts.items()}
+    after: dict[int, list[int]] = {}
+    for e, k in code.items():
+        u, v = ends[e]
+        after[k] = [d for d in out_at[v] if d != -k]
+        after[-k] = [d for d in out_at[u] if d != k]
     marked = {c: must is None or d.name in must for c, d in darts.items()}
     bound = f.cancellation_bound()
     path: list[int] = []
@@ -396,7 +411,11 @@ def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
         m = len(img)
         for d in nexts:
             x = imgs[d]
-            n = extend_reduced(img, x)
+            if img and x and img[-1] == -x[0]:
+                n = extend_reduced(img, x)
+            else:
+                n = 0
+                img.extend(x)
             path.append(d)
             if img == path:
                 # A Nielsen path has both ends fixed.

@@ -2,6 +2,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import identity_endo, map_path, rose
 from nielsenkit.graphs import (
@@ -233,6 +235,63 @@ class TestInteriorFixedPoints:
     def test_identity_edge_skipped(self):
         # a is pointwise fixed but the map is not the identity: perturbed away
         assert interior_fixed_points(ex2) == [("a2", Fraction(1, 4))]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_reference(self, data):
+        f = data.draw(tight_maps())
+        assume(not f.is_identity())
+        assert interior_fixed_points(f) == reference_interior_fixed_points(f)
+
+
+def reference_interior_fixed_points(f: GraphMap) -> list[tuple[str, Fraction]]:
+    """interior_fixed_points in Fraction arithmetic: the cut of dart j of
+    f(e), k = |f(e)|, solves k t - j = t when the dart is e and
+    k t - j = 1 - t when it is e reversed, and is kept when it lies in
+    (0, 1) and in [j / k, (j + 1) / k]."""
+    found = []
+    for e in f.graph.edges:
+        img = f.edge_map[e].darts
+        k = len(img)
+        if not img or img == (Dart(e, True),):
+            continue
+        spots = set()
+        for j, d in enumerate(img):
+            if d.name == e:
+                t = Fraction(j, k - 1) if d.fwd else Fraction(j + 1, k + 1)
+                if 0 < t < 1 and Fraction(j, k) <= t <= Fraction(j + 1, k):
+                    spots.add(t)
+        found.extend((e, t) for t in sorted(spots))
+    return found
+
+
+@st.composite
+def tight_maps(draw) -> GraphMap:
+    """A map with random tight edge images, on a rose with 1 to 3 petals or
+    on the theta graph u =p,q,r= v, where a tight path from f(u) ends at
+    f(u) exactly when it has even length."""
+    if draw(st.booleans()):
+        names = ("a", "b", "c")[:draw(st.integers(1, 3))]
+        g = Graph(("*",), {e: ("*", "*") for e in names})
+        vmap = {"*": "*"}
+        lengths = {e: draw(st.integers(0, 7)) for e in names}
+    else:
+        g = Graph(("u", "v"), {"p": ("u", "v"), "q": ("u", "v"), "r": ("u", "v")})
+        vmap = {"u": draw(st.sampled_from("uv")), "v": draw(st.sampled_from("uv"))}
+        odd = vmap["u"] != vmap["v"]
+        lengths = {e: 2 * draw(st.integers(0, 3)) + odd for e in g.edges}
+    emap = {}
+    for e, (u, _) in g.edge_ends.items():
+        walk: list[Dart] = []
+        at = vmap[u]
+        for _ in range(lengths[e]):
+            options = [d for d in g.darts_at(at) if not walk or d != walk[-1].rev]
+            walk.append(draw(st.sampled_from(options)))
+            at = g.terminus(walk[-1])
+        emap[e] = EdgePath(tuple(walk)) if walk else trivial_path(vmap[u])
+    f = GraphMap(g, vmap, emap)
+    f.validate()
+    return f
 
 
 class TestSubdivision:

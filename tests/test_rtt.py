@@ -169,11 +169,24 @@ def assert_brackets_root(m, data):
     assert hi >= 0 and hi * hi >= disc
 
 
+def reference_irreducible(m):
+    """The textbook test of irreducibility, independent of the program's
+    reachability walks: every entry of (M + I)^(n-1) is positive."""
+    n = len(m)
+    a = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n - 1):
+        p = [[sum(p[i][t] * a[t][j] for t in range(n)) for j in range(n)]
+             for i in range(n)]
+    return all(x > 0 for row in p for x in row)
+
+
 def reference_pf_metric(m, squarings):
     """The bracket of pf_metric in Fraction arithmetic: every ratio
-    (M^T v)_i / v_i a Fraction, min and max taken over Fractions."""
+    (M^T v)_i / v_i a Fraction, min and max taken over Fractions, each
+    v = B^(2^k) . 1 from B squared k times."""
     n = len(m)
-    if not rtt._support_irreducible(m):
+    if not reference_irreducible(m):
         raise ValueError("matrix is reducible")
     mt = [list(col) for col in zip(*m)]
     b = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(mt)]
@@ -261,6 +274,17 @@ class TestPFMetric:
             pf_metric([[2, 1], [0, 2]])
         with pytest.raises(ValueError):
             pf_metric([[2, 1, 0], [0, 2, 0], [1, 1, 2]])
+
+    def test_empty_rejected(self):
+        assert rtt._support_irreducible([])
+        with pytest.raises(ValueError, match="matrix must be nonempty"):
+            pf_metric([])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_support_irreducible_matches_reference(self, m):
+        assert rtt._support_irreducible(m) == reference_irreducible(m)
 
     @pytest.mark.parametrize("m, lam", [
         ([[0, 2], [1, 0]], math.sqrt(2)),
