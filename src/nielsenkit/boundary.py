@@ -4,9 +4,11 @@ at infinity of an injective endomorphism phi.
 These are the rays phi(x) = x.u grown from fixed directions, and the program
 builds one kind of them, `MorphicRay`, seeded by a word e with phi(e) = e.u:
 the limit of the iterates [phi^k(e)] = [e u phi(u) ... phi^(k-1)(u)], grown
-one block at a time and only as far as the letters asked for.  A letter is
-returned only once bounded cancellation proves that no later block can change
-it; a seed whose iterates stop yielding such proofs raises DegenerateRay.
+only as far as the letters asked for.  A letter is returned only once bounded
+cancellation proves that no later iterate can change it.  Blocks phi^k(u)
+only start a ray and restart it; in between, its letters come from the image
+rule: [phi(X)] without its last B letters, X a returned prefix, is returned
+too.  A seed whose blocks stop yielding such proofs raises DegenerateRay.
 Route analysis seeds rays at single letters; a graph ray [f^k(d)] is seeded
 at the marking word of one of its images (`invariants.attracting_rays`).
 
@@ -17,7 +19,7 @@ bounded observation into a claim silently.
 Attracting rays are counted up to the fixed subgroup Fix phi: W ~ V when
 W = U.V for some U in Fix phi.  `equivalent_under` searches U in the ball of
 the generators found and compares W with U.V on their first EQUIVALENCE_CAP
-letters, reading U.V off V's own buffer with `prefix(m, pre=U)`.  Agreement
+letters, reading U.V off V's own letters with `prefix(m, pre=U)`.  Agreement
 to that cap is a bounded observation: two rays that agree so far count as
 one class.
 """
@@ -104,6 +106,30 @@ class MorphicRay:
     certified count and the stall count after each block are hence those of
     appending each whole block and rescanning from the first letter, and so
     is every prefix and DegenerateRay.
+
+    Blocks only start the ray and restart it: the letters returned, W[:c],
+    are one list, and between restarts it grows from its own image.  Every
+    returned X is a prefix of every iterate from some P_k on: a certified X
+    by the proof above, and the image rule's letters by this one.  Write
+    P_j = X.Y_j, reduced, for j >= k; by bounded cancellation [phi(X)]
+    without its last B letters is a prefix of [phi(X.Y_j)] = P_{j+1} for
+    every such j, and so is returned too.  The ray keeps [phi(W[:i])] for a
+    scan position i <= c and returns its letters past c but before its
+    last B, mapping chunks of W[i:c] through `Endomorphism.apply`, none
+    longer than the letters still missing.  Prefixes of every late iterate
+    are prefixes of the ray, so these are the letters blocks would return.
+
+    The rule falls back on the block path where a scan one letter at a time
+    would: at i = c, when no [phi(W[:i'])], i' <= c, is longer than c + B.
+    The chunk ends may pass over such an i', so at i = c the ray walks back
+    through the image table.  For i'' <= i', W[:i''].W[i'':i'] is reduced,
+    so |[phi(W[:i''])]| <= |[phi(W[:i'])]| + B, and the walk stops at the
+    first image no longer than c; each image less its last B letters is a
+    prefix of [phi(W[:c])], so what the walk finds is read off that.  The
+    block path is then asked for c + 1 letters.  Where requests fall so
+    changes neither the letters returned nor what the block path is asked
+    for, and that is never more than the letters requested: a request
+    raises DegenerateRay only where growing by blocks alone would.
     """
 
     def __init__(self, seed: Word, endo: Endomorphism):
@@ -140,6 +166,11 @@ class MorphicRay:
         self._certified = 0
         self._open: Optional[int] = None  # certified count when the block began
         self._stalled = 0
+        # The returned letters W[:c], and [phi(W[:i])] for the i of them the
+        # image rule has scanned.
+        self._w: list[int] = []
+        self._si = 0
+        self._simg: list[int] = []
 
     def _spell(self, upto: int) -> None:
         """Spell the block from src[:upto] and move what it settles to the
@@ -212,23 +243,56 @@ class MorphicRay:
                                         "the ray settles too slowly")
             self._append_block()
 
+    def _grow(self, m: int) -> None:
+        """Return letters until m are held: by the image rule while its scan
+        trails them, from the block path once it has caught up."""
+        w, simg = self._w, self._simg
+        while len(w) < m:
+            if self._si < len(w):
+                end = min(len(w), self._si + m - len(w))
+                extend_reduced(simg, self.endo.apply(Word(tuple(w[self._si:end]))).letters)
+                self._si = end
+                settled = len(simg) - self._bound
+            else:
+                settled = self._longest_image() - self._bound
+                if settled <= len(w):
+                    self._ensure(len(w) + 1)
+                    w.extend(self._buf[len(w):self._certified])
+                    continue
+            w.extend(simg[len(w):max(len(w), settled)])
+
+    def _longest_image(self) -> int:
+        """max |[phi(W[:i])]| over the i <= c = len(W) that can exceed
+        c + B, once the scan has reached c: the images walked back from c
+        through the image table until one is no longer than c."""
+        c, w, table = len(self._w), self._w, self.endo.image_table
+        work = self._simg[:]
+        longest = len(work)
+        for i in range(c - 1, -1, -1):
+            if len(work) <= c:
+                break
+            extend_reduced(work, table[-w[i]])
+            longest = max(longest, len(work))
+        return longest
+
     def prefix(self, m: int, pre: Word = IDENTITY) -> Word:
         """The first m letters of the reduced ray pre.W, read off this ray's
-        own buffer: the last letters of pre that cancel against certified
+        returned letters: the last letters of pre that cancel against
         letters of W are absorbed first."""
         p = list(pre.letters)
+        w = self._w
         skip = 0
         while p:
-            self._ensure(skip + 1)
-            if p[-1] != -self._buf[skip]:
+            self._grow(skip + 1)
+            if p[-1] != -w[skip]:
                 break
             p.pop()
             skip += 1
         if m <= len(p):
             return Word(tuple(p[:m]))
         end = skip + m - len(p)
-        self._ensure(end)
-        return Word(tuple(p) + tuple(self._buf[skip:end]))
+        self._grow(end)
+        return Word(tuple(p) + tuple(w[skip:end]))
 
     def __repr__(self):
         return f"MorphicRay(seed={self.seed.letters})"
@@ -323,7 +387,7 @@ def equivalent_under(w, v: MorphicRay, fix_gens: Sequence[Word],
                      phi: Endomorphism, depth: int) -> Optional[Word]:
     """The first U in the <fix_gens> ball of radius `depth` with w = U.v on
     their first EQUIVALENCE_CAP letters, or None.  U.v is read off v's own
-    buffer; a ray that cannot be certified that far matches nothing."""
+    letters; a ray that cannot be certified that far matches nothing."""
     for g in fix_gens:
         if phi.apply(g) != g:
             raise ValueError(f"certificate invalid: generator not fixed: {g.letters}")

@@ -134,11 +134,9 @@ class Graph:
             at[self.origin(d)].append(d)
         return {v: tuple(ds) for v, ds in at.items()}
 
-    def darts_at(self, v: str, names: Optional[Iterable[str]] = None) -> tuple[Dart, ...]:
-        """Darts with origin v, in the order of `darts(names)`."""
-        if names is None:
-            return self._darts_at[v]
-        return tuple(d for d in self.darts(names) if self.origin(d) == v)
+    def darts_at(self, v: str) -> tuple[Dart, ...]:
+        """Darts with origin v, in the order of `darts()`."""
+        return self._darts_at[v]
 
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edge_ends)
@@ -268,12 +266,16 @@ class GraphMap:
         return table
 
     @cached_property
-    def fixed_darts(self) -> frozenset[Dart]:
-        """Darts fixed by the derivative map, the identity-edge convention
-        applied: a pointwise-fixed edge counts at its origin tip only."""
-        ident = self.identity_edges
-        return frozenset(d for d, dd in self.derivative_table.items()
-                         if dd == d and (d.fwd or d.name not in ident))
+    def fixed_darts(self) -> dict[str, tuple[Dart, ...]]:
+        """Darts fixed by the derivative map, by origin and in the order of
+        `Graph.darts()`, the identity-edge convention applied: a
+        pointwise-fixed edge counts at its origin tip only."""
+        ident, origin = self.identity_edges, self.graph.origin
+        at: dict[str, list[Dart]] = {}
+        for d, dd in self.derivative_table.items():
+            if dd == d and (d.fwd or d.name not in ident):
+                at.setdefault(origin(d), []).append(d)
+        return {v: tuple(ds) for v, ds in at.items()}
 
 
 def derivative(f: GraphMap, d: Dart) -> Optional[Dart]:
@@ -317,9 +319,11 @@ def fixed_vertices(f: GraphMap) -> list[str]:
 
 def fixed_directions(f: GraphMap, v: str, among: Optional[Iterable[str]] = None) -> list[Dart]:
     """Darts at v fixed by the derivative map, the identity-edge convention
-    applied (GraphMap.fixed_darts)."""
-    fixed = f.fixed_darts
-    return [d for d in f.graph.darts_at(v, among) if d in fixed]
+    applied (GraphMap.fixed_darts), in the order of `Graph.darts(among)`."""
+    fixed = f.fixed_darts.get(v, ())
+    if among is None or not fixed:
+        return list(fixed)
+    return [d for e in among for d in fixed if d.name == e]
 
 
 class NonIsolatedFixedSet(ValueError):
@@ -334,8 +338,10 @@ def interior_fixed_points(f: GraphMap) -> list[tuple[str, Fraction]]:
     The identity map has no isolated model and is rejected; a single
     pointwise-fixed edge inside a nontrivial map is handled by the perturbation
     convention and contributes nothing here.  A candidate t = p / q (q > 0)
-    is tested against 0 < t < 1 and j / k <= t <= (j + 1) / k by
-    cross-multiplying integers, and only a kept one becomes a Fraction.
+    is tested against 0 < t < 1 in integers, and only a kept one becomes a
+    Fraction.  It then lies in its dart's bracket j / k <= t <= (j + 1) / k:
+    - for t = j/(k-1) that reduces to j <= k - 1;
+    - for t = (j+1)/(k+1) it reduces to j <= k.
     """
     if f.is_identity():
         raise NonIsolatedFixedSet(next(iter(f.graph.edges)))
@@ -357,7 +363,7 @@ def interior_fixed_points(f: GraphMap) -> list[tuple[str, Fraction]]:
             else:
                 # k t - j = 1 - t
                 p, q = j + 1, k + 1
-            if 0 < p < q and j * q <= k * p <= (j + 1) * q:
+            if 0 < p < q:
                 spots.add(Fraction(p, q))
         found.extend((e, t) for t in sorted(spots))
     return found

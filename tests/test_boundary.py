@@ -285,10 +285,10 @@ class TestLazyAttraction:
         ray = MorphicRay(b2.parse("A"), phi)
         v = attraction_check(ray, phi)
         assert v.status == "inconclusive" and "neither" in v.reason
-        assert ray._certified <= 160
+        assert len(ray._w) <= 160
         eager = MorphicRay(b2.parse("A"), phi)
         assert (reference_attraction_check(eager, phi) == v
-                and eager._certified == 507)
+                and len(eager._w) == 507)
 
     def test_degenerate_past_the_window(self):
         # b.ray is not fixed by conj2, and that is seen within a few
@@ -375,6 +375,18 @@ class CountingRay(MorphicRay):
         assert self._img == list(self.endo.apply(x).letters)
 
 
+class BlockLog(MorphicRay):
+    """A MorphicRay that logs each letter count asked of the block path."""
+
+    def __init__(self, seed: Word, endo: Endomorphism):
+        super().__init__(seed, endo)
+        self.asked: list[int] = []
+
+    def _ensure(self, m: int) -> None:
+        self.asked.append(m)
+        super()._ensure(m)
+
+
 REDUCED2 = st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=4).map(
     word).filter(lambda w: not w.is_identity)
 
@@ -426,12 +438,13 @@ class TestExactness:
     def test_growth_is_lazy(self, monkeypatch):
         # Appending every block in full would apply 340 letters and buffer
         # 683 here: the last block is as long as all the others together.
+        # The image rule maps 115 returned letters to reach 232.
         seen = apply_budget(monkeypatch, 10 ** 6)
         ray = MorphicRay(b2.parse("B"), jiang)
         seen[0] = 0
         ray.prefix(200)
-        assert seen[0] <= 174
-        assert len(ray._buf) <= 346
+        assert seen[0] <= 115
+        assert len(ray._w) <= 232
 
     @settings(max_examples=200, deadline=None)
     @given(REDUCED2, REDUCED2)
@@ -439,7 +452,10 @@ class TestExactness:
     def test_certified_letters_are_final(self, im_a, im_b):
         # Every returned prefix is a prefix of [phi^k(e)] for the last three
         # iterates computed by brute force, all beyond the iterate the ray
-        # is building, and the buffer is a prefix of that iterate.
+        # is building, and the buffer is a prefix of that iterate.  Past the
+        # block path's own count, letters come from the image rule, each
+        # round of which settles them one iterate later; they are compared
+        # as far as the last three iterates agree.
         phi = Endomorphism(b2, (im_a, im_b))
         if not phi.is_injective():
             return
@@ -450,7 +466,7 @@ class TestExactness:
             seed = Word((x,))
             ray = CountingRay(seed, phi)
             reference = _iterates(seed, phi, 6000, 300)
-            for m in (1, 6, 24, 60):
+            for m in (1, 6, 24, 60, 150, 300):
                 try:
                     letters = ray.prefix(m).letters
                 except DegenerateRay:
@@ -459,8 +475,34 @@ class TestExactness:
                 if ray.blocks + 3 >= len(reference):
                     break           # the brute force does not reach past it
                 assert reference[ray.blocks][:len(ray._buf)] == tuple(ray._buf)
+                if any(late[:m] != reference[-1][:m] for late in reference[-3:-1]):
+                    break           # nor has it settled this far
                 for late in reference[-3:]:
                     assert late[:m] == letters
+
+    @settings(max_examples=200, deadline=None)
+    @given(REDUCED2, REDUCED2)
+    @example(word([1, 2]), word([-1, -1, -2, -1]))   # a chunk end misses letters
+    def test_blocks_are_asked_alike_however_requests_are_split(self, im_a, im_b):
+        # The image rule falls back on blocks where scanning one letter at a
+        # time would, whatever chunks the requests cut its scan into.
+        phi = Endomorphism(b2, (im_a, im_b))
+        if not phi.is_injective():
+            return
+        for x in (1, -1, 2, -2):
+            img = phi.letter_image(x)
+            if len(img) < 2 or img[0] != x:
+                continue
+            asked = []
+            for steps in ((300,), (1, 6, 24, 60, 150, 300), (7, 300)):
+                ray = BlockLog(Word((x,)), phi)
+                try:
+                    for m in steps:
+                        ray.prefix(m)
+                except DegenerateRay:
+                    pass
+                asked.append(ray.asked)
+            assert asked[1] == asked[0] == asked[2]
 
     @settings(max_examples=200, deadline=None)
     @given(REDUCED2, REDUCED2)

@@ -212,6 +212,22 @@ class TestFixedData:
     def test_identity_edge_counts_once(self):
         assert fixed_directions(ex2, "*", ["a1"]) == [Dart("a1", True)]
 
+    def test_matches_a_scan_of_every_dart(self):
+        # The darts of darts(among) at v whose derivative fixes them, an
+        # identity edge at its origin tip only, in that order.
+        gen = random_injective_endos(2, 4, seed=3)
+        for _ in range(150):
+            f = rose_map(next(gen))
+            if not f.is_identity():
+                f, _ = subdivided_fixed_map(f)
+            g = f.graph
+            ident = f.identity_edges
+            for among in (None, g.edges, g.edges[::-1], g.edges[1::2]):
+                for v in g.vertices:
+                    expect = [d for d in g.darts(among) if g.origin(d) == v
+                              and derivative(f, d) == d and (d.fwd or d.name not in ident)]
+                    assert fixed_directions(f, v, among) == expect
+
 
 class TestInteriorFixedPoints:
     def test_jiang(self):

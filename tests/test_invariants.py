@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import apply_budget, class_of, endo, rose
 from test_multivertex import theta_collapse, theta_fold, theta_swap
+from test_words import route_pairs
 from nielsenkit import invariants
 from nielsenkit.boundary import MorphicRay, attraction_check
 from nielsenkit.invariants import (
@@ -23,7 +24,7 @@ from nielsenkit.invariants import (
 )
 from nielsenkit.graphs import (any_route_endo, fixed_directions, fixed_vertices, marking,
                                 ray_images, subdivided_fixed_map)
-from nielsenkit.io import rose_map
+from nielsenkit.io import dump_report, rose_map
 from nielsenkit.rtt import StructureViolation
 from nielsenkit.sampling import random_injective_endos
 from nielsenkit.words import (
@@ -367,6 +368,28 @@ class TestRouteAnalysis:
             ]) + "\n")
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
         assert digest == "886c11d0dc1174b4e3a9c7d6d12b9d9fa75315e499fdf6bc8142a90b2a86e271"
+
+    @pytest.mark.parametrize("seed, pinned", [
+        (1, "2d3fb9befe8707ffc05910878886f2876248e27a5ff26774dc076fbd67b7835f"),
+        (2, "8bf2422ebac9a280e87ec207439be3fccedfae620588b36044dfb24989cfe8c2"),
+    ])
+    def test_route_reports_pinned(self, seed, pinned):
+        # The fields `nielsenkit route` prints that rays feed: rk, the
+        # generators, a, each attracting ray's 24-letter prefix and the
+        # constant-route witness of the first 150 route pairs of each seed.
+        docs = []
+        for phi, route in route_pairs(seed, 150):
+            rep = analyze_route(phi, route, 6)
+            fmt = phi.basis.format
+            docs.append(dump_report({
+                "rk": rep.rank_found,
+                "generators": [fmt(g) for g in rep.generators],
+                "a": rep.attract_found,
+                "attracting_prefixes": [fmt(r.prefix(24)) for r in rep.attracting],
+                "constant_route_witness": (
+                    None if rep.constant_witness is None else fmt(rep.constant_witness)),
+            }))
+        assert hashlib.sha256("".join(docs).encode()).hexdigest() == pinned
 
 
 class TestTheoremSuite:
