@@ -46,7 +46,7 @@ class DegenerateRay(ValueError):
 
 
 # Blocks in a row that may pass without certifying a letter before a ray is
-# given up.  A ray is also given up once a finished block is longer than
+# given up.  A ray is also given up once a block is longer than
 # 2**STALL_BLOCKS * (c + B + 1) letters, c the certified count and B the
 # fold count: a ray that certifies a letter every other block while its
 # blocks keep doubling would otherwise grow until memory runs out (the ray
@@ -79,33 +79,15 @@ class MorphicRay:
     letters a step (a -> ab, b -> b, c -> bcB, B = 3) never certifies.
     Such rays, and seeds whose iterates never settle, raise DegenerateRay
     once STALL_BLOCKS blocks in a row certified nothing.  So does a ray
-    whose finished block is longer than 2**STALL_BLOCKS * (c + B + 1)
+    whose last block is longer than 2**STALL_BLOCKS * (c + B + 1)
     letters, c the certified count: it certifies too slowly for its growth
     to be worth following.
 
-    Growth is lazy in two ways, and neither changes what is computed.
-
-    The last block is spelled only as far as its junction with the buffer.
-    phi^k(u) = [phi(Q)] is built from chunks of Q = phi^(k-1)(u) passed to
-    `Endomorphism.apply`.  For a prefix Q' of Q, Q'.Q'' is reduced, so
-    [phi(Q')] without its last B letters is a prefix of [phi(Q)] by bounded
-    cancellation; only those letters go to the buffer, which so holds
-    [P_k . S] for a prefix S of the block.  A reduced block cancels against
-    P_k only by a prefix of its own, so once one letter of S survives, no
-    later block letter cancels: `kept` is then what appending the whole
-    block gives, and the buffer is a prefix of P_{k+1}.  The rest of the
-    block is spelled only when the next block is needed.
-
-    Certification resumes instead of rescanning.  [phi(buf[:i])] is kept
-    across blocks with one undo record per scanned letter, and rolled back
-    to `kept` after each block; letters before `kept` are the same in P_k
-    and P_{k+1}, so the images of their prefixes are too.  The scan stops
-    as soon as the letters asked for are certified and resumes before the
-    next block is appended, so each block's whole kept range is scanned
-    before its stall count and its length check are decided.  `kept`, the
-    certified count and the stall count after each block are hence those of
-    appending each whole block and rescanning from the first letter, and so
-    is every prefix and DegenerateRay.
+    Blocks are whole: each is one `Endomorphism.apply` of the one before.
+    Letters before `kept` are the same in P_k and P_{k+1}, so [phi(buf[:i])]
+    is kept across blocks and its scan restarts at the first letter only
+    when a block cancels into letters it has read; the certified count and
+    the stall count after each block are hence those of a full rescan.
 
     Blocks only start the ray and restart it: the letters returned, W[:c],
     are one list, and between restarts it grows from its own image.  Every
@@ -149,22 +131,11 @@ class MorphicRay:
         self.endo = endo
         self._tail = tail
         self._buf: list[int] = list(seed.letters)
-        # The block phi^k(u) being appended, spelled as [phi(src[:pos])] from
-        # src = phi^(k-1)(u) (None before the first block, which is u), the
-        # number of its letters moved to the buffer, and `kept`, None until
-        # the block has passed its junction with the buffer (0 before the
-        # first block).
-        self._src: Optional[tuple[int, ...]] = None
-        self._pos = 0
-        self._block: list[int] = []
-        self._moved = 0
-        self._kept: Optional[int] = 0
-        # [phi(buf[:i])] for the i scanned letters, and (letter, cancelled)
-        # for each of them to undo its step.
+        self._block: Optional[Word] = None   # the last block appended
+        # [phi(buf[:i])] for the i scanned letters.
         self._img: list[int] = []
-        self._undo: list[tuple[int, int]] = []
+        self._scanned = 0
         self._certified = 0
-        self._open: Optional[int] = None  # certified count when the block began
         self._stalled = 0
         # The returned letters W[:c], and [phi(W[:i])] for the i of them the
         # image rule has scanned.
@@ -172,75 +143,31 @@ class MorphicRay:
         self._si = 0
         self._simg: list[int] = []
 
-    def _spell(self, upto: int) -> None:
-        """Spell the block from src[:upto] and move what it settles to the
-        buffer, fixing `kept` once a block letter survives the junction."""
-        if upto > self._pos:
-            chunk = self.endo.apply(Word(self._src[self._pos:upto]))
-            extend_reduced(self._block, chunk.letters)
-            self._pos = upto
-        done = upto == len(self._src)
-        end = len(self._block) if done else len(self._block) - self._bound
-        if end > self._moved:
-            new = self._block[self._moved:end]
-            self._moved = end
-            if self._kept is None:
-                survived = len(new) - extend_reduced(self._buf, new)
-                if survived:
-                    self._kept = len(self._buf) - survived
-            else:
-                self._buf.extend(new)
-        if done and self._kept is None:
-            self._kept = len(self._buf)
-
     def _append_block(self) -> None:
-        if self._src is None:
-            self._src, self._block = (), list(self._tail.letters)
-        else:
-            self._src, self._block = tuple(self._block), []
-        self._pos = self._moved = 0
-        self._kept = None
-        step = self._bound + 1
-        while self._kept is None:
-            self._spell(min(len(self._src), self._pos + step))
-            step *= 2
-        table, img, undo = self.endo.image_table, self._img, self._undo
-        while len(undo) > self._kept:
-            x, cancelled = undo.pop()
-            im = table[x]
-            del img[len(img) - len(im) + cancelled:]
-            img.extend(-y for y in reversed(im[:cancelled]))
-        self._open = self._certified
-
-    def _scan(self, m: int) -> None:
-        """Scan the kept letters until m of them are certified."""
-        buf, img, undo, table = self._buf, self._img, self._undo, self.endo.image_table
-        bound, i = self._bound, len(undo)
-        while i < self._kept:
-            x = buf[i]
-            undo.append((x, extend_reduced(img, table[x])))
-            i += 1
-            if len(img) >= i + bound:
-                self._certified = i
-                if i >= m:
-                    return
+        """Append the next block, P_k -> P_{k+1}, and scan the letters it
+        keeps: certify what they can and count a stall if none is."""
+        self._block = self._tail if self._block is None else self.endo.apply(self._block)
+        buf, table, bound = self._buf, self.endo.image_table, self._bound
+        kept = len(buf) - extend_reduced(buf, self._block.letters)
+        if kept < self._scanned:
+            self._img, self._scanned = [], 0
+        img, before = self._img, self._certified
+        for i in range(self._scanned, kept):
+            extend_reduced(img, table[buf[i]])
+            if len(img) > i + bound:
+                self._certified = i + 1
+        self._scanned = kept
+        self._stalled = 0 if self._certified > before else self._stalled + 1
 
     def _ensure(self, m: int) -> None:
         while self._certified < m:
-            if len(self._undo) < self._kept:
-                self._scan(m)
-                continue
-            if self._open is not None:   # the block's kept range is scanned
-                self._stalled = 0 if self._certified > self._open else self._stalled + 1
-                self._open = None
             if self._stalled >= STALL_BLOCKS:
                 raise DegenerateRay(
                     f"no letter certified in {STALL_BLOCKS} blocks; seed does not converge")
-            if self._src is not None:
-                self._spell(len(self._src))   # finish the block: buf = P_{k+1}
-                if len(self._block) > (self._certified + self._bound + 1) << STALL_BLOCKS:
-                    raise DegenerateRay("a block outgrew the certified letters; "
-                                        "the ray settles too slowly")
+            if self._block is not None and (
+                    len(self._block) > (self._certified + self._bound + 1) << STALL_BLOCKS):
+                raise DegenerateRay("a block outgrew the certified letters; "
+                                    "the ray settles too slowly")
             self._append_block()
 
     def _grow(self, m: int) -> None:

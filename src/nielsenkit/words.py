@@ -70,9 +70,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple(-x for x in reversed(self.letters)))
 
-    def prefix(self, m: int) -> "Word":
-        return Word(self.letters[:m])
-
     @property
     def is_identity(self) -> bool:
         return not self.letters

@@ -1,11 +1,13 @@
+import hashlib
 import itertools
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import apply_budget, endo
-from test_words import route_pairs
+from test_words import enumerate_words, route_pairs
 from nielsenkit import boundary
 from nielsenkit.boundary import (
     AttractionVerdict,
@@ -138,8 +140,8 @@ class TestLeftMultiply:
         phi = {"jiang": jiang, "conj2": conj2}[name]
         ray = MorphicRay(b2.parse("B"), phi)
         for m in ms:
-            expected = word(u.letters + ray.prefix(m + len(u)).letters).prefix(m)
-            assert ray.prefix(m, pre=u) == expected
+            expected = word(u.letters + ray.prefix(m + len(u)).letters).letters[:m]
+            assert ray.prefix(m, pre=u).letters == expected
 
     def test_ray_deep_cancellation(self):
         ray = MorphicRay(b2.parse("B"), conj2)   # starts B A b ...
@@ -360,18 +362,23 @@ def _iterates(seed: Word, phi: Endomorphism, max_len: int, max_steps: int) -> li
 
 
 class CountingRay(MorphicRay):
-    """A MorphicRay that counts the blocks it has begun, after k of which
-    its buffer is a prefix of [phi^k(e)], and the scans it rolled back; after
-    each block it checks that the scan holds [phi(X)] for the X scanned."""
+    """A MorphicRay that counts the blocks it has appended, after k of which
+    its buffer is [phi^k(e)], and the scans a block made restart; it logs
+    (certified, stalled) after each block, and checks that the scan then
+    holds [phi(X)] for the X scanned."""
 
-    blocks = rollbacks = 0
+    def __init__(self, seed: Word, endo: Endomorphism):
+        super().__init__(seed, endo)
+        self.blocks = self.restarts = 0
+        self.states: list[tuple[int, int]] = []
 
     def _append_block(self) -> None:
-        scanned = len(self._undo)
-        self.blocks += 1
+        scanned = self._buf[:self._scanned]
         super()._append_block()
-        self.rollbacks += scanned > self._kept
-        x = Word(tuple(self._buf[:len(self._undo)]))
+        self.blocks += 1
+        self.restarts += self._buf[:len(scanned)] != scanned
+        self.states.append((self._certified, self._stalled))
+        x = Word(tuple(self._buf[:self._scanned]))
         assert self._img == list(self.endo.apply(x).letters)
 
 
@@ -426,17 +433,17 @@ class TestExactness:
         with pytest.raises(DegenerateRay):
             MorphicRay(b2.parse("a"), endo(2, "ab", "ab"))
 
-    def test_scan_rolls_back_to_kept(self):
+    def test_scan_restarts_when_a_block_cancels_into_it(self):
         # a -> aBAb, b -> BAb: the iterates of a are aBAb, aBabABAb,
         # aaBAbABaab...; the third block keeps one of the two letters the
-        # second let the scan read, so the scan is undone to that one.
+        # second let the scan read, so the scan starts again at the first.
         ray = CountingRay(b2.parse("a"), endo(2, "aBAb", "BAb"))
-        with pytest.raises(DegenerateRay):
+        with pytest.raises(DegenerateRay, match="^no letter certified in 8 blocks"):
             ray.prefix(1)
-        assert ray.rollbacks > 0
+        assert ray.restarts > 0
 
     def test_growth_is_lazy(self, monkeypatch):
-        # Appending every block in full would apply 340 letters and buffer
+        # Growing by whole blocks alone would apply 340 letters and buffer
         # 683 here: the last block is as long as all the others together.
         # The image rule maps 115 returned letters to reach 232.
         seen = apply_budget(monkeypatch, 10 ** 6)
@@ -452,10 +459,10 @@ class TestExactness:
     def test_certified_letters_are_final(self, im_a, im_b):
         # Every returned prefix is a prefix of [phi^k(e)] for the last three
         # iterates computed by brute force, all beyond the iterate the ray
-        # is building, and the buffer is a prefix of that iterate.  Past the
-        # block path's own count, letters come from the image rule, each
-        # round of which settles them one iterate later; they are compared
-        # as far as the last three iterates agree.
+        # has reached, and the buffer is that iterate.  Past the block
+        # path's own count, letters come from the image rule, each round of
+        # which settles them one iterate later; they are compared as far as
+        # the last three iterates agree.
         phi = Endomorphism(b2, (im_a, im_b))
         if not phi.is_injective():
             return
@@ -474,7 +481,7 @@ class TestExactness:
                 assert len(letters) == m
                 if ray.blocks + 3 >= len(reference):
                     break           # the brute force does not reach past it
-                assert reference[ray.blocks][:len(ray._buf)] == tuple(ray._buf)
+                assert reference[ray.blocks] == tuple(ray._buf)
                 if any(late[:m] != reference[-1][:m] for late in reference[-3:-1]):
                     break           # nor has it settled this far
                 for late in reference[-3:]:
@@ -528,3 +535,117 @@ class TestExactness:
                     assert fresh is None
                     break
                 assert letters == fresh
+
+    @settings(max_examples=200, deadline=None)
+    @given(REDUCED2, REDUCED2)
+    @example(word([1, -2, -1, 2]), word([-2, -1, 2]))   # a block restarts the scan
+    @example(word([1, -2]), word([-2, -2]))             # never settles: stalls
+    @example(word([1, 2]), word([-2, -2, -2, -2]))      # a block just outgrows its letters
+    def test_block_path_matches_brute_force(self, im_a, im_b):
+        # After each block the certified and stall counts are those of the
+        # whole iterate rescanned from its first letter, and the block path
+        # gives up where that reference does, with the same message.
+        phi = Endomorphism(b2, (im_a, im_b))
+        if not phi.is_injective():
+            return
+        for x in (1, -1, 2, -2):
+            img = phi.letter_image(x)
+            if len(img) < 2 or img[0] != x:
+                continue
+            ray = CountingRay(Word((x,)), phi)
+            reference = ReferenceBlocks(Word((x,)), phi)
+            for m in (1, 6, 24, 60, 150):
+                try:
+                    ray._ensure(m)
+                    error = None
+                except DegenerateRay as e:
+                    error = str(e)
+                assert reference.ensure(m) == error
+                assert ray.states == reference.states
+                if error:
+                    break
+
+
+class ReferenceBlocks:
+    """The block path by brute force: P_(k+1) = [phi(P_k)] with phi applied
+    to the whole iterate, `kept` the letters of P_k that survive in it, and
+    the certified count max{i <= kept : |[phi(P_(k+1)[:i])]| >= i + B}, the
+    images of all prefixes taken afresh after each block."""
+
+    def __init__(self, seed: Word, phi: Endomorphism):
+        self.phi, self.bound = phi, phi.fold_count()
+        self.iterate = seed.letters
+        self.block = None           # the length of the last block
+        self.certified = self.stalled = 0
+        self.states: list[tuple[int, int]] = []
+
+    def step(self) -> None:
+        before, after = self.iterate, self.phi.apply(Word(self.iterate)).letters
+        kept = 0
+        while kept < min(len(before), len(after)) and before[kept] == after[kept]:
+            kept += 1
+        img: list[int] = []
+        certified = 0
+        for i, x in enumerate(after[:kept], 1):
+            for y in self.phi.letter_image(x):
+                if img and img[-1] == -y:
+                    img.pop()
+                else:
+                    img.append(y)
+            if len(img) >= i + self.bound:
+                certified = i
+        self.stalled = 0 if certified > self.certified else self.stalled + 1
+        self.iterate, self.certified = after, certified
+        self.block = len(before) + len(after) - 2 * kept
+        self.states.append((certified, self.stalled))
+
+    def ensure(self, m: int) -> Optional[str]:
+        """Grow until m letters are certified; the give-up message, if any."""
+        while self.certified < m:
+            if self.stalled >= 8:
+                return "no letter certified in 8 blocks; seed does not converge"
+            if self.block is not None and self.block > 256 * (self.certified + self.bound + 1):
+                return "a block outgrew the certified letters; the ray settles too slowly"
+            self.step()
+        return None
+
+
+def test_rank2_ray_outputs_are_pinned():
+    # Every ray from a letter x with phi(x) = x.u, u nonempty, of every
+    # injective rank-2 map with images of at most 3 letters: its first 120
+    # letters asked at once and in steps, each DegenerateRay message, and
+    # its attraction verdict.  The digest was recorded before blocks were
+    # appended whole, when the last block was spelled lazily.
+    h = hashlib.sha256()
+    outcomes: dict[str, int] = {}
+    for ims in itertools.product(list(enumerate_words(2, 3)), repeat=2):
+        phi = Endomorphism(b2, ims)
+        if not phi.is_injective():
+            continue
+        for x in (1, -1, 2, -2):
+            img = phi.letter_image(x)
+            if len(img) < 2 or img[0] != x:
+                continue
+            seed = Word((x,))
+            try:
+                out = repr(MorphicRay(seed, phi).prefix(120).letters)
+                outcome = "ok"
+            except DegenerateRay as e:
+                out = outcome = "E" + str(e)
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+            h.update(out.encode())
+            ray = MorphicRay(seed, phi)
+            for m in (1, 6, 24, 60, 120):
+                try:
+                    h.update(repr(ray.prefix(m).letters).encode())
+                except DegenerateRay as e:
+                    h.update(("E" + str(e)).encode())
+                    break
+            v = attraction_check(MorphicRay(seed, phi), phi)
+            h.update(f"{v.status}|{v.reason}".encode())
+    assert outcomes == {
+        "ok": 2192,
+        "Eno letter certified in 8 blocks; seed does not converge": 152,
+        "Ea block outgrew the certified letters; the ray settles too slowly": 24,
+    }
+    assert h.hexdigest() == "cf9c962809fc1762a9c07becf04a9f44cb43e93c9c490002a4f947c6991520d5"
