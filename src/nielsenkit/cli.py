@@ -134,7 +134,7 @@ def cmd_route(args) -> int:
     else:
         bounds = "pass" if 0 <= ichr <= 1 else "inconclusive"
     data = {
-        "route": args.word,
+        "route": phi.basis.format(w),
         "rk": rep.rank_found,
         "generators": [phi.basis.format(g) for g in rep.generators],
         "a": rep.attract_found,

@@ -380,47 +380,86 @@ def twisted_solutions(phi: Endomorphism, left: Word, right: Word,
     |L| <= depth + |right| and L, Q equal on their first min(|L|, |Q|)
     letters; when either fails the branch is cut.  A non-injective phi has no
     B, and fold_count raises ValueError.
+
+    Lemma (incremental prefix).  A letter of L matched against Q at u stays
+    matched at every descendant u.v.  L_u and L_{u.v} are both prefixes of
+    [left.phi(u.v)], since u.v is a reduced extension of u and of itself, so
+    they agree where both are defined, and Q_u is a prefix of Q_{u.v}.  So
+    each branch keeps how many letters are matched, the most of its own and
+    of its ancestors, and a child compares only the positions past that
+    count, which gives the cut above exactly.  L = [left.S] cancels only at
+    the junction, k <= |left| letters, so L is the first |left| - k letters
+    of left followed by S from its k-th letter on: past those, L[i] is
+    phi(u)[i + 2k - |left|].
+
+    A solution has |[left.phi(u)]| = |[u.right]|, and the two sides differ
+    from |phi(u)| and |u| by at most |left| and |right|, so u is compared
+    only when ||phi(u)| - |u|| <= |left| + |right|.  The empty word is never
+    cut, and solves exactly when left = right.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     bound = phi.fold_count()
     table = phi.image_table
     lt, rt = left.letters, right.letters
-    cap = depth + len(rt)
+    nl, nr = len(lt), len(rt)
+    cap = depth + nr
+    slack = nl + nr
 
-    def cut(u: tuple[int, ...], img: tuple[int, ...]) -> bool:
-        if len(img) - bound < len(lt):
-            return False
-        settled = img[:len(img) - bound]
-        if lt:
-            settled = reduce_letters(lt + settled)
-        m = min(len(settled), max(0, len(u) - len(rt)))
-        return len(settled) > cap or settled[:m] != u[:m]
-
-    def solves(u: tuple[int, ...], img: tuple[int, ...]) -> bool:
-        return ((reduce_letters(lt + img) if lt else img)
-                == (reduce_letters(u + rt) if rt else u))
-
-    if cut((), ()):
-        return
-    if solves((), ()):
+    if lt == rt:
         yield IDENTITY
     order = [s * i for i in range(1, phi.rank + 1) for s in (1, -1)]
-    level: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]  # (u, phi(u))
-    for _ in range(depth):
+    follow = {x: [y for y in order if y != -x] for x in order}
+    # (u, phi(u), how many letters of L and Q are known to agree)
+    level: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 0)]
+    for length in range(1, depth + 1):
+        q = length - nr  # |Q| of the children
         grown = []
-        for u, img in level:
-            for x in order:
-                if u and u[-1] == -x:
-                    continue
-                letters = list(img)
-                extend_reduced(letters, table[x])
-                v, img_v = u + (x,), tuple(letters)
-                if cut(v, img_v):
-                    continue
-                if solves(v, img_v):
+        for u, img, done in level:
+            for x in follow[u[-1]] if u else order:
+                ix = table[x]
+                if img and img[-1] == -ix[0]:
+                    j, n = 1, min(len(img), len(ix))
+                    while j < n and img[-1 - j] == -ix[j]:
+                        j += 1
+                    img_v = img[:len(img) - j] + ix[j:]
+                else:
+                    img_v = img + ix
+                v = u + (x,)
+                matched = done
+                settled = len(img_v) - bound  # |S|
+                if settled >= nl:
+                    # |L|, the letters of left leading it, and phi(u)'s offset
+                    size, lead, shift = settled, 0, 0
+                    if nl:
+                        k = 0
+                        while k < nl and lt[-1 - k] == -img_v[k]:
+                            k += 1
+                        lead, shift = nl - k, 2 * k - nl
+                        size -= shift
+                    if size > cap:
+                        continue
+                    m = size if size < q else q
+                    if m > done:
+                        lo = done
+                        if lo < lead:
+                            hi = lead if lead < m else m
+                            if lt[lo:hi] != v[lo:hi]:
+                                continue
+                            lo = hi
+                        if m == lo + 1:
+                            if img_v[lo + shift] != v[lo]:
+                                continue
+                        elif lo < m and img_v[lo + shift:m + shift] != v[lo:m]:
+                            continue
+                        matched = m
+                if slack:
+                    if (-slack <= len(img_v) - length <= slack
+                            and reduce_letters(lt + img_v) == reduce_letters(v + rt)):
+                        yield Word(v)
+                elif img_v == v:
                     yield Word(v)
-                grown.append((v, img_v))
+                grown.append((v, img_v, matched))
         level = grown
 
 

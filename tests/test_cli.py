@@ -225,6 +225,15 @@ class TestCommands:
         assert data["generators"] == ["abAB"]
         assert data["probably_empty_to_depth"] is True
 
+    def test_route_prints_the_reduced_word(self, corpus_dir, capsys):
+        # aA reduces to the empty route, and the report names that route
+        path = str(corpus_dir / "ex6_3.json")
+        code, data = run(capsys, "route", "--word", "aA", path)
+        assert code == 0 and data["route"] == ""
+        assert (code, data) == run(capsys, "route", "--word", "", path)
+        code, data = run(capsys, "route", "--word", " a b ", path)
+        assert code == 0 and data["route"] == "ab"
+
     def test_lefschetz(self, corpus_dir, capsys):
         code, data = run(capsys, "lefschetz", str(corpus_dir / "ex6_4.json"))
         assert code == 0 and data["lefschetz"] == 0 and data["trace"] == 1

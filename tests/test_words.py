@@ -436,6 +436,52 @@ def assert_search_exact(phi, route, depth):
     assert (r.found, r.witness) == (bool(moves), moves[0] if moves else None)
 
 
+class LookupLog(dict):
+    """An image table that logs every letter looked up in it: the search
+    looks up one letter image per branch it visits."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.log = []
+
+    def __getitem__(self, x):
+        self.log.append(x)
+        return super().__getitem__(x)
+
+
+def reference_cut(phi, left, right, depth, u):
+    """The cut of the `twisted_solutions` docstring, decided from scratch."""
+    bound = phi.fold_count()
+    img = phi.apply(Word(u)).letters
+    if len(img) - bound < len(left):
+        return False
+    settled = (left * Word(img[:len(img) - bound])).letters
+    m = min(len(settled), max(0, len(u) - len(right)))
+    return len(settled) > depth + len(right) or settled[:m] != u[:m]
+
+
+def reference_visits(phi, left, right, depth):
+    """The letters of the branches the pruned search must visit, in order:
+    the children of every branch kept at lengths < depth."""
+    order = [s * i for i in range(1, phi.rank + 1) for s in (1, -1)]
+    visits, level = [], [()]
+    for _ in range(depth):
+        children = [u + (x,) for u in level for x in order if not u or u[-1] != -x]
+        visits += [v[-1] for v in children]
+        level = [v for v in children if not reference_cut(phi, left, right, depth, v)]
+    return visits
+
+
+def assert_visits_exact(phi, left, right, depth):
+    """The search visits exactly the branches the from-scratch cut keeps, so
+    no cut is weaker or stronger than the docstring's; returns its words."""
+    logged = Endomorphism(phi.basis, phi.images)
+    log = logged.__dict__["image_table"] = LookupLog(phi.image_table)
+    found = list(twisted_solutions(logged, left, right, depth))
+    assert log.log == reference_visits(phi, left, right, depth)
+    return found
+
+
 class TestTwistedSearchExact:
     """The pruned search against the unpruned reference enumeration."""
 
@@ -495,6 +541,50 @@ class TestTwistedSearchExact:
         found = list(twisted_solutions(phi, left, right, 4))
         assert found == [b2.parse(u) for u in solutions]
         assert found == reference_solutions(phi, left, right, 4)
+
+
+class TestTwistedSearchVisits:
+    """The pruned search visits and cuts the branches its docstring names."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_rank_three_maps(self, seed):
+        rng = random.Random(seed)
+        gen = random_injective_endos(3, 3, seed)
+        for _ in range(30):
+            phi = next(gen)
+            letter = Word((rng.choice([1, -1, 2, -2, 3, -3]),))
+            for route in (IDENTITY, letter):
+                assert_search_exact(phi, route, 5)
+                assert_visits_exact(phi.inner_twist(route), IDENTITY, IDENTITY, 5)
+                assert_visits_exact(phi, IDENTITY, route, 5)
+
+    def test_both_sides_nonempty(self):
+        rng = random.Random(11)
+        for phi, route in route_pairs(4, 120):
+            other = word(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(1, 3)))
+            if route.is_identity or other.is_identity:
+                continue
+            moves = reference_solutions(phi, other, route, 5)
+            assert assert_visits_exact(phi, other, route, 5) == moves
+            r = route_equivalent(route, other, phi, 5)
+            assert (r.found, r.witness) == (bool(moves), moves[0] if moves else None)
+
+    def test_shrinking_settled_prefix_keeps_its_matches(self):
+        # a -> A, b -> Abb, B = 1.  At u = B, phi(u) = BBa settles L = BB
+        # against Q = B: one letter matched.  phi(Ba) = BB cancels more than
+        # it adds, so its L = B is shorter than its parent's.  The second B
+        # of the parent's L still holds for every descendant, and Bab, with
+        # L = BBAb, is cut at that position.
+        phi = endo(2, "A", "Abb")
+        assert phi.fold_count() == 1
+        assert phi.apply(b2.parse("Ba")) == b2.parse("BB")
+        assert phi.apply(b2.parse("Bab")) == b2.parse("BBAbb")
+        for depth in (3, 4, 5):
+            kept = [not reference_cut(phi, IDENTITY, IDENTITY, depth, b2.parse(u).letters)
+                    for u in ("B", "Ba", "Bab")]
+            assert kept == [True, True, False]
+            assert (assert_visits_exact(phi, IDENTITY, IDENTITY, depth)
+                    == reference_solutions(phi, IDENTITY, IDENTITY, depth))
 
 
 class TestRouteEquivalent:
