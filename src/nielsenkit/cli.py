@@ -55,12 +55,11 @@ def _verdict_exit(verdicts: dict[str, str]) -> int:
 
 def cmd_validate(args) -> int:
     f, _ = load_instance(args.input)
-    phi = any_route_endo(f)
     data = {
         "valid": True,
         "connected": f.graph.is_connected(),
         "euler_characteristic": f.graph.euler_characteristic(),
-        "pi1_injective": phi.is_injective(),
+        "pi1_injective": f.is_injective(),
     }
     _emit(data, args.out)
     return PASS if data["pi1_injective"] else ERROR
@@ -156,7 +155,7 @@ def cmd_route(args) -> int:
 
 def cmd_lefschetz(args) -> int:
     f, _ = load_instance(args.input)
-    lef, tr = lefschetz_number(any_route_endo(f))
+    lef, tr = lefschetz_number(f)
     _emit({"lefschetz": lef, "trace": tr,
            "chi": f.graph.euler_characteristic()}, args.out)
     return PASS

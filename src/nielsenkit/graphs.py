@@ -189,7 +189,8 @@ class GraphMap:
     def cancellation_bound(self) -> int:
         """Bounded cancellation constant C: whenever P and Q are tight paths
         with P.Q tight, at most C darts of [f(P)] cancel against [f(Q)] when
-        [f(P)][f(Q)] is tightened.  Valid only when f is pi1-injective.
+        [f(P)][f(Q)] is tightened.  Defined only when f is pi1-injective;
+        ValueError otherwise, as Endomorphism.fold_count.
 
         C is the number of Stallings folds (Stallings, Invent. Math. 71, 1983)
         of G', the graph obtained by subdividing each edge e into |f(e)|
@@ -205,20 +206,40 @@ class GraphMap:
         edge at a junction of the image of a tight path, and the immersion
         cancels none.  a -> aa folds nothing, so C = 0.  C is at most
         V(G') - 1 = sum_e |f(e)| - rank(pi1 G), as each fold removes a vertex.
+
+        Conversely the same fold decides injectivity (is_injective): f is
+        pi1-injective iff rank(Gamma) = E - V + 1 of Gamma equals rank(pi1 G).
+        G -> G' and each fold are onto on pi1 and the immersion is injective,
+        so pi1(Gamma) is the image of f_*, and f_* maps pi1 G onto a free
+        group of rank(Gamma); a free group of finite rank is Hopfian, so f_*
+        is injective iff the two ranks agree.  The rank drops exactly where
+        a contracted edge closes a loop or a fold identifies two edges whose
+        far ends are already one vertex.
         """
-        return self._fold_count
+        injective, count = self._fold
+        if not injective:
+            raise ValueError("cancellation is unbounded for non-injective maps")
+        return count
+
+    def is_injective(self) -> bool:
+        """Whether f is injective on the fundamental group of its connected
+        graph, by the fold of cancellation_bound (see its docstring)."""
+        return self._fold[0]
 
     @cached_property
-    def _fold_count(self) -> int:
-        """E(G') - E(Gamma) for cancellation_bound: G' is each edge's image
-        path between its ends, in dart codes, folded by stallings_fold."""
+    def _fold(self) -> tuple[bool, int]:
+        """(rank(Gamma) == rank(pi1 G), E(G') - E(Gamma)) for
+        cancellation_bound and is_injective: G' is each edge's image path
+        between its ends, in dart codes, folded by stallings_fold."""
         g = self.graph
         vid = {v: i for i, v in enumerate(g.vertices)}
         imgs = self.image_table
         paths = [(vid[u], imgs[k], vid[v])
                  for k, (u, v) in enumerate(g.edge_ends.values(), start=1)]
-        out, _ = stallings_fold(len(vid), paths)
-        return sum(len(p) for _, p, _ in paths) - sum(map(len, out)) // 2
+        out, states = stallings_fold(len(vid), paths)
+        edges = sum(map(len, out)) // 2
+        return (edges - states == len(g.edge_ends) - len(vid),
+                sum(len(p) for _, p, _ in paths) - edges)
 
     def validate(self) -> None:
         g = self.graph

@@ -56,7 +56,6 @@ from .words import (
     IDENTITY,
     Word,
     fold_words,
-    matrix_trace,
     route_equivalent,
     twisted_solutions,
 )
@@ -147,13 +146,19 @@ def local_index(f: GraphMap, members: Sequence[str]) -> int:
     return sum(1 - len(fixed_directions(f, v)) for v in members)
 
 
-def lefschetz_number(phi: Endomorphism) -> tuple[int, int]:
-    """(lefschetz, trace) of a selfmap, phi being an endomorphism it induces
-    on pi_1 along any route.  The trace on first homology does not depend on
-    the route, and it is a homotopy invariant, so a subdivision of the map has
-    the same one."""
-    tr = matrix_trace(phi.abelianization())
-    return 1 - tr, tr
+def lefschetz_number(f: GraphMap) -> tuple[int, int]:
+    """(lefschetz, trace) of a selfmap of a connected graph, by the Hopf trace
+    formula over cells (Jiang, Lectures on Nielsen Fixed Point Theory,
+    Contemp. Math. 14, 1983): L(f) = tr(f#|C0) - tr(f#|C1), where tr(f#|C0)
+    counts the fixed vertices and tr(f#|C1) sums, over the edges e, the signed
+    occurrences of e in f(e).  The trace on H0 is 1, so the trace on first
+    homology is 1 - L; on a rose it is the trace of the abelianized
+    endomorphism.  Both are homotopy invariants, so a subdivision of the map
+    has the same ones."""
+    tr1 = sum(1 if d.fwd else -1
+              for e, p in f.edge_map.items() for d in p.darts if d.name == e)
+    lef = len(fixed_vertices(f)) - tr1
+    return lef, 1 - lef
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +348,13 @@ def analyze_route(phi: Endomorphism, route: Word, depth: int) -> RouteReport:
 def analyze(f: GraphMap, depth: int = DEPTH) -> Report:
     """Full invariant computation for a pi1-injective graph selfmap; depth caps
     the crossing-path search and the partition oracle."""
-    # Local: perfbench/spans.py hooks any_route_endo on graphs only.
-    from .graphs import any_route_endo
-
     f.validate()
     if not f.graph.is_connected():
         raise AnalysisError("graph must be connected")
     if not f.graph.edges:
         raise AnalysisError("graph must have at least one edge")
-    phi = any_route_endo(f)
-    if not phi.is_injective():
-        raise AnalysisError("selfmap is not injective on the fundamental group")
+    if f.graph.euler_characteristic() == 1:
+        raise AnalysisError("graph is a tree; its fundamental group is trivial")
     if f.is_identity():
         # Every point is fixed: one class, with no strata to fold.
         g, points, filt, infos, complete = f, [], None, [], True
@@ -364,6 +365,10 @@ def analyze(f: GraphMap, depth: int = DEPTH) -> Report:
         notes = ["identity map handled directly; every point is fixed"]
     else:
         g, points = subdivided_fixed_map(f)
+        # g is f up to the subdivision, so it has f's injectivity, and its
+        # fold is the one the crossing-path searches bound cancellation by.
+        if not g.is_injective():
+            raise AnalysisError("selfmap is not injective on the fundamental group")
         filt = derive_filtration(g)
         infos = [classify_stratum(g, filt, i) for i in range(filt.depth)]
         complete = all(i.stype != "unclassifiable" for i in infos)
@@ -422,7 +427,7 @@ def analyze(f: GraphMap, depth: int = DEPTH) -> Report:
 
     # The Lefschetz number is taken from the unsubdivided map, so
     # _check_theorems also covers the subdivision.
-    lef, tr = lefschetz_number(phi)
+    lef, tr = lefschetz_number(f)
     report = Report(
         chi=g.graph.euler_characteristic(),
         trace=tr,

@@ -199,15 +199,6 @@ class Endomorphism:
         ci = c.inverse()
         return Endomorphism(self.basis, tuple(c * im * ci for im in self.images))
 
-    def abelianization(self) -> list[list[int]]:
-        """M[j][i] = exponent sum of generator j+1 in the image of generator i+1."""
-        n = self.rank
-        mat = [[0] * n for _ in range(n)]
-        for i, im in enumerate(self.images):
-            for x in im.letters:
-                mat[abs(x) - 1][i] += 1 if x > 0 else -1
-        return mat
-
     def max_image_length(self) -> int:
         return max((len(im) for im in self.images), default=0)
 
@@ -245,10 +236,6 @@ def _fold_summary(phi: "Endomorphism") -> tuple[bool, int]:
         return False, 0
     g = phi.folded_image()
     return g.subgroup_rank() == phi.rank, g.edge_count()
-
-
-def matrix_trace(a: list[list[int]]) -> int:
-    return sum(a[i][i] for i in range(len(a)))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,24 @@ def compose(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:
     return Endomorphism(phi.basis, tuple(phi.apply(im) for im in psi.images))
 
 
+def abelianization(phi: Endomorphism) -> list[list[int]]:
+    """M[j][i] = exponent sum of generator j+1 in the image of generator i+1:
+    the action of phi on first homology, the reference for the program's
+    cellular trace, invariants.lefschetz_number."""
+    n = phi.rank
+    mat = [[0] * n for _ in range(n)]
+    for i, im in enumerate(phi.images):
+        for x in im.letters:
+            mat[abs(x) - 1][i] += 1 if x > 0 else -1
+    return mat
+
+
+def h1_trace(phi: Endomorphism) -> int:
+    """The trace of phi on first homology."""
+    mat = abelianization(phi)
+    return sum(mat[i][i] for i in range(len(mat)))
+
+
 class LetterBudget(Exception):
     pass
 

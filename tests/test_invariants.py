@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import apply_budget, class_of, endo, rose
-from test_multivertex import theta_collapse, theta_fold, theta_swap
+from conftest import apply_budget, class_of, endo, h1_trace, rose
+from test_multivertex import NON_INJECTIVE, theta_collapse, theta_fold, theta_swap
 from test_words import route_pairs
 from nielsenkit import invariants
 from nielsenkit.boundary import MorphicRay, attraction_check
@@ -26,7 +26,7 @@ from nielsenkit.graphs import (any_route_endo, fixed_directions, fixed_vertices,
                                 ray_images, subdivided_fixed_map)
 from nielsenkit.io import dump_report, rose_map
 from nielsenkit.rtt import StructureViolation
-from nielsenkit.sampling import random_injective_endos
+from nielsenkit.sampling import random_injective_endos, random_reduced_word
 from nielsenkit.words import (
     Endomorphism,
     IDENTITY,
@@ -180,9 +180,9 @@ class TestIndices:
         assert local_index(f, ["*"]) == -3
 
     def test_lefschetz_values(self):
-        assert lefschetz_number(endo(2, "A", "Abb"))[0] == 0
-        assert lefschetz_number(endo(2, "aa", "bb"))[0] == -3
-        assert lefschetz_number(endo(2, "a", "b"))[0] == -1
+        assert lefschetz_number(rose_map(endo(2, "A", "Abb")))[0] == 0
+        assert lefschetz_number(rose_map(endo(2, "aa", "bb")))[0] == -3
+        assert lefschetz_number(rose_map(endo(2, "a", "b")))[0] == -1
 
     @pytest.mark.parametrize("rank, max_len, count", [(2, 4, 300), (2, 8, 100), (3, 3, 100)])
     def test_subdivision_keeps_the_lefschetz_number(self, rank, max_len, count):
@@ -194,8 +194,7 @@ class TestIndices:
             if f.is_identity():
                 continue
             g, points = subdivided_fixed_map(f)
-            assert (lefschetz_number(any_route_endo(g))
-                    == lefschetz_number(any_route_endo(f))), f.edge_map
+            assert lefschetz_number(g) == lefschetz_number(f), f.edge_map
             subdivided += bool(points)
         assert subdivided > count // 4
 
@@ -203,6 +202,120 @@ class TestIndices:
         for images in [("a", "Bab"), ("A", "Abb"), ("b", "A"), ("a", "ba")]:
             rep = analyze_endomorphism(endo(2, *images))
             assert sum(c.index for c in rep.classes) == rep.lefschetz
+
+
+def random_rose_maps(rank: int, max_len: int, seed: int, count: int):
+    """Rose maps with random reduced images, unfiltered: some are not
+    injective on the fundamental group, and about one image in eight is
+    trivial."""
+    rng = random.Random(seed)
+    basis = default_basis(rank)
+    for _ in range(count):
+        yield rose_map(Endomorphism(basis, tuple(
+            IDENTITY if rng.random() < 0.125 else random_reduced_word(rng, rank, max_len)
+            for _ in range(rank))))
+
+
+def random_theta_maps(seed: int, count: int):
+    """Selfmaps of the theta graph u =p,q,r= v with random vertex images and
+    random tight edge images of up to 3 darts, trivial ones included,
+    unfiltered."""
+    from test_multivertex import THETA, graph_map
+
+    rng = random.Random(seed)
+    for _ in range(count):
+        vmap = {"u": rng.choice("uv"), "v": rng.choice("uv")}
+        images = {}
+        for e, (a, b) in THETA.items():
+            # Every dart crosses from one vertex to the other, so a walk of
+            # n darts ends where it began iff n is even.
+            n = rng.choice([n for n in range(4) if n % 2 == (vmap[a] != vmap[b])])
+            walk: list[str] = []
+            at = vmap[a]
+            for _ in range(n):
+                back = walk[-1][0] if walk else None
+                x = rng.choice([x for x in "pqr" if x != back])
+                walk.append(x if at == "u" else x + "-")
+                at = "v" if at == "u" else "u"
+            images[e] = walk or vmap[a]
+        yield graph_map(("u", "v"), THETA, vmap, images)
+
+
+def reference_maps():
+    """(name, map) pairs on which the fold and the cellular trace are checked
+    against the endomorphism any_route_endo builds: sampled injective roses
+    and their subdivisions, the theta maps, and unfiltered draws."""
+    for rank, max_len in [(2, 4), (3, 3)]:
+        for i, phi in enumerate(islice(random_injective_endos(rank, max_len, 1), 300)):
+            yield f"r{rank}<={max_len}#{i}", rose_map(phi)
+    for make in (theta_swap, theta_collapse, theta_fold):
+        yield make.__name__, make()
+    for name, make in NON_INJECTIVE.items():
+        yield name, make()
+    for i, f in enumerate(random_rose_maps(2, 3, 5, 300)):
+        yield f"raw-r2#{i}", f
+    for i, f in enumerate(random_rose_maps(3, 2, 6, 200)):
+        yield f"raw-r3#{i}", f
+    for i, f in enumerate(random_theta_maps(7, 300)):
+        yield f"raw-theta#{i}", f
+
+
+class TestGraphMapReferences:
+    """The fold's injectivity and the cellular Lefschetz number agree with
+    the endomorphism a map induces on pi_1, on each map and its subdivision."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        out = []
+        for name, f in reference_maps():
+            out.append((name, f))
+            if not f.is_identity():
+                g, points = subdivided_fixed_map(f)
+                if points:
+                    out.append((name + "/subdivided", g))
+        return out
+
+    def test_sample_has_both_kinds(self, cases):
+        injective = sum(f.is_injective() for _, f in cases)
+        assert 1500 < len(cases) and 100 < len(cases) - injective < injective
+        assert sum(name.endswith("/subdivided") for name, _ in cases) > 300
+        assert sum(name.startswith("raw-theta") and not f.is_injective()
+                   for name, f in cases) > 30
+
+    def test_injectivity_matches_the_endomorphism(self, cases):
+        for name, f in cases:
+            assert f.is_injective() == any_route_endo(f).is_injective(), name
+
+    def test_lefschetz_matches_the_h1_trace(self, cases):
+        for name, f in cases:
+            lef, tr = lefschetz_number(f)
+            assert (lef, tr) == (1 - tr, h1_trace(any_route_endo(f))), name
+
+    @pytest.mark.parametrize("make", [theta_fold, lambda: rose({"a": ["b", "a"], "b": ["b", "a", "b"]}),
+                                      NON_INJECTIVE["theta_squash"]])
+    def test_analyze_builds_no_endomorphism(self, monkeypatch, make):
+        # Injectivity and the Lefschetz number are read off the graph map.
+        from nielsenkit import graphs
+
+        f = make()
+
+        def refuse(*args):
+            raise AssertionError("analyze built a marking or an endomorphism")
+
+        monkeypatch.setattr(graphs, "marking", refuse)
+        monkeypatch.setattr(Endomorphism, "__post_init__", refuse)
+        try:
+            analyze(f)
+        except AnalysisError as exc:
+            assert not f.is_injective() and "not injective" in str(exc)
+
+    def test_cancellation_bound_only_when_injective(self, cases):
+        for name, f in cases:
+            if f.is_injective():
+                assert f.cancellation_bound() >= 0, name
+            else:
+                with pytest.raises(ValueError):
+                    f.cancellation_bound()
 
 
 class ProjectedRay:

@@ -6,10 +6,11 @@ import json
 
 import pytest
 
+from conftest import graph_map_to_json, h1_trace, rose
 from nielsenkit.cli import main
 from nielsenkit.graphs import (EdgePath, Graph, GraphMap, any_route_endo, parse_dart,
                                subdivided_fixed_map, trivial_path)
-from nielsenkit.invariants import analyze, lefschetz_number
+from nielsenkit.invariants import AnalysisError, analyze, lefschetz_number
 
 
 def theta_swap() -> GraphMap:
@@ -46,17 +47,88 @@ def theta_fold() -> GraphMap:
     return f
 
 
+def graph_map(vertices, ends, vmap, images) -> GraphMap:
+    """A graph map from edge ends (u, v) and dart-string images; an image
+    given as a vertex name is the trivial path there."""
+    f = GraphMap(Graph(vertices, ends), vmap, {
+        e: trivial_path(img) if isinstance(img, str)
+        else EdgePath(tuple(parse_dart(t) for t in img))
+        for e, img in images.items()})
+    f.validate()
+    return f
+
+
+THETA = {"p": ("u", "v"), "q": ("u", "v"), "r": ("u", "v")}
+
+
+def theta_squash() -> GraphMap:
+    """p and q both go to p: the fold identifies them, and their far ends
+    are already one vertex, so rank 2 drops to 1."""
+    return graph_map(("u", "v"), THETA, {"u": "u", "v": "v"},
+                     {"p": ["p"], "q": ["p"], "r": ["r"]})
+
+
+def trivial_loop() -> GraphMap:
+    """p and q from u to v both collapse to u, a loop with a trivial image;
+    the loop a at u stays."""
+    return graph_map(("u", "v"), {"a": ("u", "u"), "p": ("u", "v"), "q": ("u", "v")},
+                     {"u": "u", "v": "u"}, {"a": ["a", "a"], "p": "u", "q": "u"})
+
+
+# Maps that are not injective on the fundamental group, each for its own
+# reason: a fold between two petals, a petal with a trivial image, a fold
+# between two edges with the same ends, and collapsed edges closing a loop.
+NON_INJECTIVE = {
+    "rose_fold": lambda: rose({"a": ["a"], "b": ["a"]}),
+    "rose_trivial": lambda: rose({"e": []}),
+    "theta_squash": theta_squash,
+    "trivial_loop": trivial_loop,
+}
+
+
+def tree_map(identity: bool) -> GraphMap:
+    """A two-vertex tree, mapped by the identity or onto one vertex."""
+    return graph_map(("u", "v"), {"p": ("u", "v")}, {"u": "u", "v": "v" if identity else "u"},
+                     {"p": ["p"] if identity else "u"})
+
+
 class TestLefschetzOfSubdivision:
     @pytest.mark.parametrize("make", [theta_swap, theta_collapse, theta_fold])
     def test_subdivision_keeps_the_lefschetz_number(self, make):
-        # analyze checks the index sum of the subdivided map against L(f).
+        # analyze checks the index sum of the subdivided map against L(f),
+        # and L(f) is the H1 trace of any endomorphism f induces.
         f = make()
         g, points = subdivided_fixed_map(f)
         assert bool(points) == (make is theta_fold)
-        assert lefschetz_number(any_route_endo(g)) == lefschetz_number(any_route_endo(f))
+        lef, tr = lefschetz_number(f)
+        assert lefschetz_number(g) == (lef, tr) == (1 - tr, h1_trace(any_route_endo(f)))
         rep = analyze(f)
-        assert (rep.lefschetz, rep.trace) == lefschetz_number(any_route_endo(f))
+        assert (rep.lefschetz, rep.trace) == (lef, tr)
         assert sum(c.index for c in rep.classes) == rep.lefschetz
+
+
+class TestInjectivityGuards:
+    @pytest.mark.parametrize("name", sorted(NON_INJECTIVE))
+    def test_non_injective_rejected(self, name):
+        f = NON_INJECTIVE[name]()
+        assert not f.is_injective() and not any_route_endo(f).is_injective()
+        with pytest.raises(AnalysisError, match="not injective on the fundamental group"):
+            analyze(f)
+        with pytest.raises(ValueError, match="non-injective"):
+            f.cancellation_bound()
+
+    @pytest.mark.parametrize("name", sorted(NON_INJECTIVE))
+    def test_invariants_exits_2(self, tmp_path, capsys, name):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(graph_map_to_json(NON_INJECTIVE[name]())))
+        assert main(["invariants", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "not injective" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("identity", [False, True], ids=["collapse", "identity"])
+    def test_tree_rejected(self, identity):
+        with pytest.raises(AnalysisError, match="tree"):
+            analyze(tree_map(identity))
 
 
 class TestThetaSwap:

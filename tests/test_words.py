@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compose, endo, identity_endo, map_path
+from conftest import abelianization, compose, endo, h1_trace, identity_endo, map_path
 from test_multivertex import theta_collapse, theta_swap
 from nielsenkit.graphs import EdgePath, any_route_endo, subdivided_fixed_map
 from nielsenkit.invariants import fixed_subgroup_basis
@@ -19,7 +19,6 @@ from nielsenkit.words import (
     Word,
     default_basis,
     fold_words,
-    matrix_trace,
     reduce_letters,
     route_equivalent,
     twisted_solutions,
@@ -185,19 +184,19 @@ class TestInjectivity:
 
 class TestAbelianization:
     def test_identity_trace(self):
-        assert matrix_trace(identity_endo(b3).abelianization()) == 3
+        assert h1_trace(identity_endo(b3)) == 3
 
     def test_jiang_trace(self):
-        assert matrix_trace(endo(2, "A", "Abb").abelianization()) == 1
+        assert h1_trace(endo(2, "A", "Abb")) == 1
 
     def test_rotation_trace(self):
-        assert matrix_trace(endo(2, "b", "A").abelianization()) == 0
+        assert h1_trace(endo(2, "b", "A")) == 0
 
     @settings(max_examples=40)
     @given(endos2, endos2)
     def test_multiplicative(self, phi, psi):
-        lhs = compose(phi, psi).abelianization()
-        rhs = matrix_multiply(phi.abelianization(), psi.abelianization())
+        lhs = abelianization(compose(phi, psi))
+        rhs = matrix_multiply(abelianization(phi), abelianization(psi))
         assert lhs == rhs
 
 
