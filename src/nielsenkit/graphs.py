@@ -1,11 +1,13 @@
 """Finite graphs with oriented-edge involution and cellular selfmaps.
 
 Oriented edges are (name, sign) pairs ("darts"); the involution flips the
-sign.  Paths are computed on dart codes, the way words code letters: edge k
-is k+1 forward and -(k+1) reversed (Graph.dart_of), so reversal is `-c`.
-Edge images are tight edge paths; interior fixed points are located by
-the affine model in which each edge is parametrized uniformly over [0,1] and
-its image path is traversed at uniform speed.
+sign.  Maps and paths are computed on dart codes, the way words code
+letters: the k-th edge (from 1) is k forward and -k reversed
+(Graph.dart_of), so reversal is `-c`.  A graph map stores its edge images
+as one table of codes (GraphMap.image_table); a code becomes a Dart only
+where a message, a report or a returned path needs one.  Interior fixed
+points are located by the affine model in which each edge is parametrized
+uniformly over [0,1] and its image path is traversed at uniform speed.
 
 The map is cut at its interior fixed points only, and each sub-edge image is
 a slice, at integer positions, of the parent edge's image spelled in
@@ -17,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
+from types import MappingProxyType
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .words import (IDENTITY, Basis, Endomorphism, Word, extend_reduced, reduce_letters,
@@ -57,11 +60,6 @@ class EdgePath:
     def __iter__(self):
         return iter(self.darts)
 
-    def reverse(self) -> "EdgePath":
-        if self.is_trivial:
-            return self
-        return EdgePath(tuple(d.rev for d in reversed(self.darts)))
-
     def __str__(self) -> str:
         if self.is_trivial:
             return f"trivial@{self.at}"
@@ -100,9 +98,23 @@ class Graph:
             if u not in vertices or v not in vertices:
                 raise ValueError(f"edge {e} has an endpoint outside the vertex set")
 
-    @property
+    @cached_property
     def edges(self) -> tuple[str, ...]:
         return tuple(self.edge_ends)
+
+    @cached_property
+    def edge_code(self) -> dict[str, int]:
+        """The code of the forward dart of each edge."""
+        return {e: k for k, e in enumerate(self.edge_ends, start=1)}
+
+    @cached_property
+    def code_ends(self) -> dict[int, tuple[str, str]]:
+        """(origin, terminus) of the dart of each code."""
+        out: dict[int, tuple[str, str]] = {}
+        for k, (u, v) in enumerate(self.edge_ends.values(), start=1):
+            out[k] = (u, v)
+            out[-k] = (v, u)
+        return out
 
     def origin(self, d: Dart) -> str:
         u, v = self.edge_ends[d.name]
@@ -114,7 +126,7 @@ class Graph:
 
     @cached_property
     def dart_of(self) -> dict[int, Dart]:
-        """The dart of each code: edge k is k+1 forward and -(k+1) reversed,
+        """The dart of each code: the k-th edge is k forward and -k reversed,
         so the petals of a rose (io.rose_map) are coded by their letters."""
         return {s * k: Dart(e, s > 0)
                 for k, e in enumerate(self.edges, start=1) for s in (1, -1)}
@@ -122,6 +134,20 @@ class Graph:
     @cached_property
     def code_of(self) -> dict[Dart, int]:
         return {d: c for c, d in self.dart_of.items()}
+
+    @cached_property
+    def dart_rank(self) -> dict[int, int]:
+        """Each code's place among all darts in the order of (name, not fwd):
+        tuples of ranks sort as the tuples of darts they code."""
+        out: dict[int, int] = {}
+        for i, e in enumerate(sorted(self.edges)):
+            k = self.edge_code[e]
+            out[k], out[-k] = 2 * i, 2 * i + 1
+        return out
+
+    def path(self, codes: Iterable[int]) -> EdgePath:
+        """The edge path of a nonempty sequence of dart codes."""
+        return EdgePath(tuple(map(self.dart_of.__getitem__, codes)))
 
     def darts(self, names: Optional[Iterable[str]] = None) -> list[Dart]:
         names = self.edges if names is None else names
@@ -160,31 +186,78 @@ class Graph:
         return not self.vertices or reachable(succ, self.vertices[0]) == set(self.vertices)
 
 
-@dataclass(frozen=True, eq=False)
 class GraphMap:
-    """A cellular selfmap: vertex images plus tight edge-image paths.
+    """A cellular selfmap: vertex images plus tight edge images, stored as
+    one table of dart codes.
 
-    edge_map[e] is the image of the forward dart of e; the image of the
-    reversed dart is the reversed path.
+    image_table[c] is the tight image of the dart coded c (Graph.dart_of),
+    reversed darts included, as Endomorphism.image_table keeps letters: a
+    rose map's table is its endomorphism's (io.rose_map).  edge_map is a
+    read-only view of the same images as EdgePaths: edge_map[e] is the image
+    of the forward dart of e, and a trivial image carries its vertex.
+
+    GraphMap(graph, vertex_map, edge_map) converts the EdgePaths to codes
+    once; from_table takes a table as it is.  A map can be built before it
+    is validated: an image that is missing or names an unknown edge is kept
+    aside, as is the vertex of each trivial image, for validate to report.
     """
 
-    graph: Graph
-    vertex_map: dict[str, str]
-    edge_map: dict[str, EdgePath]
-
-    @cached_property
-    def image_table(self) -> dict[int, tuple[int, ...]]:
-        """The tight image of every dart in dart codes (Graph.dart_of),
-        reversed darts included, as Endomorphism.image_table keeps letters:
-        rose_map(phi).image_table == phi.image_table.  Built on first use, so
-        a map can be constructed before it is validated."""
-        code = self.graph.code_of
+    def __init__(self, graph: Graph, vertex_map: dict[str, str],
+                 edge_map: Mapping[str, EdgePath]):
+        code = graph.code_of
         table: dict[int, tuple[int, ...]] = {}
-        for k, e in enumerate(self.graph.edges, start=1):
-            img = tuple(code[x] for x in self.edge_map[e].darts)
+        at: dict[str, Optional[str]] = {}
+        unread: dict[str, Optional[EdgePath]] = {}
+        for k, e in enumerate(graph.edges, start=1):
+            p = edge_map.get(e)
+            img = None if p is None else tuple(code.get(d, 0) for d in p.darts)
+            if img is None or 0 in img:  # missing, or naming an unknown edge
+                unread[e] = p
+                img = ()
+            elif not img:
+                at[e] = p.at
             table[k] = img
             table[-k] = tuple(-x for x in reversed(img))
-        return table
+        self._set(graph, vertex_map, table, at, unread)
+
+    @classmethod
+    def from_table(cls, graph: Graph, vertex_map: dict[str, str],
+                   table: dict[int, tuple[int, ...]]) -> "GraphMap":
+        """The map whose image_table is `table`, which holds both signs of
+        every code and is kept, not copied.  A trivial image sits at the
+        image of its edge's origin."""
+        f = cls.__new__(cls)
+        f._set(graph, vertex_map, table, {}, {})
+        return f
+
+    def _set(self, graph, vertex_map, table, at, unread) -> None:
+        self.graph = graph
+        self.vertex_map = vertex_map
+        self.image_table = table
+        self._at = at
+        self._unread = unread
+
+    def _trivial_at(self, e: str) -> Optional[str]:
+        if e in self._at:
+            return self._at[e]
+        return self.vertex_map.get(self.graph.edge_ends[e][0])
+
+    @cached_property
+    def edge_map(self) -> Mapping[str, EdgePath]:
+        """The image of the forward dart of each edge, read-only.  An image
+        that was missing is absent, and one that names an unknown edge is
+        as it was given."""
+        g, table = self.graph, self.image_table
+        out: dict[str, EdgePath] = {}
+        for e, k in g.edge_code.items():
+            if e in self._unread:
+                if self._unread[e] is not None:
+                    out[e] = self._unread[e]
+            elif table[k]:
+                out[e] = g.path(table[k])
+            else:
+                out[e] = trivial_path(self._trivial_at(e))
+        return MappingProxyType(out)
 
     def cancellation_bound(self) -> int:
         """Bounded cancellation constant C: whenever P and Q are tight paths
@@ -242,77 +315,71 @@ class GraphMap:
                 sum(len(p) for _, p, _ in paths) - edges)
 
     def validate(self) -> None:
-        g = self.graph
+        g, vmap, table = self.graph, self.vertex_map, self.image_table
         for v in g.vertices:
-            if self.vertex_map.get(v) not in g.vertices:
+            if vmap.get(v) not in g.vertices:
                 raise ValueError(f"vertex {v} has no valid image")
-        for e, (u, v) in g.edge_ends.items():
-            p = self.edge_map.get(e)
-            if p is None:
-                raise ValueError(f"edge {e} has no image")
-            if p.is_trivial:
-                if p.at != self.vertex_map[u] or p.at != self.vertex_map[v]:
+        ends = g.code_ends
+        for k, (e, (u, v)) in enumerate(g.edge_ends.items(), start=1):
+            if e in self._unread:
+                p = self._unread[e]
+                if p is None:
+                    raise ValueError(f"edge {e} has no image")
+                g.check_path(p.darts)  # raises on the unknown edge or before it
+                raise ValueError(f"image of {e} is not an edge path")
+            img = table[k]
+            if not img:
+                at = self._trivial_at(e)
+                if at != vmap[u] or at != vmap[v]:
                     raise ValueError(f"trivial image of {e} sits at the wrong vertex")
                 continue
-            g.check_path(p.darts)
-            for a, b in zip(p.darts, p.darts[1:]):
-                if b == a.rev:
-                    raise ValueError(f"image of {e} is not tight")
-            if g.origin(p.darts[0]) != self.vertex_map[u]:
+            for a, b in zip(img, img[1:]):
+                if ends[a][1] != ends[b][0]:
+                    raise ValueError(f"edges not adjacent: {g.dart_of[a]} then {g.dart_of[b]}")
+            if any(a == -b for a, b in zip(img, img[1:])):
+                raise ValueError(f"image of {e} is not tight")
+            if ends[img[0]][0] != vmap[u]:
                 raise ValueError(f"image of {e} starts at the wrong vertex")
-            if g.terminus(p.darts[-1]) != self.vertex_map[v]:
+            if ends[img[-1]][1] != vmap[v]:
                 raise ValueError(f"image of {e} ends at the wrong vertex")
 
     def is_identity(self) -> bool:
-        return (all(self.vertex_map[v] == v for v in self.graph.vertices)
-                and all(self.edge_map[e].darts == (Dart(e, True),)
-                        for e in self.graph.edges))
+        vmap, table = self.vertex_map, self.image_table
+        return (all(vmap[v] == v for v in self.graph.vertices)
+                and all(table[k] == (k,) for k in range(1, len(self.graph.edge_ends) + 1)))
 
     @cached_property
-    def identity_edges(self) -> frozenset[str]:
-        """Edges mapped to themselves pointwise; treated as perturbed off the
-        edge when counting fixed points and expanding tips."""
-        return frozenset(e for e in self.graph.edges
-                         if self.edge_map[e].darts == (Dart(e, True),))
-
-    @cached_property
-    def derivative_table(self) -> dict[Dart, Optional[Dart]]:
-        """The first dart of the tight image of every dart; None for a
-        collapsed edge (see derivative)."""
-        table: dict[Dart, Optional[Dart]] = {}
-        for e in self.graph.edges:
-            img = self.edge_map[e].darts
-            table[Dart(e, True)] = img[0] if img else None
-            table[Dart(e, False)] = img[-1].rev if img else None
-        return table
+    def derivative_table(self) -> dict[int, Optional[int]]:
+        """The first dart of the tight image of every dart, in codes; None
+        for a collapsed edge."""
+        return {c: img[0] if img else None for c, img in self.image_table.items()}
 
     @cached_property
     def fixed_darts(self) -> dict[str, tuple[Dart, ...]]:
         """Darts fixed by the derivative map, by origin and in the order of
         `Graph.darts()`, the identity-edge convention applied: a
         pointwise-fixed edge counts at its origin tip only."""
-        ident, origin = self.identity_edges, self.graph.origin
+        table, deriv = self.image_table, self.derivative_table
         at: dict[str, list[Dart]] = {}
-        for d, dd in self.derivative_table.items():
-            if dd == d and (d.fwd or d.name not in ident):
-                at.setdefault(origin(d), []).append(d)
+        for k, (e, (u, v)) in enumerate(self.graph.edge_ends.items(), start=1):
+            if deriv[k] == k:
+                at.setdefault(u, []).append(Dart(e, True))
+            if deriv[-k] == -k and table[k] != (k,):
+                at.setdefault(v, []).append(Dart(e, False))
         return {v: tuple(ds) for v, ds in at.items()}
 
 
-def derivative(f: GraphMap, d: Dart) -> Optional[Dart]:
-    """First dart of the tight image; None for a collapsed edge."""
-    return f.derivative_table[d]
-
-
-def classify_turn(f: GraphMap, d1: Dart, d2: Dart) -> str:
-    """legal / illegal / degenerate, decided by iterating the derivative map.
+def classify_turn(f: GraphMap, c1: int, c2: int) -> str:
+    """legal / illegal / degenerate for the turn of the darts coded c1 and
+    c2, decided by iterating the derivative map.
 
     Each pass either returns or records a new unordered pair of darts, so the
     loop ends within D(D-1)/2 + 1 passes for D darts."""
-    if d1 == d2:
+    if c1 == c2:
         return "degenerate"
+    deriv = f.derivative_table
     seen = set()
-    a, b = d1, d2
+    a, b = c1, c2
     while True:
         if a is None and b is None:
             return "degenerate"
@@ -324,14 +391,16 @@ def classify_turn(f: GraphMap, d1: Dart, d2: Dart) -> str:
         if key in seen:
             return "legal"
         seen.add(key)
-        a, b = derivative(f, a), derivative(f, b)
+        a, b = deriv[a], deriv[b]
 
 
-def turn_degenerates_in_one_step(f: GraphMap, d1: Dart, d2: Dart) -> bool:
-    if d1 == d2:
+def turn_degenerates_in_one_step(f: GraphMap, c1: int, c2: int) -> bool:
+    """Whether the derivative sends the distinct darts coded c1 and c2 to
+    one dart."""
+    if c1 == c2:
         return False
-    a, b = derivative(f, d1), derivative(f, d2)
-    return a is not None and a == b
+    a = f.derivative_table[c1]
+    return a is not None and a == f.derivative_table[c2]
 
 
 def fixed_vertices(f: GraphMap) -> list[str]:
@@ -353,41 +422,48 @@ class NonIsolatedFixedSet(ValueError):
         self.edge = edge
 
 
+def _interior_cuts(f: GraphMap) -> list[tuple[str, int, list[tuple[int, int, int]]]]:
+    """(e, k, cuts) for each edge e, coded k, that holds an interior fixed
+    point: one (j, p, q) per fixed point t = p / q, j the dart of f(e) that
+    holds it, in increasing j and t (interior_fixed_points).  The identity
+    map is rejected."""
+    if f.is_identity():
+        raise NonIsolatedFixedSet(next(iter(f.graph.edges)))
+    table = f.image_table
+    found = []
+    for k, e in enumerate(f.graph.edges, start=1):
+        img = table[k]
+        n = len(img)
+        cuts = []
+        for j, c in enumerate(img):
+            if c == k:
+                if 0 < j < n - 1:  # n t - j = t
+                    cuts.append((j, j, n - 1))
+            elif c == -k:  # n t - j = 1 - t
+                cuts.append((j, j + 1, n + 1))
+        if cuts:
+            found.append((e, k, cuts))
+    return found
+
+
 def interior_fixed_points(f: GraphMap) -> list[tuple[str, Fraction]]:
-    """Interior solutions of the affine fixed-point equations, per edge.
+    """Interior solutions of the affine fixed-point equations, per edge, in
+    increasing order.
 
     The identity map has no isolated model and is rejected; a single
     pointwise-fixed edge inside a nontrivial map is handled by the perturbation
-    convention and contributes nothing here.  A candidate t = p / q (q > 0)
-    is tested against 0 < t < 1 in integers, and only a kept one becomes a
-    Fraction.  It then lies in its dart's bracket j / k <= t <= (j + 1) / k:
-    - for t = j/(k-1) that reduces to j <= k - 1;
-    - for t = (j+1)/(k+1) it reduces to j <= k.
+    convention and contributes nothing here.  Dart j of f(e), k = |f(e)|,
+    covers j / k <= t <= (j + 1) / k, where a fixed point solves k t - j = t
+    if the dart is e and k t - j = 1 - t if it is e reversed:
+    - t = j / (k - 1) lies in (0, 1) iff 0 < j < k - 1, and then
+      j / k <= t < (j + 1) / k; a pointwise-fixed edge (k = 1) has none;
+    - t = (j + 1) / (k + 1) lies in (0, 1) and j / k <= t < (j + 1) / k
+      for every j < k.
+    So the test is on integers, and the fixed points of an edge increase
+    with j, each in a half-open bracket of its own; only a kept one becomes
+    a Fraction.
     """
-    if f.is_identity():
-        raise NonIsolatedFixedSet(next(iter(f.graph.edges)))
-    found: list[tuple[str, Fraction]] = []
-    for e in f.graph.edges:
-        img = f.edge_map[e]
-        if img.is_trivial:
-            continue
-        k = len(img.darts)
-        if k == 1 and img.darts[0] == Dart(e, True):
-            continue  # identity edge: perturbed, endpoints only
-        spots = set()
-        for j, d in enumerate(img.darts):
-            if d.name != e:
-                continue
-            if d.fwd:
-                # k t - j = t  (k = 1 aligned is the identity edge, skipped above)
-                p, q = j, k - 1
-            else:
-                # k t - j = 1 - t
-                p, q = j + 1, k + 1
-            if 0 < p < q:
-                spots.add(Fraction(p, q))
-        found.extend((e, t) for t in sorted(spots))
-    return found
+    return [(e, Fraction(p, q)) for e, _, cuts in _interior_cuts(f) for _, p, q in cuts]
 
 
 def subdivided_fixed_map(f: GraphMap) -> tuple[GraphMap, list[tuple[str, Fraction]]]:
@@ -404,46 +480,52 @@ def subdivided_fixed_map(f: GraphMap) -> tuple[GraphMap, list[tuple[str, Fractio
     image of e:i is the slice of S(e) between consecutive cuts.  S(e) is
     tight: the sub-darts of one dart run along it, and a backtrack between
     two darts would be one in f(e).  A slice of a tight path is tight, so the
-    integer cut positions are all the arithmetic the images need.
+    integer cut positions are all the arithmetic the images need, and the
+    image table is built in dart codes, edge by edge in the order of f's.
     """
-    pts = interior_fixed_points(f)
-    if not pts:
+    found = _interior_cuts(f)
+    if not found:
         return f, []
-    g = f.graph
-    cuts: dict[str, list[Fraction]] = {}
-    for e, t in pts:
-        cuts.setdefault(e, []).append(t)
+    g, table = f.graph, f.image_table
+    pts = [(e, Fraction(p, q)) for e, _, cuts in found for _, p, q in cuts]
+    cuts_of = {k: cuts for _, k, cuts in found}
+    stops_at = iter(f"{e}@{t}" for e, t in pts)
     vertices = list(g.vertices)
     ends: dict[str, tuple[str, str]] = {}
-    sub: dict[Dart, tuple[Dart, ...]] = {}  # each dart of g as its sub-darts
-    for e, (u, v) in g.edge_ends.items():
-        ts = cuts.get(e, [])
-        stops = [u] + [f"{e}@{t}" for t in ts] + [v]
-        names = [f"{e}:{i}" for i in range(1, len(stops))] if ts else [e]
-        vertices.extend(stops[1:-1])
-        for nm, a, b in zip(names, stops, stops[1:]):
-            ends[nm] = (a, b)
-        sub[Dart(e, True)] = tuple(Dart(nm, True) for nm in names)
-        sub[Dart(e, False)] = tuple(Dart(nm, False) for nm in reversed(names))
+    sub: dict[int, tuple[int, ...]] = {}  # each dart code of f as its sub-dart codes
+    n = 0
+    for k, (e, (u, v)) in enumerate(g.edge_ends.items(), start=1):
+        m = len(cuts_of.get(k, ()))
+        if m:
+            stops = [u, *islice(stops_at, m), v]
+            vertices.extend(stops[1:-1])
+            for i in range(1, m + 2):
+                ends[f"{e}:{i}"] = (stops[i - 1], stops[i])
+        else:
+            ends[e] = (u, v)
+        sub[k] = tuple(range(n + 1, n + m + 2))
+        sub[-k] = tuple(range(-n - m - 1, -n))
+        n += m + 1
+    images: dict[int, tuple[int, ...]] = {}
+    for k in range(1, len(g.edge_ends) + 1):
+        img = table[k]
+        spelled = tuple(x for c in img for x in sub[c])
+        cuts = cuts_of.get(k)
+        if cuts is None:
+            pieces = [spelled]
+        else:
+            m = len(cuts)
+            start = list(accumulate((len(sub[c]) for c in img), initial=0))
+            bounds = [0]
+            for i, (j, _, _) in enumerate(cuts):
+                bounds.append(start[j] + (i + 1 if img[j] > 0 else m - i))
+            bounds.append(len(spelled))
+            pieces = [spelled[a:b] for a, b in zip(bounds, bounds[1:])]
+        for x, piece in zip(sub[k], pieces):
+            images[x] = piece
+            images[-x] = tuple(-y for y in reversed(piece))
     vmap = {v: f.vertex_map.get(v, v) for v in vertices}  # cut vertices are fixed
-    emap: dict[str, EdgePath] = {}
-    for e in g.edges:
-        img = f.edge_map[e]
-        spelled = tuple(x for d in img.darts for x in sub[d])
-        ts = cuts.get(e)
-        if not ts:
-            emap[e] = EdgePath(spelled, img.at)
-            continue
-        k, m = len(img.darts), len(ts)
-        start = list(accumulate((len(sub[d]) for d in img.darts), initial=0))
-        bounds = [0]
-        for i, t in enumerate(ts):
-            j = int(k * t)
-            bounds.append(start[j] + (i + 1 if img.darts[j].fwd else m - i))
-        bounds.append(len(spelled))
-        for i, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1):
-            emap[f"{e}:{i}"] = EdgePath(spelled[a:b])
-    out = GraphMap(Graph(tuple(vertices), ends), vmap, emap)
+    out = GraphMap.from_table(Graph(tuple(vertices), ends), vmap, images)
     out.validate()
     left = interior_fixed_points(out)
     if left:
@@ -531,7 +613,8 @@ def ray_images(f: GraphMap, d: Dart) -> Iterator[tuple[int, ...]]:
     extends prev by some darts S, so [f(current)] = [current . f(S)],
     tightened at the junction."""
     imgs = f.image_table
-    current = (f.graph.code_of[d],)
+    k = f.graph.edge_code[d.name]
+    current = (k if d.fwd else -k,)
     img: list[int] = []  # [f(current[:done])]
     done = 0
     while True:

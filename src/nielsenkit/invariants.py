@@ -155,8 +155,9 @@ def lefschetz_number(f: GraphMap) -> tuple[int, int]:
     homology is 1 - L; on a rose it is the trace of the abelianized
     endomorphism.  Both are homotopy invariants, so a subdivision of the map
     has the same ones."""
-    tr1 = sum(1 if d.fwd else -1
-              for e, p in f.edge_map.items() for d in p.darts if d.name == e)
+    table = f.image_table
+    tr1 = sum(table[k].count(k) - table[k].count(-k)
+              for k in range(1, len(f.graph.edge_ends) + 1))
     lef = len(fixed_vertices(f)) - tr1
     return lef, 1 - lef
 

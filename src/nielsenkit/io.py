@@ -27,7 +27,7 @@ import json
 from pathlib import Path
 from typing import Any, Optional
 
-from .graphs import Dart, EdgePath, Graph, GraphMap, parse_dart, trivial_path
+from .graphs import EdgePath, Graph, GraphMap, parse_dart, trivial_path
 from .invariants import ClassData, Report
 from .words import Basis, Endomorphism
 
@@ -91,16 +91,10 @@ def endo_from_json(data: dict) -> Endomorphism:
 
 def rose_map(phi: Endomorphism) -> GraphMap:
     """Realize an endomorphism as a selfmap of the rose at the vertex '*' with
-    one petal per generator; petal names are the basis letters."""
-    names = phi.basis.letters
-    graph = Graph(("*",), {n: ("*", "*") for n in names})
-    emap = {}
-    for n, im in zip(names, phi.images):
-        if im.is_identity:
-            emap[n] = trivial_path("*")
-        else:
-            emap[n] = EdgePath(tuple(Dart(names[abs(x) - 1], x > 0) for x in im.letters))
-    return GraphMap(graph, {"*": "*"}, emap)
+    one petal per generator; petal names are the basis letters, so petal k
+    is coded by letter k and the map's image table is phi.image_table."""
+    graph = Graph(("*",), {n: ("*", "*") for n in phi.basis.letters})
+    return GraphMap.from_table(graph, {"*": "*"}, phi.image_table)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,6 @@ from .graphs import (
     EdgePath,
     GraphMap,
     classify_turn,
-    derivative,
     fixed_directions,
     fixed_vertices,
     ray_images,
@@ -113,7 +112,8 @@ class Filtration:
 
 
 def crossed_edges(f: GraphMap, e: str) -> set[str]:
-    return {d.name for d in f.edge_map[e].darts}
+    edges = f.graph.edges
+    return {edges[abs(c) - 1] for c in f.image_table[f.graph.edge_code[e]]}
 
 
 def derive_filtration(f: GraphMap) -> Filtration:
@@ -159,8 +159,9 @@ def verify_filtration(f: GraphMap, filt: Filtration) -> None:
 
 def transition_matrix(f: GraphMap, stratum: Sequence[str]) -> list[list[int]]:
     """M[i][j] = number of times the image of stratum edge j crosses edge i."""
-    crossings = [Counter(d.name for d in f.edge_map[e].darts) for e in stratum]
-    return [[c[ei] for c in crossings] for ei in stratum]
+    ks = [f.graph.edge_code[e] for e in stratum]
+    crossings = [Counter(map(abs, f.image_table[k])) for k in ks]
+    return [[c[ki] for c in crossings] for ki in ks]
 
 
 def _support_irreducible(m: list[list[int]]) -> bool:
@@ -315,23 +316,25 @@ def classify_stratum(f: GraphMap, filt: Filtration, i: int) -> StratumInfo:
     except ValueError as exc:
         info.note = f"transition matrix not expanding/irreducible: {exc}"
         return info
-    for e in stratum:
-        for d in (Dart(e, True), Dart(e, False)):
-            dd = derivative(f, d)
-            if dd is None or dd.name not in stratum:
-                info.note = f"derivative of {d} leaves the stratum"
+    g, deriv = f.graph, f.derivative_table
+    ks = [g.edge_code[e] for e in stratum]
+    in_stratum = set(ks)
+    for k in ks:
+        for c in (k, -k):
+            dc = deriv[c]
+            if dc is None or abs(dc) not in in_stratum:
+                info.note = f"derivative of {g.dart_of[c]} leaves the stratum"
                 return info
-    in_stratum = set(stratum)
-    for e in stratum:  # RTT-iii
-        img = f.edge_map[e].darts
-        for d1, d2 in zip(img, img[1:]):
-            if d1.name in in_stratum and d2.name in in_stratum:
-                if classify_turn(f, d1.rev, d2) == "illegal":
+    for e, k in zip(stratum, ks):  # RTT-iii
+        img = f.image_table[k]
+        for c1, c2 in zip(img, img[1:]):
+            if abs(c1) in in_stratum and abs(c2) in in_stratum:
+                if classify_turn(f, -c1, c2) == "illegal":
                     info.note = (f"image of {e} takes the illegal turn "
-                                 f"({d1.rev}, {d2}); not a train track map")
+                                 f"({g.dart_of[-c1]}, {g.dart_of[c2]}); not a train track map")
                     info.expanding_not_train_track = True
                     return info
-    g = f.graph  # RTT-ii, on vertices
+    # RTT-ii, on vertices
     lower: dict[str, list[str]] = {v: [] for v in g.vertices}
     for e in filt.level_edges(i):
         a, b = g.edge_ends[e]
@@ -354,16 +357,19 @@ def classify_stratum(f: GraphMap, filt: Filtration, i: int) -> StratumInfo:
 # Nielsen paths.
 
 
-def _canonical(p: EdgePath) -> tuple:
-    # Reversal-invariant key; forward darts sort first.
-    a = tuple((d.name, not d.fwd) for d in p.darts)
-    b = tuple((d.name, not d.fwd) for d in p.reverse().darts)
-    return min(a, b)
+def _path_key(rank: dict[int, int], path: tuple[int, ...]) -> tuple[int, ...]:
+    """Reversal-invariant key of a path of dart codes, by Graph.dart_rank:
+    (len, key) sorts paths by length, then by their darts as (name, not fwd),
+    the lesser of the path and its reversal, so forward darts sort first."""
+    return min(tuple(map(rank.__getitem__, path)),
+               tuple(rank[-c] for c in reversed(path)))
+
+
 
 
 def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
                                names: Iterable[str],
-                               must: Optional[set[str]]) -> list[tuple[Dart, ...]]:
+                               must: Optional[set[str]]) -> list[tuple[int, ...]]:
     """Every indivisible Nielsen path of length <= max(max_len, 1) that starts
     at one of `starts`, runs in the edges `names` and crosses an edge of
     `must` (any edge when None), in depth-first preorder, starts taken in
@@ -373,7 +379,8 @@ def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
     The search descends tight paths P and stops at the first Nielsen node,
     since every extension of a Nielsen path is divisible (the cancellation
     lemma in the module docstring).  Darts are codes (Graph.dart_of), read
-    through f.image_table.  The image [f(P)] is kept tight incrementally:
+    through f.image_table, and the paths are returned in codes.  The image
+    [f(P)] is kept tight incrementally:
     pushing a dart appends its image, through extend_reduced when its first
     letter cancels the last of [f(P)], which returns the number n of letters
     that cancelled (n = 0 otherwise), and popping rolls the push back with
@@ -388,8 +395,7 @@ def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
     min(k, |P|) darts of [f(P)] and of P differ.  C is 0 on an immersion
     such as a -> aa, which folds nothing."""
     g = f.graph
-    darts, imgs, ends = g.dart_of, f.image_table, g.edge_ends
-    code = {e: k for k, e in enumerate(g.edges, start=1)}  # of the forward dart
+    imgs, ends, code = f.image_table, g.edge_ends, g.edge_code
     out_at: dict[str, list[int]] = {v: [] for v in g.vertices}
     for e in names:  # in the order of g.darts(names)
         u, v = ends[e]
@@ -401,11 +407,11 @@ def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
         u, v = ends[e]
         after[k] = [d for d in out_at[v] if d != -k]
         after[-k] = [d for d in out_at[u] if d != k]
-    marked = {c: must is None or d.name in must for c, d in darts.items()}
+    marked = {c: must is None or e in must for e, k in code.items() for c in (k, -k)}
     bound = f.cancellation_bound()
     path: list[int] = []
     img: list[int] = []
-    found: list[tuple[Dart, ...]] = []
+    found: list[tuple[int, ...]] = []
 
     def visit(nexts: list[int]) -> None:
         m = len(img)
@@ -420,7 +426,7 @@ def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
             if img == path:
                 # A Nielsen path has both ends fixed.
                 if any(marked[c] for c in path):
-                    found.append(tuple(darts[c] for c in path))
+                    found.append(tuple(path))
             elif len(path) < max_len:
                 k = len(img) - bound
                 if k <= 0:
@@ -447,15 +453,18 @@ def nielsen_paths_brute(f: GraphMap, max_len: int, within: Iterable[str],
     every fixed vertex.  The reversal of an indivisible path is indivisible,
     so each is found from both of its ends.
 
+    Each path is keyed once, by _path_key, and only the kept ones become
+    EdgePaths, shortest first and then by key.
+
     The function keeps its historical name because the benchmark's span hooks
     (perfbench/spans.py) time it under that name.
     """
-    found: dict[tuple, EdgePath] = {}
-    for darts in _indivisible_nielsen_paths(f, max_len, sorted(fixed_vertices(f)),
-                                            within, set(crossing)):
-        p = EdgePath(darts)
-        found.setdefault(_canonical(p), p)
-    return sorted(found.values(), key=lambda p: (len(p.darts), _canonical(p)))
+    rank = f.graph.dart_rank
+    found: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for path in _indivisible_nielsen_paths(f, max_len, sorted(fixed_vertices(f)),
+                                           within, set(crossing)):
+        found.setdefault(_path_key(rank, path), path)
+    return [f.graph.path(found[key]) for key in sorted(found, key=lambda k: (len(k), k))]
 
 
 def nielsen_partition_oracle(f: GraphMap, max_len: int) -> list[frozenset[str]]:
@@ -465,24 +474,25 @@ def nielsen_partition_oracle(f: GraphMap, max_len: int) -> list[frozenset[str]]:
     in sorted order, which gives the same partition (the cancellation lemma in
     the module docstring)."""
     g = f.graph
+    ends = g.code_ends
     fixed = sorted(fixed_vertices(f))
     adj: dict[str, set[str]] = {v: set() for v in fixed}
-    for darts in _indivisible_nielsen_paths(f, max_len, fixed[:-1], g.edges, None):
-        a, b = g.origin(darts[0]), g.terminus(darts[-1])
+    for path in _indivisible_nielsen_paths(f, max_len, fixed[:-1], g.edges, None):
+        a, b = ends[path[0]][0], ends[path[-1]][1]
         adj[a].add(b)
         adj[b].add(a)
     return sorted({frozenset(reachable(adj, v)) for v in fixed}, key=sorted)
 
 
 def _walk_ray(f: GraphMap, d: Dart, weight: dict[str, int], cap: int,
-              dart_cap: int) -> tuple[tuple[Dart, ...], list[tuple[str, tuple[int, ...]]], bool]:
+              dart_cap: int) -> tuple[tuple[int, ...], list[tuple[str, tuple[int, ...]]], bool]:
     """One walk along the expanding ray from a fixed direction d with
     Df(d) = d (ray_images): its prefixes A of weight <= cap and of at most
     dart_cap darts (edges not in `weight` weigh 0), the key (v, tau) of each,
-    shortest first, and whether the walk stopped at the weight cap.  v is the
-    terminus of A and tau its Nielsen tail [A^-1 . f(A)] in dart codes
-    (Graph.dart_of), so two prefixes have equal keys iff A.B^-1 is a Nielsen
-    path (the tail lemma in the module docstring).
+    shortest first, and whether the walk stopped at the weight cap.  The ray
+    and tau are in dart codes (Graph.dart_of).  v is the terminus of A and
+    tau its Nielsen tail [A^-1 . f(A)], so two prefixes have equal keys iff
+    A.B^-1 is a Nielsen path (the tail lemma in the module docstring).
 
     tau is grown one dart e at a time, tau <- [e^-1 . tau . f(e)], in a
     deque: e^-1 cancels against its left end or is prepended, and f(e),
@@ -491,17 +501,16 @@ def _walk_ray(f: GraphMap, d: Dart, weight: dict[str, int], cap: int,
     type3 stratum has no Nielsen prefix (the stretch fact), so an empty tail
     raises StructureViolation."""
     g = f.graph
-    darts, imgs = g.dart_of, f.image_table
+    edges, ends, imgs = g.edges, g.code_ends, f.image_table
     tau: deque[int] = deque()
-    ray: list[Dart] = []
+    ray: list[int] = []
     keys = []
     total = 0
     for current in ray_images(f, d):
         for c in current[len(ray):]:
             if len(ray) == dart_cap:
                 return tuple(ray), keys, False
-            e = darts[c]
-            total += weight.get(e.name, 0)
+            total += weight.get(edges[abs(c) - 1], 0)
             if total > cap:
                 return tuple(ray), keys, True
             if tau and tau[0] == c:
@@ -509,11 +518,11 @@ def _walk_ray(f: GraphMap, d: Dart, weight: dict[str, int], cap: int,
             else:
                 tau.appendleft(-c)
             extend_reduced(tau, imgs[c])
-            ray.append(e)
+            ray.append(c)
             if not tau:
-                raise StructureViolation(f"prefix {EdgePath(tuple(ray))} of the ray from {d} "
+                raise StructureViolation(f"prefix {g.path(ray)} of the ray from {d} "
                                          "is a Nielsen path; the stratum is not a train track")
-            keys.append((g.terminus(e), tuple(tau)))
+            keys.append((ends[c][1], tuple(tau)))
     return tuple(ray), keys, False
 
 
@@ -522,9 +531,10 @@ def _derivative_identifies_darts(f: GraphMap, edges: Iterable[str]) -> bool:
     vertex to one dart, collapsed darts ignored: on an invariant level,
     whether the level has an illegal turn (the turn equivalence in the module
     docstring)."""
-    g = f.graph
-    images = [(g.origin(d), derivative(f, d)) for d in g.darts(edges)]
-    images = [x for x in images if x[1] is not None]
+    g, deriv = f.graph, f.derivative_table
+    ends = g.code_ends
+    images = [(ends[c][0], deriv[c]) for k in map(g.edge_code.__getitem__, edges)
+              for c in (k, -k) if deriv[c] is not None]
     return len(set(images)) < len(images)
 
 
@@ -581,8 +591,8 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
     level = filt.level_edges(info.index + 1)
     class_of = {v: i for i, c in enumerate(lower_classes) for v in c}
 
-    def record(cands: list[EdgePath], status_if_empty: str) -> None:
-        kept = sorted(cands, key=lambda p: (len(p.darts), _canonical(p)))
+    def record(kept: list[EdgePath], status_if_empty: str) -> None:
+        # kept is sorted shortest first, then by _path_key.
         if info.stype == "type2":
             # Candidates joining the same pair of lower classes are taken to
             # differ by lower-level Nielsen loops and to induce the same
@@ -630,8 +640,8 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
     weight = dict(zip(info.edges, exp.weights))
     cap = (exp.hi - 1) * sum(exp.weights) // (exp.lo - 1)
     dart_cap = 16 * (cap // min(exp.weights) + 2)
-    walked: dict[tuple, list[tuple[tuple[Dart, ...], int]]] = {}
-    cands: list[EdgePath] = []
+    walked: dict[tuple, list[tuple[tuple[int, ...], int]]] = {}
+    cands: list[tuple[int, ...]] = []
     exhausted = True
     for v in fixed_vertices(f):
         for d in fixed_directions(f, v, info.edges):
@@ -641,10 +651,12 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
             exhausted = exhausted and passed
             for n, key in enumerate(keys, start=1):
                 for earlier, m in walked.get(key, ()):
-                    if turn_degenerates_in_one_step(f, earlier[m - 1].rev, ray[n - 1].rev):
-                        cands.append(EdgePath(earlier[:m]
-                                              + tuple(e.rev for e in reversed(ray[:n]))))
+                    if turn_degenerates_in_one_step(f, -earlier[m - 1], -ray[n - 1]):
+                        cands.append(earlier[:m] + tuple(-c for c in reversed(ray[:n])))
             for n, key in enumerate(keys, start=1):
                 walked.setdefault(key, []).append((ray, n))
-    record(cands, "certified-none" if exhausted else "none-within-bound")
+    rank = f.graph.dart_rank
+    cands.sort(key=lambda p: (len(p), _path_key(rank, p)))
+    record([f.graph.path(p) for p in cands],
+           "certified-none" if exhausted else "none-within-bound")
     return info

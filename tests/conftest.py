@@ -2,7 +2,8 @@ from typing import Optional
 
 import pytest
 
-from nielsenkit.graphs import EdgePath, Graph, GraphMap, parse_dart, trivial_path
+from nielsenkit.graphs import (Dart, EdgePath, Graph, GraphMap, classify_turn, parse_dart,
+                               trivial_path, turn_degenerates_in_one_step)
 from nielsenkit.invariants import ClassData, Report
 from nielsenkit.words import Basis, BasisMismatch, Endomorphism, Word, default_basis
 
@@ -30,7 +31,7 @@ def map_path(f: GraphMap, p: EdgePath) -> EdgePath:
     out = []
     for d in p.darts:
         img = f.edge_map[d.name]
-        for x in (img if d.fwd else img.reverse()).darts:
+        for x in (img if d.fwd else reverse(img)).darts:
             if out and out[-1] == x.rev:
                 out.pop()
             else:
@@ -38,6 +39,30 @@ def map_path(f: GraphMap, p: EdgePath) -> EdgePath:
     if not out:
         return trivial_path(f.vertex_map[f.graph.origin(p.darts[0])])
     return EdgePath(tuple(out))
+
+
+def derivative(f: GraphMap, d: Dart) -> Optional[Dart]:
+    """The first dart of the tight image of d, read off the code-keyed
+    GraphMap.derivative_table; None for a collapsed edge."""
+    c = f.derivative_table[f.graph.code_of[d]]
+    return None if c is None else f.graph.dart_of[c]
+
+
+def turn(f: GraphMap, a: Dart, b: Dart) -> str:
+    """graphs.classify_turn of the turn (a, b), given as Darts."""
+    return classify_turn(f, f.graph.code_of[a], f.graph.code_of[b])
+
+
+def degenerates_in_one_step(f: GraphMap, a: Dart, b: Dart) -> bool:
+    """graphs.turn_degenerates_in_one_step of the turn (a, b), given as Darts."""
+    return turn_degenerates_in_one_step(f, f.graph.code_of[a], f.graph.code_of[b])
+
+
+def reverse(p: EdgePath) -> EdgePath:
+    """The reversed path; a trivial path is its own reversal."""
+    if p.is_trivial:
+        return p
+    return EdgePath(tuple(d.rev for d in reversed(p.darts)))
 
 
 def class_of(report: Report, vertex: str) -> Optional[ClassData]:

@@ -32,6 +32,11 @@ def _two_vertices(edges: list[tuple[str, str, str]], edge_map: dict) -> dict:
             "vertex_map": {"u": "u", "v": "v"}, "edge_map": edge_map}
 
 
+def _theta_loop(edge_map: dict) -> dict:
+    """a from u to v, b back from v to u and a loop c at u, every vertex fixed."""
+    return _two_vertices([("a", "u", "v"), ("b", "v", "u"), ("c", "u", "u")], edge_map)
+
+
 # Inputs that must exit 2 with a message, never a traceback.
 MALFORMED = {
     "invalid-json": "{",
@@ -71,10 +76,28 @@ MALFORMED = {
     "spaced-letter": {"rank": 2, "letters": ["ab", "c d"],
                       "images": {"ab": "ab ab", "c d": "ab"}},
     "dash-letter": {"rank": 2, "letters": ["ab", "cd-"], "images": {"ab": "ab", "cd-": "ab"}},
+    # One fault of a graph map that GraphMap.validate finds, each.
+    "unknown-dart": _rose_with(edge_map={"a1": ["a1", "x"], "a2": ["a2"]}),
+    "non-adjacent": _theta_loop({"a": ["a"], "b": ["b"], "c": ["a", "a"]}),
+    "backtrack": _rose_with(edge_map={"a1": ["a1", "a1-"], "a2": ["a2"]}),
+    "trivial-elsewhere": _theta_loop({"a": ["a"], "b": ["b"], "c": {"at": "v"}}),
+    "missing-image": _rose_with(edge_map={"a1": ["a1"]}),
+    "bad-vertex-image": _rose_with(vertex_map={"*": "w"}),
+    "starts-elsewhere": _theta_loop({"a": ["a"], "b": ["b"], "c": ["b"]}),
+    "ends-elsewhere": _theta_loop({"a": ["a"], "b": ["b"], "c": ["a"]}),
 }
 
-# The message each name rule prints, naming the name and the rule.
+# The message each name rule prints, naming the name and the rule, and
+# the message of each fault that GraphMap.validate finds.
 NAME_ERRORS = {
+    "unknown-dart": "unknown edge x",
+    "non-adjacent": "edges not adjacent: a then a",
+    "backtrack": "image of a1 is not tight",
+    "trivial-elsewhere": "trivial image of c sits at the wrong vertex",
+    "missing-image": "edge a2 has no image",
+    "bad-vertex-image": "vertex * has no valid image",
+    "starts-elsewhere": "image of c starts at the wrong vertex",
+    "ends-elsewhere": "image of c ends at the wrong vertex",
     "dash-edge-name": "edge name 'x-' ends in '-'; edge names may not",
     "uppercase-letter": "letter name 'A' is not lowercase; single-character letters must be",
     "empty-letter": "letter name '' is empty; letters must be nonempty",

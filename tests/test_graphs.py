@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_endo, map_path, rose
+from conftest import derivative, identity_endo, map_path, reverse, rose, turn
 from nielsenkit.graphs import (
     Dart,
     EdgePath,
@@ -13,8 +13,6 @@ from nielsenkit.graphs import (
     GraphMap,
     NonIsolatedFixedSet,
     any_route_endo,
-    classify_turn,
-    derivative,
     fixed_directions,
     fixed_vertices,
     interior_fixed_points,
@@ -165,13 +163,13 @@ class TestDerivative:
 
 class TestTurns:
     def test_degenerate(self):
-        assert classify_turn(ex1, Dart("a", True), Dart("a", True)) == "degenerate"
+        assert turn(ex1, Dart("a", True), Dart("a", True)) == "degenerate"
 
     def test_illegal_in_derived(self):
-        assert classify_turn(derived, Dart("a", False), Dart("b", False)) == "illegal"
+        assert turn(derived, Dart("a", False), Dart("b", False)) == "illegal"
 
     def test_legal_in_doubling(self):
-        assert classify_turn(ex1, Dart("a", True), Dart("b", True)) == "legal"
+        assert turn(ex1, Dart("a", True), Dart("b", True)) == "legal"
 
     def test_stable_under_longer_iteration(self):
         # classify_turn stops at the first repeated dart pair; iterating the
@@ -193,7 +191,7 @@ class TestTurns:
             for i in range(len(ds)):
                 for j in range(i, len(ds)):
                     a, b = ds[i], ds[j]
-                    assert classify_turn(f, a, b) == reference(f, a, b, steps)
+                    assert turn(f, a, b) == reference(f, a, b, steps)
 
 
 class TestFixedData:
@@ -221,7 +219,7 @@ class TestFixedData:
             if not f.is_identity():
                 f, _ = subdivided_fixed_map(f)
             g = f.graph
-            ident = f.identity_edges
+            ident = {e for e in g.edges if f.edge_map[e].darts == (Dart(e, True),)}
             for among in (None, g.edges, g.edges[::-1], g.edges[1::2]):
                 for v in g.vertices:
                     expect = [d for d in g.darts(among) if g.origin(d) == v
@@ -332,6 +330,21 @@ class TestSubdivision:
         g, _ = subdivided_fixed_map(rose({"a": ["b", "a", "a"], "b": ["b"]}))
         g.validate()
 
+    def test_matches_the_dart_reference(self):
+        # Vertices, edge ends (in order), vertex map and edge images, the
+        # vertex of a trivial image included, as the Dart reference gives.
+        cut = 0
+        for f in reference_subdivision_maps():
+            g, pts = subdivided_fixed_map(f)
+            vertices, ends, vmap, emap, ref_pts = reference_subdivision(f)
+            assert pts == ref_pts
+            assert list(g.graph.vertices) == vertices
+            assert list(g.graph.edge_ends.items()) == ends
+            assert g.vertex_map == vmap
+            assert list(g.edge_map.items()) == emap
+            cut += bool(pts)
+        assert cut > 300
+
     def test_slices_spell_the_image(self):
         # Each sub-edge's image is a slice of f(e) spelled in sub-darts; the
         # slices of e:1, ..., e:m+1 concatenate to the whole of it.
@@ -356,6 +369,73 @@ class TestSubdivision:
                 assert pieces == whole
             checked += bool(pts)
         assert checked > 500
+
+
+def reference_subdivision(f: GraphMap):
+    """(vertices, edge ends, vertex map, edge images, cuts) of the map
+    subdivided at its interior fixed points, spelled in Darts and cut at
+    Fraction positions: the reference for subdivided_fixed_map.  The i-th
+    cut t of e (0-based, m cuts) lies in dart j = floor(k t) of f(e), which
+    is e itself, so it sits after start[j] + i + 1 sub-darts of f(e) spelled
+    in sub-darts when that dart is e forward, and after start[j] + m - i
+    when it is e reversed; start[j] counts the sub-darts before dart j."""
+    g = f.graph
+    pts = reference_interior_fixed_points(f)
+    cuts: dict[str, list[Fraction]] = {}
+    for e, t in pts:
+        cuts.setdefault(e, []).append(t)
+    vertices = list(g.vertices)
+    ends: dict[str, tuple[str, str]] = {}
+    sub: dict[Dart, list[Dart]] = {}
+    for e, (u, v) in g.edge_ends.items():
+        ts = cuts.get(e, [])
+        stops = [u] + [f"{e}@{t}" for t in ts] + [v]
+        names = [f"{e}:{i}" for i in range(1, len(stops))] if ts else [e]
+        vertices.extend(stops[1:-1])
+        for nm, a, b in zip(names, stops, stops[1:]):
+            ends[nm] = (a, b)
+        sub[Dart(e, True)] = [Dart(nm, True) for nm in names]
+        sub[Dart(e, False)] = [Dart(nm, False) for nm in reversed(names)]
+    emap: dict[str, EdgePath] = {}
+    for e in g.edges:
+        img = f.edge_map[e]
+        spelled = tuple(x for d in img.darts for x in sub[d])
+        ts = cuts.get(e)
+        if not ts:
+            emap[e] = EdgePath(spelled, img.at)
+            continue
+        k, m = len(img.darts), len(ts)
+        bounds = [0]
+        for i, t in enumerate(ts):
+            j = int(k * t)
+            start = sum(len(sub[d]) for d in img.darts[:j])
+            bounds.append(start + (i + 1 if img.darts[j].fwd else m - i))
+        bounds.append(len(spelled))
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1):
+            emap[f"{e}:{i}"] = EdgePath(spelled[a:b])
+    vmap = {v: f.vertex_map.get(v, v) for v in vertices}
+    return vertices, list(ends.items()), vmap, list(emap.items()), pts
+
+
+def reference_subdivision_maps():
+    """The corpus, the theta maps of test_multivertex, graphs whose edges are
+    not in sorted name order (one with a collapsed edge), and 300 seeded
+    maps each at rank 2 (images of length <= 4) and rank 3 (length <= 3)."""
+    from test_multivertex import graph_map, theta_collapse, theta_fold, theta_squash, theta_swap
+
+    maps = []
+    for _, data in sorted(corpus_files().items()):
+        maps.append(rose_map(endo_from_json(data)) if "images" in data
+                    else graph_map_from_json(data)[0])
+    maps += [theta_swap(), theta_collapse(), theta_fold(), theta_squash()]
+    maps.append(rose({"b": ["b-", "a", "b"], "a": ["b", "a", "a"]}))
+    maps.append(graph_map(("v", "u"), {"r": ("u", "v"), "q": ("u", "v"), "p": ("u", "v")},
+                          {"u": "u", "v": "u"},
+                          {"r": "u", "q": ["q", "r-", "q", "p-"], "p": ["q", "p-", "r", "q-"]}))
+    for rank, max_len in ((2, 4), (3, 3)):
+        gen = random_injective_endos(rank, max_len, 1)
+        maps.extend(rose_map(next(gen)) for _ in range(300))
+    return [f for f in maps if not f.is_identity()]
 
 
 def subdivision_maps():
@@ -402,7 +482,7 @@ def induced_endo(f: GraphMap, base: str, route: EdgePath) -> Endomorphism:
         loop = tighten(g, tree_path(m, base, u) + [Dart(e, True)] + tree_path(m, v, base),
                        at=base)
         img = map_path(f, loop)
-        total = tighten(g, route.darts + img.darts + route.reverse().darts, at=base)
+        total = tighten(g, route.darts + img.darts + reverse(route).darts, at=base)
         images.append(m.word(codes(g, total.darts)))
     return Endomorphism(m.basis, tuple(images))
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import map_path, rose
+from conftest import degenerates_in_one_step, map_path, reverse, rose, turn
 from test_multivertex import theta_collapse, theta_fold, theta_swap
 from nielsenkit import graphs, rtt
 from nielsenkit.graphs import (EdgePath, Graph, GraphMap, fixed_vertices, parse_dart,
@@ -353,8 +353,6 @@ class TestPFMetric:
         # lo * L(p) <= L([f(p)]) <= hi * L(p), exactly.
         import random
 
-        from nielsenkit.graphs import classify_turn
-
         rng = random.Random(11)
         for f in (ex1, ex2, skew):
             filt = derive_filtration(f)
@@ -367,7 +365,7 @@ class TestPFMetric:
                 return sum(lengths.get(d.name, 0) for d in p.darts)
 
             def is_legal(p):
-                return all(classify_turn(f, a.rev, b) != "illegal"
+                return all(turn(f, a.rev, b) != "illegal"
                            for a, b in zip(p.darts, p.darts[1:]))
 
             checked = 0
@@ -422,7 +420,7 @@ def leg_split(f, p):
     for j in range(1, len(p.darts)):
         leg1 = EdgePath(p.darts[:j])
         leg2 = EdgePath(tuple(d.rev for d in reversed(p.darts[j:])))
-        if graphs.turn_degenerates_in_one_step(f, leg1.darts[-1].rev, leg2.darts[-1].rev):
+        if degenerates_in_one_step(f, leg1.darts[-1].rev, leg2.darts[-1].rev):
             return leg1, leg2
     return None
 
@@ -458,7 +456,7 @@ class TestFindInp:
                 if info.inp_status.startswith("certified") or info.inp_status == "none-within-bound":
                     assert brute == [], (info.edges, [str(p) for p in brute])
                 elif info.inp_status == "found":
-                    assert any(p == info.paths[0] or p == info.paths[0].reverse()
+                    assert any(p == info.paths[0] or p == reverse(info.paths[0])
                                for p in brute)
 
     def test_jiang_subdivided_merge_path(self):
@@ -683,7 +681,7 @@ def reference_type3_pairs(f, info):
                 for n2 in range(1, n2_max + 1):
                     e1, e2 = r1[n1 - 1], r2[n2 - 1]
                     if (g.terminus(e1) != g.terminus(e2) or e1 == e2
-                            or not graphs.turn_degenerates_in_one_step(f, e1.rev, e2.rev)):
+                            or not degenerates_in_one_step(f, e1.rev, e2.rev)):
                         continue
                     p = EdgePath(r1[:n1] + tuple(d.rev for d in reversed(r2[:n2])))
                     pairs.append(p)
@@ -707,14 +705,22 @@ def is_indivisible(f, p):
                    for j in range(1, len(p.darts)))
 
 
+def canonical(p):
+    """Reversal-invariant key of an edge path: its darts as (name, not fwd),
+    or its reversal's when that is less, so forward darts sort first."""
+    a = tuple((d.name, not d.fwd) for d in p.darts)
+    b = tuple((d.name, not d.fwd) for d in reverse(p).darts)
+    return min(a, b)
+
+
 def reference_type3(f, nielsen, exhausted):
     """(inp_status, paths) that find_inp should give a type-3 stratum with
     illegal turns, from reference_type3_pairs."""
     uniq = {}
     for p in nielsen:
         if is_indivisible(f, p):
-            uniq.setdefault(rtt._canonical(p), p)
-    kept = sorted(uniq.values(), key=lambda p: (len(p.darts), rtt._canonical(p)))
+            uniq.setdefault(canonical(p), p)
+    kept = sorted(uniq.values(), key=lambda p: (len(p.darts), canonical(p)))
     if kept:
         return ("multiple" if len(kept) > 1 else "found"), kept
     return ("certified-none" if exhausted else "none-within-bound"), []
@@ -726,7 +732,7 @@ def has_illegal_turn_in(f, edges):
     rtt._derivative_identifies_darts."""
     g = f.graph
     darts = g.darts(list(edges))
-    return any(g.origin(a) == g.origin(b) and graphs.classify_turn(f, a, b) == "illegal"
+    return any(g.origin(a) == g.origin(b) and turn(f, a, b) == "illegal"
                for i, a in enumerate(darts) for b in darts[i + 1:])
 
 
@@ -752,7 +758,8 @@ def assert_walk_keys(g, d, dart_cap=16):
     for full in graphs.ray_images(g, d):
         if len(full) >= dart_cap:
             break
-    assert ray == tuple(darts[c] for c in full[:dart_cap])
+    assert ray == full[:dart_cap]
+    ray = tuple(darts[c] for c in ray)
     assert len(keys) == len(ray) and not passed
     for n, (v, tau) in enumerate(keys, start=1):
         fa = map_path(g, EdgePath(ray[:n])).darts  # A^-1 cancels against it
