@@ -87,6 +87,7 @@ def cmd_attracting(args) -> int:
     if args.prefix_len < 0:
         raise InputError("prefix length must be nonnegative")
     report = analyze(f, _depth(args))
+    dart_of = report.map.graph.dart_of
     classes = []
     for c in report.classes:
         rays = []
@@ -96,7 +97,7 @@ def cmd_attracting(args) -> int:
                     verdict = attraction_check(ray, ray.endo)
                     rays.append({
                         "prefix": ray.endo.basis.format(ray.prefix(args.prefix_len)),
-                        "initial_direction": str(d),
+                        "initial_direction": str(dart_of[d]),
                         "status": verdict.status,
                     })
             except DegenerateRay as exc:

@@ -4,8 +4,9 @@ Oriented edges are (name, sign) pairs ("darts"); the involution flips the
 sign.  Maps and paths are computed on dart codes, the way words code
 letters: the k-th edge (from 1) is k forward and -k reversed
 (Graph.dart_of), so reversal is `-c`.  A graph map stores its edge images
-as one table of codes (GraphMap.image_table); a code becomes a Dart only
-where a message, a report or a returned path needs one.  Interior fixed
+as one table of codes (GraphMap.image_table), and fixed directions, rays,
+paths and markings are codes too; a code becomes a Dart only where a
+message or a report spells it (Graph.dart_of, Graph.path).  Interior fixed
 points are located by the affine model in which each edge is parametrized
 uniformly over [0,1] and its image path is traversed at uniform speed.
 
@@ -31,10 +32,6 @@ class Dart(NamedTuple):
     name: str
     fwd: bool
 
-    @property
-    def rev(self) -> "Dart":
-        return Dart(self.name, not self.fwd)
-
     def __str__(self) -> str:
         return self.name if self.fwd else self.name + "-"
 
@@ -53,12 +50,6 @@ class EdgePath:
     @property
     def is_trivial(self) -> bool:
         return not self.darts
-
-    def __len__(self) -> int:
-        return len(self.darts)
-
-    def __iter__(self):
-        return iter(self.darts)
 
     def __str__(self) -> str:
         if self.is_trivial:
@@ -116,14 +107,6 @@ class Graph:
             out[-k] = (v, u)
         return out
 
-    def origin(self, d: Dart) -> str:
-        u, v = self.edge_ends[d.name]
-        return u if d.fwd else v
-
-    def terminus(self, d: Dart) -> str:
-        u, v = self.edge_ends[d.name]
-        return v if d.fwd else u
-
     @cached_property
     def dart_of(self) -> dict[int, Dart]:
         """The dart of each code: the k-th edge is k forward and -k reversed,
@@ -149,40 +132,26 @@ class Graph:
         """The edge path of a nonempty sequence of dart codes."""
         return EdgePath(tuple(map(self.dart_of.__getitem__, codes)))
 
-    def darts(self, names: Optional[Iterable[str]] = None) -> list[Dart]:
-        names = self.edges if names is None else names
-        return [Dart(e, s) for e in names for s in (True, False)]
-
-    @cached_property
-    def _darts_at(self) -> dict[str, tuple[Dart, ...]]:
-        at: dict[str, list[Dart]] = {v: [] for v in self.vertices}
-        for d in self.darts():
-            at[self.origin(d)].append(d)
-        return {v: tuple(ds) for v, ds in at.items()}
-
-    def darts_at(self, v: str) -> tuple[Dart, ...]:
-        """Darts with origin v, in the order of `darts()`."""
-        return self._darts_at[v]
-
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edge_ends)
 
-    def path_endpoints(self, p: EdgePath) -> tuple[str, str]:
-        if p.is_trivial:
-            return p.at, p.at
-        return self.origin(p.darts[0]), self.terminus(p.darts[-1])
-
     def check_path(self, darts: Iterable[Dart]) -> None:
+        """Raise on the first dart that names an unknown edge or does not
+        follow the dart before it."""
+        code, ends = self.code_of, self.code_ends
         prev: Optional[Dart] = None
         for d in darts:
             if d.name not in self.edge_ends:
                 raise ValueError(f"unknown edge {d.name}")
-            if prev is not None and self.terminus(prev) != self.origin(d):
+            if prev is not None and ends[code[prev]][1] != ends[code[d]][0]:
                 raise ValueError(f"edges not adjacent: {prev} then {d}")
             prev = d
 
     def is_connected(self) -> bool:
-        succ = {v: [self.terminus(d) for d in ds] for v, ds in self._darts_at.items()}
+        succ: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for u, v in self.edge_ends.values():
+            succ[u].append(v)
+            succ[v].append(u)
         return not self.vertices or reachable(succ, self.vertices[0]) == set(self.vertices)
 
 
@@ -355,18 +324,25 @@ class GraphMap:
         return {c: img[0] if img else None for c, img in self.image_table.items()}
 
     @cached_property
-    def fixed_darts(self) -> dict[str, tuple[Dart, ...]]:
-        """Darts fixed by the derivative map, by origin and in the order of
-        `Graph.darts()`, the identity-edge convention applied: a
-        pointwise-fixed edge counts at its origin tip only."""
+    def crossed_edges(self) -> dict[str, frozenset[str]]:
+        """The edges that the image of each edge crosses."""
+        edges, table = self.graph.edges, self.image_table
+        return {e: frozenset(edges[abs(c) - 1] for c in table[k])
+                for k, e in enumerate(edges, start=1)}
+
+    @cached_property
+    def fixed_darts(self) -> dict[str, tuple[int, ...]]:
+        """The codes of the darts fixed by the derivative map, by origin, in
+        edge order and forward before reversed, the identity-edge convention
+        applied: a pointwise-fixed edge counts at its origin tip only."""
         table, deriv = self.image_table, self.derivative_table
-        at: dict[str, list[Dart]] = {}
-        for k, (e, (u, v)) in enumerate(self.graph.edge_ends.items(), start=1):
+        at: dict[str, list[int]] = {}
+        for k, (u, v) in enumerate(self.graph.edge_ends.values(), start=1):
             if deriv[k] == k:
-                at.setdefault(u, []).append(Dart(e, True))
+                at.setdefault(u, []).append(k)
             if deriv[-k] == -k and table[k] != (k,):
-                at.setdefault(v, []).append(Dart(e, False))
-        return {v: tuple(ds) for v, ds in at.items()}
+                at.setdefault(v, []).append(-k)
+        return {v: tuple(cs) for v, cs in at.items()}
 
 
 def classify_turn(f: GraphMap, c1: int, c2: int) -> str:
@@ -407,13 +383,14 @@ def fixed_vertices(f: GraphMap) -> list[str]:
     return [v for v in f.graph.vertices if f.vertex_map[v] == v]
 
 
-def fixed_directions(f: GraphMap, v: str, among: Optional[Iterable[str]] = None) -> list[Dart]:
-    """Darts at v fixed by the derivative map, the identity-edge convention
-    applied (GraphMap.fixed_darts), in the order of `Graph.darts(among)`."""
+def fixed_directions(f: GraphMap, v: str, among: Optional[Iterable[str]] = None) -> list[int]:
+    """The codes of the darts at v fixed by the derivative map, the
+    identity-edge convention applied (GraphMap.fixed_darts); with `among`,
+    only those of its edges, in its order and forward before reversed."""
     fixed = f.fixed_darts.get(v, ())
     if among is None or not fixed:
         return list(fixed)
-    return [d for e in among for d in fixed if d.name == e]
+    return [c for k in map(f.graph.edge_code.__getitem__, among) for c in fixed if abs(c) == k]
 
 
 class NonIsolatedFixedSet(ValueError):
@@ -540,13 +517,13 @@ def subdivided_fixed_map(f: GraphMap) -> tuple[GraphMap, list[tuple[str, Fractio
 @dataclass(frozen=True)
 class Marking:
     """A marking of pi_1 at `base`: a BFS spanning tree (`parent[v]` is the
-    dart at v leading back toward the base) whose non-tree edges index the
-    free basis.  `letter_of` gives the signed letter of every dart code, 0 on
-    tree darts.  `basis` is None when the graph is a tree."""
+    code of the dart at v leading back toward the base) whose non-tree edges
+    index the free basis.  `letter_of` gives the signed letter of every dart
+    code, 0 on tree darts.  `basis` is None when the graph is a tree."""
 
     graph: Graph
     base: str
-    parent: dict[str, Dart]
+    parent: dict[str, int]
     letter_of: dict[int, int]
     basis: Optional[Basis]
 
@@ -565,35 +542,41 @@ class Marking:
         if self.basis is None:
             raise ValueError("graph is a tree; fundamental group is trivial")
         g, imgs = self.graph, f.image_table
-        code = g.code_of
+        ends = g.code_ends
         spell = {self.base: IDENTITY}  # x -> w(f g_x); parents come first
         for v, back in self.parent.items():
-            spell[v] = spell[g.terminus(back)] * self.word(imgs[-code[back]])
+            spell[v] = spell[ends[back][1]] * self.word(imgs[-back])
         images = []
         for e in self.basis.letters:
             u, v = g.edge_ends[e]
-            images.append(spell[u] * self.word(imgs[code[Dart(e, True)]]) * spell[v].inverse())
+            images.append(spell[u] * self.word(imgs[g.edge_code[e]]) * spell[v].inverse())
         return Endomorphism(self.basis, tuple(images))
 
 
 def marking(graph: Graph, base: str) -> Marking:
+    """The marking at `base` whose tree is grown breadth first, each vertex
+    trying its darts in the order of Graph.dart_rank."""
     if base not in graph.vertices:
         raise ValueError(f"unknown base vertex {base}")
-    parent: dict[str, Dart] = {}
+    ends, rank = graph.code_ends, graph.dart_rank
+    out_of: dict[str, list[int]] = {v: [] for v in graph.vertices}
+    for c in sorted(ends, key=rank.__getitem__):
+        out_of[ends[c][0]].append(c)
+    parent: dict[str, int] = {}
     order = [base]  # BFS order; the loop visits vertices as they are appended
     for v in order:
-        for d in sorted(graph.darts_at(v), key=lambda d: (d.name, not d.fwd)):
-            t = graph.terminus(d)
+        for c in out_of[v]:
+            t = ends[c][1]
             if t != base and t not in parent:
-                parent[t] = d.rev
+                parent[t] = -c
                 order.append(t)
     if len(order) != len(graph.vertices):
         raise ValueError("graph is not connected")
-    tree = {d.name for d in parent.values()}
-    names = tuple(e for e in graph.edges if e not in tree)
-    letter_of = dict.fromkeys(graph.dart_of, 0)
+    tree = {abs(c) for c in parent.values()}
+    names = tuple(e for e, k in graph.edge_code.items() if k not in tree)
+    letter_of = dict.fromkeys(ends, 0)
     for i, e in enumerate(names, start=1):
-        k = graph.code_of[Dart(e, True)]
+        k = graph.edge_code[e]
         letter_of[k], letter_of[-k] = i, -i
     return Marking(graph, base, parent, letter_of, Basis(names) if names else None)
 
@@ -604,17 +587,16 @@ def any_route_endo(f: GraphMap, base: Optional[str] = None) -> Endomorphism:
     return marking(f.graph, f.graph.vertices[0] if base is None else base).endo(f)
 
 
-def ray_images(f: GraphMap, d: Dart) -> Iterator[tuple[int, ...]]:
-    """The ray grown from a fixed direction d with Df(d) = d, in dart codes:
-    d, [f(d)], [f^2(d)], ..., each extending the one before.  It stops at the
-    first image that does not extend its predecessor.
+def ray_images(f: GraphMap, d: int) -> Iterator[tuple[int, ...]]:
+    """The ray grown from the fixed direction coded d, Df(d) = d, in dart
+    codes: d, [f(d)], [f^2(d)], ..., each extending the one before.  It
+    stops at the first image that does not extend its predecessor.
 
     Only the new darts are mapped: each image is current = [f(prev)] and
     extends prev by some darts S, so [f(current)] = [current . f(S)],
     tightened at the junction."""
     imgs = f.image_table
-    k = f.graph.edge_code[d.name]
-    current = (k if d.fwd else -k,)
+    current = (d,)
     img: list[int] = []  # [f(current[:done])]
     done = 0
     while True:

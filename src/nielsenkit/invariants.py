@@ -34,7 +34,6 @@ from typing import Optional, Sequence
 
 from .boundary import DegenerateRay, MorphicRay, attraction_check, equivalent_under
 from .graphs import (
-    Dart,
     GraphMap,
     fixed_directions,
     fixed_vertices,
@@ -79,7 +78,7 @@ class ClassData:
     rank: Optional[int]           # None = unverified
     attract: Optional[int]        # len(ray_seeds); None = unverified
     provenance: str
-    ray_seeds: list[Dart] = field(default_factory=list)
+    ray_seeds: list[int] = field(default_factory=list)  # dart codes
 
     @property
     def improved_char(self) -> Optional[int]:
@@ -172,13 +171,14 @@ class _ClassState:
     rank: int = 0
     verified: bool = True
     trace: list[str] = field(default_factory=list)
-    ray_seeds: list[Dart] = field(default_factory=list)
+    ray_seeds: list[int] = field(default_factory=list)
 
 
 def _fold_stratum(f: GraphMap, classes: list[_ClassState], info: StratumInfo) -> None:
     # The fixed directions of this stratum at each fixed vertex.
     delta_dirs = {v: fixed_directions(f, v, info.edges)
                   for c in classes for v in c.members}
+    ends = f.graph.code_ends
 
     def class_of(v: str) -> _ClassState:
         for c in classes:
@@ -209,7 +209,7 @@ def _fold_stratum(f: GraphMap, classes: list[_ClassState], info: StratumInfo) ->
         # Every crossing path merges what it joins, but with several distinct
         # ones the rank/attract bookkeeping is not pinned down.
         for p in info.paths:
-            ca, cb = (class_of(v) for v in f.graph.path_endpoints(p))
+            ca, cb = class_of(ends[p[0]][0]), class_of(ends[p[-1]][1])
             if ca is not cb:
                 merge_pair(ca, cb)
         for c in classes:
@@ -219,7 +219,7 @@ def _fold_stratum(f: GraphMap, classes: list[_ClassState], info: StratumInfo) ->
         return
     if info.inp_status == "found":
         (p,) = info.paths
-        ca, cb = (class_of(v) for v in f.graph.path_endpoints(p))
+        ca, cb = class_of(ends[p[0]][0]), class_of(ends[p[-1]][1])
         if ca is not cb:
             merged, kind = merge_pair(ca, cb), "merge"
         else:
@@ -238,7 +238,7 @@ def _fold_stratum(f: GraphMap, classes: list[_ClassState], info: StratumInfo) ->
         if info.stype == "type3":
             # p is A.B^-1 for prefixes A and B of the rays of its two end
             # darts, so those seeds are one ray class.
-            merged.ray_seeds.remove(p.darts[-1].rev)
+            merged.ray_seeds.remove(-p[-1])
         merged.trace.append(f"stratum{info.index}:{info.stype}:{kind}(d={d})")
 
     for c in classes:
@@ -276,7 +276,7 @@ def attracting_rays(f: GraphMap, cls: ClassData) -> list[MorphicRay]:
     the first image d, [f(d)], ... (of SEED_IMAGES) that MorphicRay accepts."""
     rays = []
     for d in cls.ray_seeds:
-        mark = marking(f.graph, f.graph.origin(d))
+        mark = marking(f.graph, f.graph.code_ends[d][0])
         phi = mark.endo(f)
         for codes in islice(ray_images(f, d), SEED_IMAGES):
             try:
@@ -285,7 +285,7 @@ def attracting_rays(f: GraphMap, cls: ClassData) -> list[MorphicRay]:
             except DegenerateRay:
                 continue
         else:
-            raise DegenerateRay(f"no image of direction {d} seeds a ray")
+            raise DegenerateRay(f"no image of direction {f.graph.dart_of[d]} seeds a ray")
     return rays
 
 
@@ -387,7 +387,7 @@ def analyze(f: GraphMap, depth: int = DEPTH) -> Report:
         # by the metric, not by depth, so the oracle searches at least as
         # deep as the longest crossing path the fold found.
         if not complete or len(fixed) > 1:
-            reach = max((len(p.darts) for i in infos for p in i.paths), default=0)
+            reach = max((len(p) for i in infos for p in i.paths), default=0)
             oracle = nielsen_partition_oracle(g, max(depth, reach))
             if not complete:
                 classes = [_ClassState(members=set(p), verified=False,

@@ -193,7 +193,7 @@ def report_to_json(report: Report) -> dict:
             rec["metric"] = {e: format(w / least, ".12g")
                              for e, w in zip(info.edges, info.expansion.weights)}
         if info.inp_status == "found":
-            rec["inp"] = str(info.paths[0])
+            rec["inp"] = str(report.map.graph.path(info.paths[0]))
         strata.append(rec)
     return {
         "classes": [class_to_json(c) for c in report.classes],

@@ -73,8 +73,6 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .graphs import (
-    Dart,
-    EdgePath,
     GraphMap,
     classify_turn,
     fixed_directions,
@@ -111,18 +109,13 @@ class Filtration:
         return [list(s) for s in self.strata]
 
 
-def crossed_edges(f: GraphMap, e: str) -> set[str]:
-    edges = f.graph.edges
-    return {edges[abs(c) - 1] for c in f.image_table[f.graph.edge_code[e]]}
-
-
 def derive_filtration(f: GraphMap) -> Filtration:
     """Strata are the strongly connected components of the edge-crossing
     digraph: the stratum of e holds every edge that e reaches and that reaches
     e back.  Strata are placed lowest first, each step taking the
     lexicographically smallest unplaced stratum whose reachable strata are
     all placed, so every level is invariant."""
-    succ = {e: crossed_edges(f, e) for e in f.graph.edges}
+    succ = f.crossed_edges
     reach = {e: reachable(succ, e) for e in succ}
     stratum_of = {e: tuple(sorted(w for w in reach[e] if e in reach[w])) for e in succ}
     below = {s: {stratum_of[w] for w in reach[s[0]]} - {s} for s in stratum_of.values()}
@@ -137,7 +130,7 @@ def derive_filtration(f: GraphMap) -> Filtration:
 
 
 def verify_filtration(f: GraphMap, filt: Filtration) -> None:
-    crossed = {e: crossed_edges(f, e) for e in f.graph.edges}
+    crossed = f.crossed_edges
     seen: list[str] = []
     all_edges = set(crossed)
     for s in filt.strata:
@@ -271,8 +264,8 @@ class StratumInfo:
     expansion: Optional[ExpansionData] = None
     # found | certified-none | none-within-bound | multiple | unsearched
     inp_status: str = "unsearched"
-    # The crossing paths: one when found, several when multiple.
-    paths: list[EdgePath] = field(default_factory=list)
+    # The crossing paths in dart codes: one when found, several when multiple.
+    paths: list[tuple[int, ...]] = field(default_factory=list)
     # Set when the stratum meets the transition-matrix and derivative
     # conditions for an expanding stratum but fails RTT-iii or the vertex
     # condition for RTT-ii (classify_stratum): the classification "counts",
@@ -397,7 +390,7 @@ def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
     g = f.graph
     imgs, ends, code = f.image_table, g.edge_ends, g.edge_code
     out_at: dict[str, list[int]] = {v: [] for v in g.vertices}
-    for e in names:  # in the order of g.darts(names)
+    for e in names:  # in the order of names, forward before reversed
         u, v = ends[e]
         out_at[u].append(code[e])
         out_at[v].append(-code[e])
@@ -446,15 +439,15 @@ def _indivisible_nielsen_paths(f: GraphMap, max_len: int, starts: Iterable[str],
 
 
 def nielsen_paths_brute(f: GraphMap, max_len: int, within: Iterable[str],
-                        crossing: Iterable[str]) -> list[EdgePath]:
+                        crossing: Iterable[str]) -> list[tuple[int, ...]]:
     """Every indivisible Nielsen path of length <= max_len that runs in the
     edges `within` and crosses an edge of `crossing`, deduplicated up to
     reversal, by the depth-first search of _indivisible_nielsen_paths from
     every fixed vertex.  The reversal of an indivisible path is indivisible,
     so each is found from both of its ends.
 
-    Each path is keyed once, by _path_key, and only the kept ones become
-    EdgePaths, shortest first and then by key.
+    Each path is keyed once, by _path_key, and the kept ones are returned
+    in dart codes, shortest first and then by key.
 
     The function keeps its historical name because the benchmark's span hooks
     (perfbench/spans.py) time it under that name.
@@ -464,7 +457,7 @@ def nielsen_paths_brute(f: GraphMap, max_len: int, within: Iterable[str],
     for path in _indivisible_nielsen_paths(f, max_len, sorted(fixed_vertices(f)),
                                            within, set(crossing)):
         found.setdefault(_path_key(rank, path), path)
-    return [f.graph.path(found[key]) for key in sorted(found, key=lambda k: (len(k), k))]
+    return [found[key] for key in sorted(found, key=lambda k: (len(k), k))]
 
 
 def nielsen_partition_oracle(f: GraphMap, max_len: int) -> list[frozenset[str]]:
@@ -484,9 +477,9 @@ def nielsen_partition_oracle(f: GraphMap, max_len: int) -> list[frozenset[str]]:
     return sorted({frozenset(reachable(adj, v)) for v in fixed}, key=sorted)
 
 
-def _walk_ray(f: GraphMap, d: Dart, weight: dict[str, int], cap: int,
+def _walk_ray(f: GraphMap, d: int, weight: dict[str, int], cap: int,
               dart_cap: int) -> tuple[tuple[int, ...], list[tuple[str, tuple[int, ...]]], bool]:
-    """One walk along the expanding ray from a fixed direction d with
+    """One walk along the expanding ray from the fixed direction coded d,
     Df(d) = d (ray_images): its prefixes A of weight <= cap and of at most
     dart_cap darts (edges not in `weight` weigh 0), the key (v, tau) of each,
     shortest first, and whether the walk stopped at the weight cap.  The ray
@@ -520,7 +513,7 @@ def _walk_ray(f: GraphMap, d: Dart, weight: dict[str, int], cap: int,
             extend_reduced(tau, imgs[c])
             ray.append(c)
             if not tau:
-                raise StructureViolation(f"prefix {g.path(ray)} of the ray from {d} "
+                raise StructureViolation(f"prefix {g.path(ray)} of the ray from {g.dart_of[d]} "
                                          "is a Nielsen path; the stratum is not a train track")
             keys.append((ends[c][1], tuple(tau)))
     return tuple(ray), keys, False
@@ -590,8 +583,9 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
     """
     level = filt.level_edges(info.index + 1)
     class_of = {v: i for i, c in enumerate(lower_classes) for v in c}
+    ends = f.graph.code_ends
 
-    def record(kept: list[EdgePath], status_if_empty: str) -> None:
+    def record(kept: list[tuple[int, ...]], status_if_empty: str) -> None:
         # kept is sorted shortest first, then by _path_key.
         if info.stype == "type2":
             # Candidates joining the same pair of lower classes are taken to
@@ -601,9 +595,9 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
             # (seed 1), 115 of 542 found type-2 strata carry more than one
             # crossing path up to length 10, and no check has found a wrong
             # rk on them.
-            by_pair: dict[frozenset, EdgePath] = {}
+            by_pair: dict[frozenset, tuple[int, ...]] = {}
             for p in kept:
-                a, b = f.graph.path_endpoints(p)
+                a, b = ends[p[0]][0], ends[p[-1]][1]
                 by_pair.setdefault(frozenset((class_of[a], class_of[b])), p)
             kept = list(by_pair.values())
         info.paths = kept
@@ -657,6 +651,5 @@ def find_inp(f: GraphMap, filt: Filtration, info: StratumInfo, max_len: int,
                 walked.setdefault(key, []).append((ray, n))
     rank = f.graph.dart_rank
     cands.sort(key=lambda p: (len(p), _path_key(rank, p)))
-    record([f.graph.path(p) for p in cands],
-           "certified-none" if exhausted else "none-within-bound")
+    record(cands, "certified-none" if exhausted else "none-within-bound")
     return info

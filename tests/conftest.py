@@ -1,4 +1,4 @@
-from typing import Optional
+from typing import Iterable, Optional
 
 import pytest
 
@@ -6,6 +6,48 @@ from nielsenkit.graphs import (Dart, EdgePath, Graph, GraphMap, classify_turn, p
                                trivial_path, turn_degenerates_in_one_step)
 from nielsenkit.invariants import ClassData, Report
 from nielsenkit.words import Basis, BasisMismatch, Endomorphism, Word, default_basis
+
+
+# Dart-level views of a graph, for references and tests that spell paths
+# in Darts; the program itself reads dart codes (Graph.dart_of).
+
+
+def rev(d: Dart) -> Dart:
+    """The reversed dart."""
+    return Dart(d.name, not d.fwd)
+
+
+def origin(g: Graph, d: Dart) -> str:
+    u, v = g.edge_ends[d.name]
+    return u if d.fwd else v
+
+
+def terminus(g: Graph, d: Dart) -> str:
+    u, v = g.edge_ends[d.name]
+    return v if d.fwd else u
+
+
+def all_darts(g: Graph, names: Optional[Iterable[str]] = None) -> list[Dart]:
+    """The darts of the edges `names` (every edge by default), in that order
+    and forward before reversed."""
+    names = g.edges if names is None else names
+    return [Dart(e, s) for e in names for s in (True, False)]
+
+
+def darts_at(g: Graph, v: str) -> list[Dart]:
+    """The darts with origin v, in the order of all_darts."""
+    return [d for d in all_darts(g) if origin(g, d) == v]
+
+
+def path_endpoints(g: Graph, p: EdgePath) -> tuple[str, str]:
+    if p.is_trivial:
+        return p.at, p.at
+    return origin(g, p.darts[0]), terminus(g, p.darts[-1])
+
+
+def reverse_codes(p: tuple[int, ...]) -> tuple[int, ...]:
+    """The reversal of a path of dart codes."""
+    return tuple(-c for c in reversed(p))
 
 
 def rose(images: dict[str, list[str]]) -> GraphMap:
@@ -32,12 +74,12 @@ def map_path(f: GraphMap, p: EdgePath) -> EdgePath:
     for d in p.darts:
         img = f.edge_map[d.name]
         for x in (img if d.fwd else reverse(img)).darts:
-            if out and out[-1] == x.rev:
+            if out and out[-1] == rev(x):
                 out.pop()
             else:
                 out.append(x)
     if not out:
-        return trivial_path(f.vertex_map[f.graph.origin(p.darts[0])])
+        return trivial_path(f.vertex_map[origin(f.graph, p.darts[0])])
     return EdgePath(tuple(out))
 
 
@@ -62,7 +104,7 @@ def reverse(p: EdgePath) -> EdgePath:
     """The reversed path; a trivial path is its own reversal."""
     if p.is_trivial:
         return p
-    return EdgePath(tuple(d.rev for d in reversed(p.darts)))
+    return EdgePath(tuple(rev(d) for d in reversed(p.darts)))
 
 
 def class_of(report: Report, vertex: str) -> Optional[ClassData]:

@@ -319,12 +319,13 @@ class TestGraphMapReferences:
 
 
 class ProjectedRay:
-    """Reference: the graph ray [f^k(d)] of a fixed direction d, read in the
-    marking at d's origin one new stretch of darts at a time.  A tight path
-    spells a reduced word, so each stretch extends the letters so far."""
+    """Reference: the graph ray [f^k(d)] of the fixed direction coded d,
+    read in the marking at d's origin one new stretch of darts at a time.  A
+    tight path spells a reduced word, so each stretch extends the letters so
+    far."""
 
     def __init__(self, f, start):
-        self.marking = marking(f.graph, f.graph.origin(start))
+        self.marking = marking(f.graph, f.graph.code_ends[start][0])
         self.endo = self.marking.endo(f)
         self._images = ray_images(f, start)
         self._letters = []
@@ -689,7 +690,7 @@ class TestRecursionInternals:
         for phi in islice(random_injective_endos(2, 4, seed=1), 300):
             calls.clear()
             rep = analyze_endomorphism(phi, depth)
-            reach = max((len(p.darts) for i in rep.strata for p in i.paths), default=0)
+            reach = max((len(p) for i in rep.strata for p in i.paths), default=0)
             if not rep.classification_complete or len(fixed_vertices(rep.map)) > 1:
                 assert calls == [max(depth, reach)], phi.images
                 seen.add((rep.classification_complete, reach > depth))
@@ -768,12 +769,13 @@ class TestRecursionInternals:
                 if (info.stype, info.inp_status) != ("type3", "found"):
                     continue
                 (p,) = info.paths
-                first, last = p.darts[0], p.darts[-1].rev
+                first, last = p[0], -p[-1]
                 assert first != last
-                assert first in fixed_directions(rep.map, g.origin(first), info.edges)
-                assert last in fixed_directions(rep.map, g.origin(last), info.edges)
-                owner = class_of(rep, g.origin(first))
-                assert owner is class_of(rep, g.origin(last))
+                u, v = g.code_ends[first][0], g.code_ends[last][0]
+                assert first in fixed_directions(rep.map, u, info.edges)
+                assert last in fixed_directions(rep.map, v, info.edges)
+                owner = class_of(rep, u)
+                assert owner is class_of(rep, v)
                 assert first in owner.ray_seeds and last not in owner.ray_seeds
                 found += 1
         # 2750 verified classes of the rank-2 maps and 4 of the theta maps.

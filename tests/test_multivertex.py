@@ -2,6 +2,7 @@
 edges.  These exercise the same pipeline as the subdivided maps but arrive
 that way from the input file."""
 
+import hashlib
 import json
 
 import pytest
@@ -86,6 +87,32 @@ NON_INJECTIVE = {
 }
 
 
+def unsorted_names() -> GraphMap:
+    """Edges z, b, m, not in sorted name order, every vertex fixed: the
+    subdivided map has a type-3 stratum whose crossing path and rays start
+    at the cut vertex m@2/3 and at u, off the marking's base."""
+    return graph_map(("u", "v"), {"z": ("u", "v"), "b": ("v", "u"), "m": ("u", "u")},
+                     {"u": "u", "v": "v"},
+                     {"z": ["m-", "m-", "m-", "z"], "b": ["b", "m-", "z", "b"],
+                      "m": ["b-", "z-", "m", "m"]})
+
+
+def doubled_loop() -> GraphMap:
+    """The edges z, b, m again, the loop m at u doubled: both of its
+    directions are fixed there, forward first, and `attracting` prints
+    their rays in that order."""
+    return graph_map(("u", "v"), {"z": ("u", "v"), "b": ("v", "u"), "m": ("u", "u")},
+                     {"u": "u", "v": "v"},
+                     {"z": ["m-", "z"], "b": ["b", "m-"], "m": ["m", "m"]})
+
+
+def rotation() -> GraphMap:
+    """A two-vertex circle u -p-> v -q-> u turned by half a turn: no fixed
+    point at all."""
+    return graph_map(("u", "v"), {"p": ("u", "v"), "q": ("v", "u")}, {"u": "v", "v": "u"},
+                     {"p": ["q"], "q": ["p"]})
+
+
 def tree_map(identity: bool) -> GraphMap:
     """A two-vertex tree, mapped by the identity or onto one vertex."""
     return graph_map(("u", "v"), {"p": ("u", "v")}, {"u": "u", "v": "v" if identity else "u"},
@@ -163,13 +190,7 @@ class TestThetaCollapse:
 
 class TestFixedPointFree:
     def test_rotation_of_two_vertex_circle(self):
-        g = Graph(("u", "v"), {"p": ("u", "v"), "q": ("v", "u")})
-        f = GraphMap(g, {"u": "v", "v": "u"}, {
-            "p": EdgePath((parse_dart("q"),)),
-            "q": EdgePath((parse_dart("p"),)),
-        })
-        f.validate()
-        rep = analyze(f)
+        rep = analyze(rotation())
         assert rep.classes == []
         assert rep.lefschetz == 0
         assert rep.verdicts["lefschetz_sum"] == "pass"
@@ -194,3 +215,38 @@ class TestCliOnMultiVertex:
         code = main(["route", "--word", "a", str(p)])
         capsys.readouterr()
         assert code == 2
+
+
+# sha256 of the exit code, stdout and stderr of `invariants`, `attracting`
+# and `route --word ""` (at the file's default base and, where it is fixed,
+# at "v") on each map's graph-map file.  Off the rose, these bytes fix the
+# order of fixed directions, the marking's spanning tree and basis and the
+# orientation of crossing paths.
+OUTPUT_DIGESTS = {
+    "doubled_loop": "aa51502174f7a53be9edcb249b008f4fc845f7980e25c2efa990bf80c5abb85b",
+    "rotation": "330440d9ec636ecbf9506abfbe6564580deed2fa427c2b7454a64b6ca5743842",
+    "theta_collapse": "c84865a8eb276ff9c0d3158cb77448d87142b74820942b860aec29ee20366285",
+    "theta_fold": "6ec0d0f12fd895514579d89b375360e991e66ef1cbd4703981a595f2f5be7ece",
+    "theta_squash": "38371270d273ac9413f1c42906894d9560a25d3eb14e129190e28c8306fccd6a",
+    "theta_swap": "63e77ec2e5e50d76173e14267f385027a6c3ad52cc5793c45507a0552d0f036d",
+    "trivial_loop": "be198994c817decb51f10e30ab726f4b66b1e88723f77f429c19197e306170a6",
+    "unsorted_names": "fdb1e85dbec46ecc9bd122ac2d7a7158e6a1ad5a6af7aa89adaf255483e5a05b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
+def test_outputs_pinned(tmp_path, capsys, name):
+    f = globals()[name]()
+    runs = [(f"{name}.json", graph_map_to_json(f))]
+    if f.vertex_map["v"] == "v":
+        runs.append((f"{name}_at_v.json", {**graph_map_to_json(f), "base": "v"}))
+    out = []
+    for i, (file, data) in enumerate(runs):
+        p = tmp_path / file
+        p.write_text(json.dumps(data))
+        commands = [["route", "--word", ""]] + ([["invariants"], ["attracting"]] if not i else [])
+        for argv in commands:
+            code = main([*argv, str(p)])
+            o, e = capsys.readouterr()
+            out.append(f"{file} {argv[0]} {code}\n{o}{e}")
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == OUTPUT_DIGESTS[name]

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import degenerates_in_one_step, map_path, reverse, rose, turn
+from conftest import (all_darts, darts_at, degenerates_in_one_step, map_path, origin,
+                      path_endpoints, rev, reverse, reverse_codes, rose, terminus, turn)
 from test_multivertex import theta_collapse, theta_fold, theta_swap
 from nielsenkit import graphs, rtt
 from nielsenkit.graphs import (EdgePath, Graph, GraphMap, fixed_vertices, parse_dart,
@@ -44,7 +45,7 @@ def verify_nielsen_path(f: GraphMap, p: EdgePath) -> bool:
     """True iff the tight image of p equals p; endpoints must be fixed."""
     if p.is_trivial:
         raise ValueError("Nielsen paths are nontrivial")
-    src, dst = f.graph.path_endpoints(p)
+    src, dst = path_endpoints(f.graph, p)
     if f.vertex_map[src] != src or f.vertex_map[dst] != dst:
         raise ValueError("endpoints of a Nielsen-path candidate must be fixed")
     return map_path(f, p) == p
@@ -365,7 +366,7 @@ class TestPFMetric:
                 return sum(lengths.get(d.name, 0) for d in p.darts)
 
             def is_legal(p):
-                return all(turn(f, a.rev, b) != "illegal"
+                return all(turn(f, rev(a), b) != "illegal"
                            for a, b in zip(p.darts, p.darts[1:]))
 
             checked = 0
@@ -373,11 +374,11 @@ class TestPFMetric:
                 darts = []
                 at = "*"
                 for _ in range(rng.randint(1, 6)):
-                    options = [d for d in f.graph.darts_at(at)
-                               if not darts or d != darts[-1].rev]
+                    options = [d for d in darts_at(f.graph, at)
+                               if not darts or d != rev(darts[-1])]
                     d = rng.choice(options)
                     darts.append(d)
-                    at = f.graph.terminus(d)
+                    at = terminus(f.graph, d)
                 p = EdgePath(tuple(darts))
                 if not is_legal(p) or metric(p) == 0:
                     continue
@@ -397,7 +398,7 @@ class TestNielsenPaths:
         g, _ = subdivided_fixed_map(rose({"a": ["a", "a"], "b": ["b", "b", "a"]}))
         moving = [v for v in g.graph.vertices if g.vertex_map[v] != v]
         if moving:
-            d = next(d for d in g.graph.darts() if g.graph.origin(d) in moving)
+            d = next(d for d in all_darts(g.graph) if origin(g.graph, d) in moving)
             with pytest.raises(ValueError):
                 verify_nielsen_path(g, EdgePath((d,)))
 
@@ -410,8 +411,7 @@ class TestNielsenPaths:
     def test_brute_force_finds_derived_inp(self):
         edges = derived.graph.edges
         found = nielsen_paths_brute(derived, 6, within=edges, crossing=edges)
-        assert any(p.darts in (path("b", "a", "b-").darts, path("b", "a-", "b-").darts)
-                   for p in found)
+        assert any(str(derived.graph.path(p)) in ("b a b-", "b a- b-") for p in found)
 
 
 def leg_split(f, p):
@@ -419,8 +419,8 @@ def leg_split(f, p):
     degenerates in one step, or None."""
     for j in range(1, len(p.darts)):
         leg1 = EdgePath(p.darts[:j])
-        leg2 = EdgePath(tuple(d.rev for d in reversed(p.darts[j:])))
-        if degenerates_in_one_step(f, leg1.darts[-1].rev, leg2.darts[-1].rev):
+        leg2 = EdgePath(tuple(rev(d) for d in reversed(p.darts[j:])))
+        if degenerates_in_one_step(f, rev(leg1.darts[-1]), rev(leg2.darts[-1])):
             return leg1, leg2
     return None
 
@@ -430,7 +430,7 @@ class TestFindInp:
         rep = analyze(derived)
         top = rep.strata[1]
         assert top.inp_status == "found"
-        leg1, leg2 = leg_split(rep.map, top.paths[0])
+        leg1, leg2 = leg_split(rep.map, rep.map.graph.path(top.paths[0]))
         assert {tuple(str(d) for d in leg1.darts),
                 tuple(str(d) for d in leg2.darts)} == {("b",), ("b", "a")}
         img1 = map_path(derived, leg1)
@@ -456,15 +456,15 @@ class TestFindInp:
                 if info.inp_status.startswith("certified") or info.inp_status == "none-within-bound":
                     assert brute == [], (info.edges, [str(p) for p in brute])
                 elif info.inp_status == "found":
-                    assert any(p == info.paths[0] or p == reverse(info.paths[0])
+                    assert any(p == info.paths[0] or p == reverse_codes(info.paths[0])
                                for p in brute)
 
     def test_jiang_subdivided_merge_path(self):
-        infos = analyze(rose({"a": ["a-"], "b": ["a-", "b", "b"]})).strata
-        by_edges = {i.edges: i for i in infos}
+        rep = analyze(rose({"a": ["a-"], "b": ["a-", "b", "b"]}))
+        by_edges = {i.edges: i for i in rep.strata}
         assert by_edges[("b:1",)].inp_status == "found"
         p = by_edges[("b:1",)].paths[0]
-        assert tuple(str(d) for d in p.darts) == ("a:1-", "b:1")
+        assert str(rep.map.graph.path(p)) == "a:1- b:1"
         assert by_edges[("b:2",)].inp_status == "certified-none"
 
 
@@ -483,7 +483,7 @@ class TestPartitionOracle:
         # No path of length <= 8 joins * to b@2/5; both reach a@1/2.
         g, _ = subdivided_fixed_map(rose({"a": ["a", "a", "b"],
                                           "b": ["a", "b-", "a-", "a-"]}))
-        ends = {frozenset((g.graph.origin(p[0]), g.graph.terminus(p[-1])))
+        ends = {frozenset((origin(g.graph, p[0]), terminus(g.graph, p[-1])))
                 for p in reference_nielsen_paths(g, 8)}
         assert ends == {frozenset({"*", "a@1/2"}), frozenset({"a@1/2", "b@2/5"})}
         assert nielsen_partition_oracle(g, 8) == [frozenset({"*", "a@1/2", "b@2/5"})]
@@ -495,17 +495,17 @@ def reference_nielsen_paths(f, max_len):
     start at fixed vertices, sharing no code with nielsen_paths_brute.  Darts
     are coded as integers so that depth 10 stays affordable."""
     g = f.graph
-    darts = g.darts()
+    darts = all_darts(g)
     code = {d: i for i, d in enumerate(darts)}
-    rev = [code[d.rev] for d in darts]
+    rev_of = [code[rev(d)] for d in darts]
     img = [tuple(code[x] for x in map_path(f, EdgePath((d,))).darts) for d in darts]
-    term = [g.terminus(d) for d in darts]
-    out = {v: [code[d] for d in g.darts_at(v)] for v in g.vertices}
+    term = [terminus(g, d) for d in darts]
+    out = {v: [code[d] for d in darts_at(g, v)] for v in g.vertices}
     fixed = set(fixed_vertices(f))
 
     def times(w, x):  # reduced product of two reduced dart words
         n = 0
-        while n < len(x) and n < len(w) and w[-1 - n] == rev[x[n]]:
+        while n < len(x) and n < len(w) and w[-1 - n] == rev_of[x[n]]:
             n += 1
         return w[:len(w) - n] + x[n:]
 
@@ -513,7 +513,7 @@ def reference_nielsen_paths(f, max_len):
     level = [((), (), v) for v in fixed]
     for _ in range(max_len):
         level = [(p + (d,), times(w, img[d]), term[d])
-                 for p, w, at in level for d in out[at] if not p or d != rev[p[-1]]]
+                 for p, w, at in level for d in out[at] if not p or d != rev_of[p[-1]]]
         found.extend(p for p, w, at in level if w == p and at in fixed)
     return [tuple(darts[i] for i in p) for p in found]
 
@@ -541,11 +541,12 @@ def assert_search_exact(f, filt, depths):
         return all(d.name in within for d in p) and any(d.name in crossing for d in p)
 
     def key(darts):
-        return frozenset((darts, tuple(d.rev for d in reversed(darts))))
+        return frozenset((darts, tuple(rev(d) for d in reversed(darts))))
 
     for depth in depths:
         for within, crossing in variants:
-            got = [key(p.darts) for p in nielsen_paths_brute(f, depth, within, crossing)]
+            got = [key(f.graph.path(p).darts)
+                   for p in nielsen_paths_brute(f, depth, within, crossing)]
             want = {key(p) for p in indivisible
                     if len(p) <= depth and admitted(p, within, crossing)}
             assert len(got) == len(set(got)) and set(got) == want, (depth, within, crossing)
@@ -564,7 +565,7 @@ def assert_oracle_exact(f, depths):
         for p in ref:
             if len(p) > depth:
                 continue
-            a, b = f.graph.origin(p[0]), f.graph.terminus(p[-1])
+            a, b = origin(f.graph, p[0]), terminus(f.graph, p[-1])
             ca = next(c for c in classes if a in c)
             cb = next(c for c in classes if b in c)
             if ca is not cb:
@@ -660,7 +661,8 @@ def reference_type3_pairs(f, info):
             out.append(total)
         return out
 
-    seeds = [d for v in fixed_vertices(f) for d in graphs.fixed_directions(f, v, info.edges)]
+    seeds = [g.dart_of[c] for v in fixed_vertices(f)
+             for c in graphs.fixed_directions(f, v, info.edges)]
     rays = {}
     for d in seeds:
         ray = (d,)
@@ -680,10 +682,10 @@ def reference_type3_pairs(f, info):
             for n1 in range(1, n1_max + 1):
                 for n2 in range(1, n2_max + 1):
                     e1, e2 = r1[n1 - 1], r2[n2 - 1]
-                    if (g.terminus(e1) != g.terminus(e2) or e1 == e2
-                            or not degenerates_in_one_step(f, e1.rev, e2.rev)):
+                    if (terminus(g, e1) != terminus(g, e2) or e1 == e2
+                            or not degenerates_in_one_step(f, rev(e1), rev(e2))):
                         continue
-                    p = EdgePath(r1[:n1] + tuple(d.rev for d in reversed(r2[:n2])))
+                    p = EdgePath(r1[:n1] + tuple(rev(d) for d in reversed(r2[:n2])))
                     pairs.append(p)
                     if map_path(f, p) == p:
                         nielsen.append(p)
@@ -700,7 +702,7 @@ def is_indivisible(f, p):
     lemma the part after a Nielsen prefix of a Nielsen path is Nielsen too,
     so only the prefixes are mapped."""
     fixed = set(fixed_vertices(f))
-    return not any(f.graph.terminus(p.darts[j - 1]) in fixed
+    return not any(terminus(f.graph, p.darts[j - 1]) in fixed
                    and path_is_nielsen(f, p.darts[:j])
                    for j in range(1, len(p.darts)))
 
@@ -731,8 +733,8 @@ def has_illegal_turn_in(f, edges):
     by classify_turn on every pair of darts at one vertex: the reference for
     rtt._derivative_identifies_darts."""
     g = f.graph
-    darts = g.darts(list(edges))
-    return any(g.origin(a) == g.origin(b) and turn(f, a, b) == "illegal"
+    darts = all_darts(g, list(edges))
+    return any(origin(g, a) == origin(g, b) and turn(f, a, b) == "illegal"
                for i, a in enumerate(darts) for b in darts[i + 1:])
 
 
@@ -750,9 +752,9 @@ def type3_strata(f):
 
 
 def assert_walk_keys(g, d, dart_cap=16):
-    """The first dart_cap darts of the ray from d that rtt._walk_ray walks
-    with no weight: each key is (terminus, tight [A^-1 . f(A)]), and every
-    tail is nonempty."""
+    """The first dart_cap darts of the ray from the dart coded d that
+    rtt._walk_ray walks with no weight: each key is (terminus, tight
+    [A^-1 . f(A)]), and every tail is nonempty."""
     darts = g.graph.dart_of
     ray, keys, passed = rtt._walk_ray(g, d, {}, 0, dart_cap)
     for full in graphs.ray_images(g, d):
@@ -766,8 +768,8 @@ def assert_walk_keys(g, d, dart_cap=16):
         k = 0
         while k < min(n, len(fa)) and fa[k] == ray[k]:
             k += 1
-        tight = tuple(x.rev for x in reversed(ray[k:n])) + fa[k:]
-        assert v == g.graph.terminus(ray[n - 1])
+        tight = tuple(rev(x) for x in reversed(ray[k:n])) + fa[k:]
+        assert v == terminus(g.graph, ray[n - 1])
         assert tuple(darts[c] for c in tau) == tight, (n, ray, g.edge_map)
         assert tau, (n, ray, g.edge_map)
 
@@ -783,7 +785,7 @@ def assert_type3_exact(f, max_len=8):
         rtt.find_inp(g, filt, info, max_len, [frozenset({v}) for v in fixed_vertices(g)])
         _, nielsen, exhausted = reference_type3_pairs(g, info)
         want = reference_type3(g, nielsen, exhausted)
-        assert (info.inp_status, info.paths) == want, f.edge_map
+        assert (info.inp_status, [g.graph.path(p) for p in info.paths]) == want, f.edge_map
         with_path += info.inp_status in ("found", "multiple")
         matched += len(nielsen)
         for v in fixed_vertices(g):
@@ -812,10 +814,11 @@ class TestCrossingPathExact:
         # fact), so the walk raises rather than cut the ray there.
         g, _ = subdivided_fixed_map(rose({"a": ["a", "b"], "b": ["b-"]}))
         assert verify_nielsen_path(g, path("a", "b:1"))
-        last = list(graphs.ray_images(g, parse_dart("a")))[-1]
+        a = g.graph.edge_code["a"]
+        last = list(graphs.ray_images(g, a))[-1]
         assert tuple(g.graph.dart_of[c] for c in last) == path("a", "b:1", "b:2").darts
         with pytest.raises(rtt.StructureViolation, match="prefix a b:1 of the ray from a"):
-            rtt._walk_ray(g, parse_dart("a"), {"a": 1}, 100, 100)
+            rtt._walk_ray(g, a, {"a": 1}, 100, 100)
 
     @pytest.mark.parametrize("images", SECOND_PATH_MAPS)
     def test_second_crossing_path_maps(self, images):
@@ -886,7 +889,7 @@ class TestSearchWork:
             code = frame.f_code
             if event == "call" and code.co_name == "visit" and code.co_filename == rtt.__file__:
                 path, nexts = frame.f_locals["path"], frame.f_locals["nexts"]
-                frames.append(bool(path) and darts[path[-1]].rev in
+                frames.append(bool(path) and rev(darts[path[-1]]) in
                               [darts[c] for c in nexts])
 
         sys.setprofile(watch)

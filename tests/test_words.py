@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abelianization, compose, endo, h1_trace, identity_endo, map_path
+from conftest import (abelianization, all_darts, compose, darts_at, endo, h1_trace,
+                      identity_endo, map_path, origin, rev, terminus)
 from test_multivertex import theta_collapse, theta_swap
 from nielsenkit.graphs import EdgePath, any_route_endo, subdivided_fixed_map
 from nielsenkit.invariants import fixed_subgroup_basis
@@ -226,12 +227,12 @@ def observed_graph_cancellation(f, max_len: int) -> int:
     P.Q with |P|, |Q| <= max_len."""
     g = f.graph
     starting: dict[str, list] = {v: [] for v in g.vertices}
-    level = [(d,) for d in g.darts()]
+    level = [(d,) for d in all_darts(g)]
     for _ in range(max_len):
         for p in level:
-            starting[g.origin(p[0])].append(p)
-        level = [p + (d,) for p in level for d in g.darts_at(g.terminus(p[-1]))
-                 if d != p[-1].rev]
+            starting[origin(g, p[0])].append(p)
+        level = [p + (d,) for p in level for d in darts_at(g, terminus(g, p[-1]))
+                 if d != rev(p[-1])]
     worst = 0
     for qs in starting.values():
         images = [map_path(f, EdgePath(q)).darts for q in qs]
